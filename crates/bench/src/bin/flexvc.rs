@@ -273,9 +273,9 @@ fn write_output(report: &ScenarioReport, path: &str, format: &str) -> Result<(),
 }
 
 fn bench(opts: Options) -> ExitCode {
-    // Never default onto the recorded gate baseline (BENCH_pr6.json): a
-    // single local run is ±20% noisy and must not silently replace the
-    // best-of-three recording the CI gate compares against.
+    // Never default onto a recorded baseline (BENCH_pr10.json): a single
+    // local run is ±20% noisy and must not silently replace the
+    // several-run recording `--baseline` compares against.
     let out_path = opts.out.as_deref().unwrap_or("BENCH_current.json");
     // Read (and validate) the baseline before the suite runs, so a typo'd
     // path cannot waste the run.

@@ -191,11 +191,10 @@ pub struct GroupSummary {
     pub speedup_vs_baseline: f64,
 }
 
-/// The full bench report (serialized to `BENCH_pr9.json`; older
-/// recordings such as `BENCH_pr2.json`/`BENCH_pr8.json` deserialize
-/// through the same schema for `--baseline` comparisons — fields added
-/// since, like the per-group geomean and the per-shard stats, degrade
-/// gracefully).
+/// The full bench report (serialized to e.g. `BENCH_pr10.json`; older
+/// recordings deserialize through the same schema for `--baseline`
+/// comparisons — fields added since, like the per-group geomean and the
+/// per-shard stats, degrade gracefully).
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Report schema tag.

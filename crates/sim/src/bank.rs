@@ -18,17 +18,36 @@
 use crate::packet::Packet;
 use flexvc_core::{CreditClass, SplitOccupancy};
 
+/// Most VCs one port class (request + reply) or one injection queue may
+/// carry. [`SimConfig::validate`](crate::SimConfig::validate) rejects
+/// larger arrangements; the per-VC state of [`Occupancy`] and
+/// [`BufferBank`] is stored inline in arrays of this width, and the
+/// engine's VC bitmasks and candidate scratch rely on it.
+pub const MAX_VCS: usize = 16;
+
+/// Capacity a demand-sized queue holding `len` entries at full capacity
+/// grows by: doubling from one entry, never past `bound`. A queue already
+/// at its bound is an accounting bug upstream (the credit and occupancy
+/// checks admit no more than the bound), caught here in debug builds.
+#[inline]
+pub(crate) fn bounded_growth(len: usize, bound: usize) -> usize {
+    debug_assert!(len < bound, "queue of {len} grows past its bound {bound}");
+    (len * 2).clamp(1, bound.max(len + 1)) - len
+}
+
 /// Pure occupancy accounting for one port's VCs (static or DAMQ).
 #[derive(Debug, Clone)]
 pub struct Occupancy {
-    /// Phits resident per VC.
-    occ: Vec<u32>,
-    /// Private reservation per VC (equals per-VC capacity for static banks).
-    resv: Vec<u32>,
+    /// Phits resident per VC, split by routing type (minCred); a VC's
+    /// occupancy is the split's total.
+    split: [SplitOccupancy; MAX_VCS],
+    /// Number of VCs in use.
+    vcs: u8,
+    /// Private reservation of every VC (the per-VC capacity of a static
+    /// bank).
+    resv: u32,
     /// Shared pool capacity (0 for static banks).
     shared_cap: u32,
-    /// Per-routing-type split per VC (minCred).
-    split: Vec<SplitOccupancy>,
     /// Probe size registered via [`Occupancy::register_probe`] (0 when the
     /// ready mask is not maintained).
     probe: u32,
@@ -40,11 +59,12 @@ pub struct Occupancy {
 impl Occupancy {
     /// Statically partitioned: `vcs` private FIFOs of `per_vc` phits.
     pub fn new_static(vcs: usize, per_vc: u32) -> Self {
+        assert!(vcs <= MAX_VCS, "{vcs} VCs exceed MAX_VCS = {MAX_VCS}");
         Occupancy {
-            occ: vec![0; vcs],
-            resv: vec![per_vc; vcs],
+            split: [SplitOccupancy::new(); MAX_VCS],
+            vcs: vcs as u8,
+            resv: per_vc,
             shared_cap: 0,
-            split: vec![SplitOccupancy::new(); vcs],
             probe: 0,
             ready: 0,
         }
@@ -59,59 +79,47 @@ impl Occupancy {
             "private reservation {reserved} exceeds port memory {total}"
         );
         Occupancy {
-            occ: vec![0; vcs],
-            resv: vec![private_per_vc; vcs],
             shared_cap: total - reserved,
-            split: vec![SplitOccupancy::new(); vcs],
-            probe: 0,
-            ready: 0,
+            ..Self::new_static(vcs, private_per_vc)
         }
     }
 
     /// Number of VCs.
     pub fn vcs(&self) -> usize {
-        self.occ.len()
+        self.vcs as usize
+    }
+
+    /// Phits of VC `vc` beyond its private reservation (its shared-pool use).
+    fn overflow(&self, vc: usize) -> u32 {
+        self.occupancy(vc).saturating_sub(self.resv)
     }
 
     /// Shared-pool phits currently in use.
     fn shared_used(&self) -> u32 {
-        self.occ
-            .iter()
-            .zip(&self.resv)
-            .map(|(&o, &r)| o.saturating_sub(r))
-            .sum()
+        (0..self.vcs()).map(|v| self.overflow(v)).sum()
     }
 
     /// Can `size` phits enter VC `vc` right now?
     pub fn can_accept(&self, vc: usize, size: u32) -> bool {
-        // Static banks (no shared pool) keep `occ <= resv` per VC, so the
-        // general shared-overflow scan below reduces to one comparison —
-        // this is the allocator's hottest check.
+        // Static banks (no shared pool) keep every VC within its
+        // reservation, so the shared-overflow scan reduces to one
+        // comparison — this is the allocator's hottest check.
+        let new_occ = self.occupancy(vc) + size;
         if self.shared_cap == 0 {
-            return self.occ[vc] + size <= self.resv[vc];
+            return new_occ <= self.resv;
         }
-        let new_occ = self.occ[vc] + size;
-        let new_over = new_occ.saturating_sub(self.resv[vc]);
-        let others: u32 = self
-            .occ
-            .iter()
-            .zip(&self.resv)
-            .enumerate()
-            .filter(|(i, _)| *i != vc)
-            .map(|(_, (&o, &r))| o.saturating_sub(r))
-            .sum();
-        others + new_over <= self.shared_cap
+        let others = self.shared_used() - self.overflow(vc);
+        others + new_occ.saturating_sub(self.resv) <= self.shared_cap
     }
 
     /// Free space available to VC `vc` (private headroom plus remaining
     /// shared pool) — the JSQ metric.
     pub fn free_for(&self, vc: usize) -> u32 {
-        let private_head = self.resv[vc].saturating_sub(self.occ[vc]);
+        let private_head = self.resv.saturating_sub(self.occupancy(vc));
         if self.shared_cap == 0 {
             return private_head;
         }
-        let shared_free = self.shared_cap - self.shared_used();
-        private_head + shared_free
+        private_head + self.shared_cap - self.shared_used()
     }
 
     /// Maintain a ready-VC bitmask for a fixed probe size: after this call
@@ -119,19 +127,16 @@ impl Occupancy {
     /// [`Occupancy::ready_mask`] has bit `v` set iff
     /// `can_accept(v, probe)`. Only meaningful for static banks — DAMQ
     /// admission depends on the *other* VCs' shared-pool use, so a per-VC
-    /// bit cannot be maintained by that VC's mutations alone — and banks of
-    /// at most 32 VCs; the call is a no-op otherwise and `ready_mask` keeps
-    /// reporting `None`.
+    /// bit cannot be maintained by that VC's mutations alone; the call is a
+    /// no-op there and `ready_mask` keeps reporting `None`.
     pub fn register_probe(&mut self, probe: u32) {
-        if self.shared_cap != 0 || self.occ.len() > 32 || probe == 0 {
+        if self.shared_cap != 0 || probe == 0 {
             return;
         }
         self.probe = probe;
         self.ready = 0;
-        for vc in 0..self.occ.len() {
-            if self.occ[vc] + probe <= self.resv[vc] {
-                self.ready |= 1 << vc;
-            }
+        for vc in 0..self.vcs() {
+            self.refresh_ready(vc);
         }
     }
 
@@ -147,7 +152,7 @@ impl Occupancy {
     fn refresh_ready(&mut self, vc: usize) {
         if self.probe != 0 {
             let bit = 1u32 << vc;
-            if self.occ[vc] + self.probe <= self.resv[vc] {
+            if self.occupancy(vc) + self.probe <= self.resv {
                 self.ready |= bit;
             } else {
                 self.ready &= !bit;
@@ -158,27 +163,26 @@ impl Occupancy {
     /// Record `size` phits entering VC `vc`.
     pub fn add(&mut self, vc: usize, size: u32, class: CreditClass) {
         debug_assert!(self.can_accept(vc, size), "overflow on VC {vc}");
-        self.occ[vc] += size;
         self.split[vc].add(class, size);
         self.refresh_ready(vc);
     }
 
     /// Record `size` phits leaving VC `vc`.
     pub fn remove(&mut self, vc: usize, size: u32, class: CreditClass) {
-        debug_assert!(self.occ[vc] >= size, "underflow on VC {vc}");
-        self.occ[vc] -= size;
         self.split[vc].remove(class, size);
         self.refresh_ready(vc);
     }
 
     /// Phits resident in VC `vc`.
+    #[inline]
     pub fn occupancy(&self, vc: usize) -> u32 {
-        self.occ[vc]
+        debug_assert!(vc < self.vcs());
+        self.split[vc].total()
     }
 
     /// Total phits resident in the port.
     pub fn total(&self) -> u32 {
-        self.occ.iter().sum()
+        self.split_total().total()
     }
 
     /// Min/non-min split of VC `vc` (minCred sensing).
@@ -189,7 +193,7 @@ impl Occupancy {
     /// Aggregated min/non-min split over the whole port.
     pub fn split_total(&self) -> SplitOccupancy {
         let mut s = SplitOccupancy::new();
-        for v in &self.split {
+        for v in &self.split[..self.vcs()] {
             s.merge(v);
         }
         s
@@ -199,54 +203,61 @@ impl Occupancy {
 /// Sentinel for "no slot" in the intrusive FIFO links.
 const NIL: u32 = u32::MAX;
 
+/// One slab entry: a queued packet and its FIFO successor, or a free slot
+/// chained to the next free one.
+#[derive(Debug)]
+struct Slot {
+    pkt: Option<Packet>,
+    next: u32,
+}
+
 /// A physical input bank: occupancy accounting plus per-VC packet FIFOs.
 ///
-/// The FIFOs are flattened into one index-based pool per bank (a packet
-/// slab plus intrusive `next` links and per-VC head/tail cursors) instead
-/// of a `Vec<VecDeque<Packet>>`: pushes and pops are O(1) slot relinks with
-/// no per-VC ring buffers, freed slots are recycled through a free list,
-/// and after warm-up the slab stops allocating entirely — the property the
-/// active-set engine relies on for allocation-free steady-state cycles.
+/// The FIFOs share one index-based slab per bank (packets with intrusive
+/// `next` links, per-VC head/tail cursors stored inline) instead of a
+/// `Vec<VecDeque<Packet>>`: pushes and pops are O(1) slot relinks, freed
+/// slots are recycled through an intrusive free list, and the whole bank is
+/// one record plus one heap block. The slab is demand-sized: it starts
+/// empty and doubles up to the packet bound given at construction, so a
+/// bank costs what its traffic needs and never more than its worst case.
 #[derive(Debug)]
 pub struct BufferBank {
     /// Occupancy view (identical accounting to the upstream mirror).
     pub occ: Occupancy,
-    /// Packet slab; `None` marks a free slot.
-    slots: Vec<Option<Packet>>,
-    /// Intrusive FIFO links over `slots`.
-    next: Vec<u32>,
-    /// Recycled slot indices.
-    free: Vec<u32>,
+    /// Packet slab; `pkt == None` marks a free slot.
+    slots: Vec<Slot>,
+    /// Head of the free-slot chain.
+    free: u32,
     /// Per-VC FIFO head slot.
-    head: Vec<u32>,
+    head: [u32; MAX_VCS],
     /// Per-VC FIFO tail slot.
-    tail: Vec<u32>,
-    /// Per-VC queue length.
-    len: Vec<u32>,
+    tail: [u32; MAX_VCS],
     /// Total queued packets (hot-path skip test for the allocator).
     total: u32,
+    /// Most packets the bank can hold at once (slab growth bound).
+    bound: u32,
 }
 
 impl BufferBank {
-    /// Build a bank around an occupancy model.
+    /// Build a bank around an occupancy model, its slab bounded only by
+    /// what the occupancy admits.
     pub fn new(occ: Occupancy) -> Self {
-        Self::with_packet_capacity(occ, 0)
+        Self::with_packet_capacity(occ, NIL as usize)
     }
 
-    /// Build a bank with the slab preallocated for `packets` resident
-    /// packets (the engine passes the port capacity in packets so the
-    /// steady state never reallocates).
+    /// Build a bank that holds at most `packets` resident packets (the
+    /// engine passes the port capacity in packets). Nothing is allocated
+    /// until packets arrive; the slab then grows geometrically up to
+    /// `packets` slots.
     pub fn with_packet_capacity(occ: Occupancy, packets: usize) -> Self {
-        let vcs = occ.vcs();
         BufferBank {
             occ,
-            slots: Vec::with_capacity(packets),
-            next: Vec::with_capacity(packets),
-            free: Vec::new(),
-            head: vec![NIL; vcs],
-            tail: vec![NIL; vcs],
-            len: vec![0; vcs],
+            slots: Vec::new(),
+            free: NIL,
+            head: [NIL; MAX_VCS],
+            tail: [NIL; MAX_VCS],
             total: 0,
+            bound: packets.min(NIL as usize) as u32,
         }
     }
 
@@ -260,28 +271,34 @@ impl BufferBank {
         // per-router transit decision (DAL / adaptive copies) re-arms.
         pkt.flex_opts = None;
         pkt.hop_decided = false;
-        let class = pkt.buffered_class;
-        self.occ.add(vc, pkt.size, class);
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(pkt);
-                self.next[s as usize] = NIL;
-                s
+        self.occ.add(vc, pkt.size, pkt.buffered_class);
+        let slot = if self.free != NIL {
+            let s = self.free;
+            let entry = &mut self.slots[s as usize];
+            self.free = entry.next;
+            *entry = Slot {
+                pkt: Some(pkt),
+                next: NIL,
+            };
+            s
+        } else {
+            let s = self.slots.len();
+            if s == self.slots.capacity() {
+                self.slots
+                    .reserve_exact(bounded_growth(s, self.bound as usize));
             }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Some(pkt));
-                self.next.push(NIL);
-                s
-            }
+            self.slots.push(Slot {
+                pkt: Some(pkt),
+                next: NIL,
+            });
+            s as u32
         };
         if self.tail[vc] == NIL {
             self.head[vc] = slot;
         } else {
-            self.next[self.tail[vc] as usize] = slot;
+            self.slots[self.tail[vc] as usize].next = slot;
         }
         self.tail[vc] = slot;
-        self.len[vc] += 1;
         self.total += 1;
     }
 
@@ -289,7 +306,7 @@ impl BufferBank {
     pub fn head(&self, vc: usize) -> Option<&Packet> {
         match self.head[vc] {
             NIL => None,
-            s => self.slots[s as usize].as_ref(),
+            s => self.slots[s as usize].pkt.as_ref(),
         }
     }
 
@@ -297,7 +314,7 @@ impl BufferBank {
     pub fn head_mut(&mut self, vc: usize) -> Option<&mut Packet> {
         match self.head[vc] {
             NIL => None,
-            s => self.slots[s as usize].as_mut(),
+            s => self.slots[s as usize].pkt.as_mut(),
         }
     }
 
@@ -307,15 +324,15 @@ impl BufferBank {
     pub fn pop(&mut self, vc: usize) -> Packet {
         let s = self.head[vc];
         assert_ne!(s, NIL, "pop on empty VC");
-        let s = s as usize;
-        self.head[vc] = self.next[s];
+        let entry = &mut self.slots[s as usize];
+        self.head[vc] = entry.next;
         if self.head[vc] == NIL {
             self.tail[vc] = NIL;
         }
-        self.len[vc] -= 1;
         self.total -= 1;
-        self.free.push(s as u32);
-        self.slots[s].take().expect("occupied slot")
+        entry.next = self.free;
+        self.free = s;
+        entry.pkt.take().expect("occupied slot")
     }
 
     /// Release `size` phits of VC `vc` after the transfer completes.
@@ -325,22 +342,35 @@ impl BufferBank {
 
     /// Number of VCs.
     pub fn vcs(&self) -> usize {
-        self.head.len()
+        self.occ.vcs()
     }
 
-    /// Queued packets in VC `vc` (the active-set engine's skip test).
-    pub fn vc_len(&self, vc: usize) -> usize {
-        self.len[vc] as usize
+    /// Whether VC `vc` holds no packet (the active-set engine's skip test).
+    pub fn vc_is_empty(&self, vc: usize) -> bool {
+        self.head[vc] == NIL
     }
 
     /// Total queued packets across VCs (O(1); the allocator's port-level
     /// skip test).
     pub fn queued_packets(&self) -> usize {
-        debug_assert_eq!(
-            self.total as usize,
-            self.len.iter().map(|&l| l as usize).sum::<usize>()
-        );
         self.total as usize
+    }
+
+    /// Slab slots currently allocated (never more than [`Self::bound`]).
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// Most packets the bank can hold at once.
+    pub(crate) fn bound(&self) -> usize {
+        self.bound as usize
+    }
+
+    /// Grow the slab to its bound now (what the engine preallocated before
+    /// queues became demand-sized; growth is unobservable in results, and
+    /// tests use this to prove it).
+    pub(crate) fn reserve_bound(&mut self) {
+        self.slots.reserve_exact(self.bound() - self.slots.len());
     }
 }
 
@@ -460,8 +490,8 @@ mod tests {
         assert_eq!(bank.occ.occupancy(0), 8);
         assert_eq!(bank.head(0).unwrap().id, 2);
         assert_eq!(bank.queued_packets(), 1);
-        assert_eq!(bank.vc_len(0), 1);
-        assert_eq!(bank.vc_len(1), 0);
+        assert!(!bank.vc_is_empty(0));
+        assert!(bank.vc_is_empty(1));
     }
 
     #[test]
@@ -485,6 +515,30 @@ mod tests {
         }
         // The slab never grew past the peak resident count.
         assert!(bank.slots.len() <= 3, "slab grew: {}", bank.slots.len());
+    }
+
+    #[test]
+    fn slab_is_demand_sized_and_bounded() {
+        let mut bank = BufferBank::with_packet_capacity(Occupancy::new_static(1, 48), 6);
+        assert_eq!(bank.capacity(), 0, "nothing allocated before traffic");
+        let mut seen = vec![];
+        for id in 0..6 {
+            bank.push(0, mk_packet(id, 8));
+            seen.push(bank.capacity());
+        }
+        // Doubling from one slot, clamped at the bound.
+        assert_eq!(seen, [1, 2, 4, 4, 6, 6]);
+        for id in 0..6 {
+            assert_eq!(bank.pop(0).id, id);
+        }
+        bank.reserve_bound();
+        assert_eq!(bank.capacity(), bank.bound());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_VCS")]
+    fn more_than_max_vcs_rejected() {
+        let _ = Occupancy::new_static(MAX_VCS + 1, 32);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! constructor; serialize them through `flexvc_serde` (see the
 //! `serde_impls` module) to move whole experiments through TOML/JSON.
 
+use crate::bank::MAX_VCS;
 use crate::builder::SimConfigBuilder;
 use crate::error::ConfigError;
 use flexvc_core::classify::{classify, NetworkFamily, Support};
@@ -629,6 +630,14 @@ impl SimConfig {
         self
     }
 
+    /// Link latency in cycles for a port of the given class.
+    pub fn link_latency(&self, class: LinkClass) -> u32 {
+        match class {
+            LinkClass::Local => self.local_latency,
+            LinkClass::Global => self.global_latency,
+        }
+    }
+
     /// VC count for a port of the given class.
     pub fn vcs_for_class(&self, class: flexvc_core::LinkClass) -> usize {
         self.arrangement.vc_count(class)
@@ -785,6 +794,19 @@ impl SimConfig {
         }
         if self.speedup == 0 {
             return Err(ConfigError::NonPositive { what: "speedup" });
+        }
+        for (what, vcs) in [
+            ("local", self.vcs_for_class(LinkClass::Local)),
+            ("global", self.vcs_for_class(LinkClass::Global)),
+            ("injection", self.injection_vcs),
+        ] {
+            if vcs > MAX_VCS {
+                return Err(ConfigError::TooManyVcs {
+                    what,
+                    vcs,
+                    max: MAX_VCS,
+                });
+            }
         }
         let classes: &[MessageClass] = if self.workload.is_reactive() {
             &[MessageClass::Request, MessageClass::Reply]

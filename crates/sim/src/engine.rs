@@ -1,7 +1,8 @@
 //! The cycle-accurate network engine.
 //!
 //! One [`Network`] owns every router, link, and node generator of a
-//! simulation. Each cycle proceeds in phases:
+//! simulation (or, as one shard of a [`crate::ShardedNetwork`], those of a
+//! contiguous router range). Each cycle proceeds in phases:
 //!
 //! 1. **Deliver** — packets whose head phit reaches a router enter its input
 //!    VC buffers; returning credits update the upstream mirrors.
@@ -36,10 +37,10 @@
 //!
 //! * **timing wheels** for link events — packet heads and credits are
 //!   scheduled at their arrival cycle when they enter a link, so `deliver`
-//!   touches exactly the links with something due *now*;
-//! * **router worklists** for allocation (`queued > 0`), route planning
-//!   (injection pushes/pops may expose an unplanned head), and scheduled
-//!   releases (`pending` non-empty);
+//!   touches exactly the links with something due *now* — and scheduled
+//!   buffer releases, applied at their completion cycle;
+//! * **router worklists** for allocation (`queued > 0`) and route planning
+//!   (injection pushes/pops may expose an unplanned head);
 //! * **port worklists** for output serialization (non-empty output queue)
 //!   and Piggyback sensing (global-port credit state changed since the
 //!   last publish).
@@ -54,37 +55,49 @@
 //! `tests/engine_equivalence.rs` against recorded pre-refactor snapshots —
 //! while skipping idle state entirely, which is what makes paper-scale
 //! (h = 8, 2,064 routers) Dragonfly runs tractable.
+//!
+//! # Storage layout
+//!
+//! Mutable state lives in flat record tables sized to the routers this
+//! instance owns: one `RouterRec` per router, one `InputRec` per
+//! unified input (`r·n_in + i`: network ports, then injection queues), one
+//! `OutputRec` per output link (`r·pp + port`), one `NodeRec` per
+//! node, the credit mirrors `out_credit` (their own table because
+//! [`SenseView`] borrows a router's mirrors as a slice) and the per-VC
+//! skip memos. Everything immutable and topology-derived sits in the
+//! shared `Fabric`. Packet queues (bank slabs, output queues, link
+//! pipelines) are demand-sized: empty at build, doubling under traffic,
+//! never past their worst-case bound — growth moves no packet and reads no
+//! clock, so it cannot change a result.
 
-#![allow(clippy::needless_range_loop)] // parallel arrays indexed by port/vc
 #![allow(clippy::type_complexity)]
 
 use crate::arbiter::RrArbiter;
-use crate::bank::{BufferBank, Occupancy};
+use crate::bank::{BufferBank, Occupancy, MAX_VCS};
 use crate::config::{BufferOrg, SensingMode, SimConfig};
-use crate::link::LinkState;
+use crate::fabric::Fabric;
+use crate::link::{push_bounded, LinkState};
 use crate::metrics::{Metrics, SimResult};
-use crate::packet::{Packet, PlannedPath, MAX_PLAN};
+use crate::packet::{Packet, PlannedPath};
 use crate::plan::{min_plan, RoutePolicy, SenseView};
 use crate::sensing::{saturated_flags_into, GroupBoard};
 use crate::shard::{BoundaryEvent, BoundaryPayload};
-use flexvc_core::classify::NetworkFamily;
-use flexvc_core::policy::{baseline_vc, flexvc_options_lookahead};
-use flexvc_core::{
-    Arrangement, CreditClass, HopKind, LinkClass, MessageClass, TrafficClass, VcPolicy,
-};
+use flexvc_core::policy::flexvc_options_lookahead;
+use flexvc_core::{CreditClass, HopKind, LinkClass, MessageClass, TrafficClass, VcPolicy};
 use flexvc_topology::Topology;
-use flexvc_traffic::flow::{random_permutation, FlowPattern};
-use flexvc_traffic::generator::NodeSpace;
 use flexvc_traffic::NodeTraffic;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A power-of-two timing wheel mapping future cycles to link ids with an
-/// event due. Slots are reused (taken, drained, put back) so the steady
-/// state allocates nothing. Events may be scheduled at most `len` cycles
-/// ahead — the wheel is sized from the worst-case link event horizon
+// The per-input VC bitmask is a `u16`.
+const _: () = assert!(MAX_VCS <= u16::BITS as usize);
+
+/// A power-of-two timing wheel mapping future cycles to ids with an event
+/// due. Slots are reused (taken, drained, put back) so the steady state
+/// allocates nothing. Events may be scheduled at most `len` cycles ahead —
+/// the wheel is sized from the worst-case link event horizon
 /// (`max latency + packet size + slack`) at construction.
 #[derive(Debug)]
 struct Wheel<T> {
@@ -125,11 +138,11 @@ impl<T> Wheel<T> {
     }
 }
 
-/// Append `id` to a worklist unless already a member.
+/// Append `id` to a worklist unless its membership flag is already set.
 #[inline]
-fn mark(list: &mut Vec<u32>, in_set: &mut [bool], id: usize) {
-    if !in_set[id] {
-        in_set[id] = true;
+fn mark(list: &mut Vec<u32>, member: &mut bool, id: usize) {
+    if !*member {
+        *member = true;
         list.push(id as u32);
     }
 }
@@ -144,44 +157,141 @@ struct OutPkt {
     vc: u8,
 }
 
-/// Scheduled buffer releases.
+/// Scheduled buffer releases, addressed by record-table index.
 #[derive(Debug, Clone, Copy)]
 enum Pending {
     /// Input VC occupancy release at transfer completion.
     Input {
-        at: u64,
-        in_idx: u32,
+        input: u32,
         vc: u8,
         phits: u32,
         class: CreditClass,
     },
     /// Output buffer release when the tail leaves on the link.
-    OutBuf { at: u64, port: u16, phits: u32 },
+    OutBuf { output: u32, phits: u32 },
 }
 
-/// Per-router state.
-struct Router {
-    /// Network input banks (one per network port).
-    inputs: Vec<BufferBank>,
-    /// Injection banks (one per attached node).
-    inj: Vec<BufferBank>,
-    /// Per-input-port VC arbiters.
-    in_arb: Vec<RrArbiter>,
-    /// Per-output-port arbiters over the unified input space.
-    out_arb: Vec<RrArbiter>,
-    /// Credit mirrors of the downstream input banks per network output port.
-    out_credit: Vec<Occupancy>,
-    /// Output queues awaiting serialization.
-    out_queue: Vec<VecDeque<OutPkt>>,
+/// Per-router record, indexed by owned-router offset.
+struct RouterRec {
+    /// Queued packets (network input + injection queues); non-zero keeps
+    /// the router on the allocation worklist.
+    queued: u32,
+    /// Membership flags of the allocation / planning / sensing worklists.
+    alloc_in: bool,
+    plan_in: bool,
+    sense_in: bool,
+    /// Cycle at which the router was proven allocation-settled: under the
+    /// baseline policy (no per-evaluation packet mutation, no PAR divert),
+    /// a round with zero nominations leaves every input unchanged, so the
+    /// remaining `speedup` rounds of the same cycle are provable no-ops.
+    settled: u64,
+    /// Bitmask of unified inputs with queued packets (valid when
+    /// `n_in <= 64`; stage 1 then visits only occupied ports).
+    in_mask: u64,
     /// Router-local RNG (Valiant picks, random VC selection).
     rng: SmallRng,
+}
+
+/// Per-input record (`router · n_in + input`): the `pp` network input
+/// ports of a router, then its `pn` injection queues.
+struct InputRec {
+    /// The input's VC buffers.
+    bank: BufferBank,
+    /// Input feed busy-until.
+    busy: u64,
+    /// Stage-1 arbiter over the input's VCs.
+    arb: RrArbiter,
+    /// Bitmask of VCs with queued packets — the allocator's VC-level skip.
+    vc_mask: u16,
+    /// Stage-1 QoS bypass counter (see `bypass_bound`).
+    bypass: u32,
+    /// Index in `outputs` of the link feeding this network input: where
+    /// its arriving packets are popped from and, when the transmitter is
+    /// owned, where its credits return to (`u32::MAX` on injection queues
+    /// and unwired ports).
+    rx: u32,
+    /// Index of this input's VC 0 in the skip-memo table.
+    memo: u32,
+}
+
+/// Memoized head rejection of one input VC: provably still `None` while
+/// `until > now`, or while the epoch of output `port` still equals `epoch`
+/// (`u64::MAX` = no event key, deadline only). When an evaluation fails a
+/// gate, the same outcome is guaranteed until that gate can change — the
+/// gate precedes every policy/mutation path and a blocked head cannot be
+/// dequeued meanwhile.
+#[derive(Clone, Copy)]
+struct SkipMemo {
+    until: u64,
+    epoch: u64,
+    port: u16,
+}
+
+/// Per-output-link record (`router · pp + port`), followed in a shard by
+/// one replica per cut link it receives on (only `link` is used there).
+struct OutputRec {
+    /// Crossbar feed busy-until.
+    xbar: u64,
+    /// Event counter, bumped whenever a gate on this port can flip from
+    /// blocking to passing: a credit return (`deliver`) or an output-buffer
+    /// release (`process_pending`). An `EvalBlock::Event` rejection is
+    /// provably `None` while it is unchanged — credits and output
+    /// occupancy improve through these two events and nothing else.
+    epoch: u64,
+    /// Last credit-arrival cycle scheduled for this link: credit returns
+    /// are batched per link per cycle, so a link already scheduled for
+    /// cycle `at` skips the duplicate wheel push — `deliver` drains every
+    /// credit due at `at` from one wheel entry. Sound because credit
+    /// arrivals are monotonic per link, and a duplicate entry would drain
+    /// nothing anyway.
+    cred_sched: u64,
+    /// Output buffer occupancy in phits.
+    occ: u32,
+    /// Stage-2 QoS bypass counter.
+    bypass: u32,
+    /// Per-class occupancy of the downstream credit mirror (dynamic
+    /// repartitioning only): incremented on a forward grant, decremented
+    /// when the matching credit returns (credits carry the packet's class).
+    cls_occ: [u32; 2],
+    /// Per-class phit quotas. The two sum to the port capacity and each
+    /// stays at least one packet; [`Network::repartition`] shifts them
+    /// under occupancy pressure.
+    cls_quota: [u32; 2],
+    /// Membership flag of the serialization worklist.
+    out_in: bool,
+    /// Stage-2 arbiter over the router's unified inputs.
+    arb: RrArbiter,
+    /// Packets awaiting serialization (demand-sized up to `out_bound`).
+    queue: VecDeque<OutPkt>,
+    /// The link's packet and credit pipelines.
+    link: LinkState,
+}
+
+/// Per-node record: the traffic side of an injection queue.
+struct NodeRec {
+    gen: NodeTraffic,
+    /// Index in `inputs` of the node's injection queue.
+    input: u32,
+    /// Staged replies: `(destination, ready_at)`.
+    staging: VecDeque<(u32, u64)>,
+    /// Consumption channel busy-until per message class.
+    eject_busy: [u64; 2],
+    /// Injection VC round-robin (non-reactive traffic).
+    inj_rr: u8,
 }
 
 /// A forwarding decision for an input VC head.
 #[derive(Debug, Clone, Copy)]
 enum Decision {
-    Forward { port: u16, vc: u8, pos: u16 },
-    Eject { channel: u16 },
+    Forward {
+        port: u16,
+        vc: u8,
+        pos: u16,
+    },
+    /// Consume on `channel` = `2 · node-table index + message class`.
+    Eject {
+        channel: u32,
+    },
 }
 
 /// Classification of a head-evaluation rejection by its *first failing
@@ -206,12 +316,8 @@ enum EvalBlock {
 /// The simulation network.
 pub struct Network {
     cfg: SimConfig,
-    topo: Arc<dyn Topology>,
-    /// Classification family (read by the debug-build baseline-table
-    /// cross-check; release builds use the precomputed table alone).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    family: NetworkFamily,
-    arr: Arrangement,
+    /// Immutable topology-derived tables, shared with every other shard.
+    fabric: Arc<Fabric>,
     /// The per-hop routing-decision pipeline: injection planning and
     /// in-transit decisions (PAR / DAL / adaptive copies) all route
     /// through this one object — the engine has no mode special cases.
@@ -224,32 +330,18 @@ pub struct Network {
     /// the policy object (no `SenseView` setup, no dispatch) and calls
     /// [`min_plan`] directly — the monomorphized MIN fast path.
     fast_min: bool,
-    /// Network ports per router.
-    pp: usize,
-    /// Nodes per router.
-    pn: usize,
-    /// Flat adjacency: `r*pp + port -> (router, port)`.
-    adj: Vec<Option<(u32, u16)>>,
-    /// First node id of each router ([`Topology::node_base`], flattened):
-    /// `r * pn` on uniformly-populated topologies; Dragonfly+ spines carry
-    /// no nodes and leaves are numbered group-major.
-    node_base: Vec<u32>,
-    /// Class per port index (uniform across routers for our topologies).
-    port_class: Vec<LinkClass>,
-    /// Ports whose occupancy Piggyback sensing publishes: the global ports
-    /// of a Dragonfly, or *every* network port on single-class topologies
-    /// (flattened butterfly, HyperX — there is no global/local split to
-    /// narrow the signal to).
-    sense_ports: Vec<usize>,
-    /// `true` when every port is a sense port (single-class topology).
-    sense_all: bool,
-    routers: Vec<Router>,
-    links: Vec<LinkState>,
-    gens: Vec<NodeTraffic>,
-    /// Per-node staged replies: `(destination, ready_at)`.
-    staging: Vec<VecDeque<(u32, u64)>>,
-    /// Per-node injection VC round-robin (non-reactive traffic).
-    inj_rr: Vec<u8>,
+    // --- record tables, indexed by offset into the owned ranges ---
+    routers: Vec<RouterRec>,
+    inputs: Vec<InputRec>,
+    outputs: Vec<OutputRec>,
+    /// Credit mirrors of the downstream input banks, indexed like the
+    /// owned part of `outputs`.
+    out_credit: Vec<Occupancy>,
+    /// Per-(input, VC) rejection memos (see [`InputRec::memo`]).
+    memo: Vec<SkipMemo>,
+    nodes: Vec<NodeRec>,
+    /// Growth bound of every output queue, in packets.
+    out_bound: usize,
     /// Per-group Piggyback boards (empty unless PB routing).
     boards: Vec<GroupBoard>,
     metrics: Metrics,
@@ -262,13 +354,14 @@ pub struct Network {
     /// producing new requests (staged replies still flush, so reactive
     /// traffic conservation closes too).
     draining: bool,
-    /// Routers this engine instance steps (the full range unless it is one
-    /// shard of a [`crate::shard::ShardedNetwork`]). Non-owned routers keep
-    /// their slots in every flat pool so link ids and adjacency stay global,
-    /// but their buffers are never touched and carry no preallocation.
+    /// Routers this engine instance steps and holds state for (the full
+    /// range unless it is one shard of a
+    /// [`crate::shard::ShardedNetwork`]). Router, node and link *ids* stay
+    /// global — in the fabric, in packets and in boundary events — and the
+    /// record tables are indexed by their offset into this range.
     owned_r: std::ops::Range<u32>,
     /// Nodes attached to owned routers (contiguous because node numbering
-    /// is router-major; see `node_base`).
+    /// is router-major; see [`Fabric::node_base`]).
     owned_n: std::ops::Range<u32>,
     /// `true` when this instance is a shard: effects that cross the
     /// ownership boundary (packet transmits, credit returns, PB board
@@ -278,70 +371,35 @@ pub struct Network {
     /// routed to their owning shard by the shard driver each cycle).
     outbox: Vec<BoundaryEvent>,
     // --- active-set scheduling state (behavior-neutral bookkeeping) ---
-    /// Per-router queued-packet count (network input + injection queues).
-    queued: Vec<u32>,
     /// Routers with queued packets: the allocation worklist.
     alloc_list: Vec<u32>,
-    alloc_in: Vec<bool>,
     /// Routers whose injection banks may hold an unplanned head.
     plan_list: Vec<u32>,
-    plan_in: Vec<bool>,
-    /// Output ports (flat link ids) with queued output packets.
+    /// Outputs with queued output packets.
     out_list: Vec<u32>,
-    out_in: Vec<bool>,
     /// Routers whose global-port credit state changed since the last
     /// Piggyback publish (empty unless PB routing).
     sense_list: Vec<u32>,
-    sense_in: Vec<bool>,
-    /// Timing wheel of links with a packet head arriving at a cycle.
+    /// Timing wheel of inputs with a packet head arriving at a cycle.
     pkt_wheel: Wheel<u32>,
-    /// Timing wheel of links with a credit arriving at a cycle.
+    /// Timing wheel of outputs with a credit arriving at a cycle.
     cred_wheel: Wheel<u32>,
-    /// Last credit-arrival cycle scheduled per link (flat link id): credit
-    /// returns are batched per link per cycle, so a link already scheduled
-    /// for cycle `at` skips the duplicate wheel push — `deliver` drains
-    /// every credit due at `at` from one wheel entry. Sound because credit
-    /// departures (and hence arrivals) are monotonic per link, and a
-    /// duplicate entry would drain nothing anyway.
-    cred_sched: Vec<u64>,
     /// Debug-build shadow of `cred_wheel` *without* the per-link batching:
     /// one entry per credit event. `deliver` cross-checks that the batched
     /// drain processes exactly the credits the per-event schedule would
     /// have, cycle by cycle.
     #[cfg(debug_assertions)]
     shadow_cred: Wheel<u32>,
-    /// Timing wheel of scheduled buffer releases `(router, release)` —
-    /// releases are commutative occupancy arithmetic, so wheel order is
-    /// interchangeable with the old per-router scan order.
-    rel_wheel: Wheel<(u32, Pending)>,
+    /// Timing wheel of scheduled buffer releases — releases are
+    /// commutative occupancy arithmetic, so wheel order is interchangeable
+    /// with the old per-router scan order.
+    rel_wheel: Wheel<Pending>,
     /// Allocation candidate scratch (one entry per unified input).
     cand: Vec<Option<(u8, Decision)>>,
     /// Input indices holding a candidate this round (selective clearing).
     cand_set: Vec<u16>,
     /// Output ports with a forwarding candidate this round.
     ports_scratch: Vec<u16>,
-    /// Per-router bitmask of unified inputs with queued packets (valid when
-    /// `n_in <= 64`; stage 1 then visits only occupied ports).
-    in_mask: Vec<u64>,
-    /// Per-(router, input) bitmask of VCs (< 16) with queued packets —
-    /// the allocator's VC-level skip, flat-indexed `r * n_in + in_idx`.
-    vc_mask: Vec<u16>,
-    /// Input feed busy-until, flat-indexed `r * n_in + in_idx`
-    /// (`0..P` network ports, `P..P+p` injection).
-    in_busy: Vec<u64>,
-    /// Crossbar feed busy-until per output port, flat-indexed by link id.
-    out_xbar: Vec<u64>,
-    /// Output buffer occupancy per output port, flat-indexed by link id.
-    out_occ: Vec<u32>,
-    /// Consumption channel busy-until, flat-indexed `r * pn * 2 + channel`.
-    eject_busy: Vec<u64>,
-    /// VC count per unified input index (uniform across routers).
-    vcs_by_in: Vec<u8>,
-    /// Cycle at which a router was proven allocation-settled: under the
-    /// baseline policy (no per-evaluation packet mutation, no PAR divert),
-    /// a round with zero nominations leaves every input unchanged, so the
-    /// remaining `speedup` rounds of the same cycle are provable no-ops.
-    settled: Vec<u64>,
     /// Whether the settle shortcut is sound for this configuration.
     can_settle: bool,
     /// Set by `evaluate_head` when an evaluation semantically mutated a
@@ -358,28 +416,6 @@ pub struct Network {
     /// classifies the first failing gate so the rejection can be
     /// memoized until that gate can actually change.
     eval_block: EvalBlock,
-    /// Per-(router, output-port) event counter, bumped whenever a gate on
-    /// that port can flip from blocking to passing: a credit return
-    /// (`deliver`) or an output-buffer release (`process_pending`). An
-    /// `EvalBlock::Event` rejection is provably `None` while its port's
-    /// counter is unchanged — credits and output occupancy improve through
-    /// these two events and nothing else.
-    port_epoch: Vec<u64>,
-    /// Parallel to `vc_skip_until`: the port whose epoch the memoized
-    /// rejection is keyed on, and the epoch observed when it was recorded
-    /// (`u64::MAX` = no event key, deadline only).
-    vc_skip_port: Vec<u16>,
-    vc_skip_epoch: Vec<u64>,
-    /// Per-(router, input, VC < 16) evaluation skip deadline: when an
-    /// evaluation fails the crossbar-busy gate, the same `None` outcome is
-    /// guaranteed until the (monotonically advancing) `out_xbar` expiry —
-    /// the gate precedes every policy/mutation path and a blocked head
-    /// cannot be dequeued meanwhile. Disabled for PAR (whose evaluations
-    /// mutate divert state before the gate's outcome matters).
-    vc_skip_until: Vec<u64>,
-    /// Baseline policy lookup: `(class, slot) -> (vc, position)`, pure per
-    /// configuration (empty unless the baseline policy is active).
-    baseline_table: Vec<[(u8, u16); MAX_PLAN]>,
     /// Whether the workload emits flows (`flow_tags` stays untouched —
     /// and flow tagging costs nothing — otherwise).
     has_flows: bool,
@@ -406,31 +442,12 @@ pub struct Network {
     /// priority grants in a row it lets one bulk candidate through and
     /// resets — bounded bypass, the anti-starvation guarantee.
     bypass_bound: u32,
-    /// Stage-1 bypass counters per (router, unified input),
-    /// flat-indexed `r * n_in + in_idx`.
-    bypass_in: Vec<u32>,
-    /// Stage-2 bypass counters per (router, output port),
-    /// flat-indexed `r * pp + port`.
-    bypass_out: Vec<u32>,
     /// Allowed output-VC masks per (link class, traffic class) —
     /// [`SimConfig::qos_vc_mask`] precomputed, indexed
     /// `[link.index()][tclass.index()]`.
     qos_masks: [[u32; 2]; 2],
     /// Dynamic per-class buffer repartitioning enabled.
     repart: bool,
-    /// Per-(router, output port, class) occupancy of the downstream credit
-    /// mirror, flat-indexed `(r * pp + port) * 2 + tclass` (empty unless
-    /// `repart`). Incremented on a forward grant, decremented when the
-    /// matching credit returns (credits carry the packet's class).
-    cls_occ: Vec<u32>,
-    /// Per-(router, output port, class) phit quotas, same indexing. The two
-    /// quotas of a port sum to its capacity and each stays at least one
-    /// packet; [`Network::repartition`] shifts them under occupancy
-    /// pressure.
-    cls_quota: Vec<u32>,
-    /// Total phit capacity per output port index (uniform across routers;
-    /// the repartitioner's conservation invariant).
-    port_total: Vec<u32>,
 }
 
 impl Network {
@@ -440,8 +457,8 @@ impl Network {
     /// the configuration does not pass [`SimConfig::validate`].
     pub fn new(cfg: SimConfig, load: f64, seed: u64) -> Result<Self, crate::error::ConfigError> {
         cfg.validate()?;
-        let topo = cfg.topology.build();
-        Ok(Self::build(cfg, load, seed, topo, None))
+        let fabric = Arc::new(Fabric::new(&cfg, cfg.topology.build(), seed));
+        Ok(Self::new_shard(cfg, load, seed, fabric, None))
     }
 
     /// Like [`Network::new`] but reusing a pre-built topology instance,
@@ -460,66 +477,32 @@ impl Network {
             cfg.topology.num_routers(),
             "shared topology does not match cfg.topology"
         );
-        Ok(Self::build(cfg, load, seed, topo, None))
+        let fabric = Arc::new(Fabric::new(&cfg, topo, seed));
+        Ok(Self::new_shard(cfg, load, seed, fabric, None))
     }
 
-    /// Build one shard owning the contiguous router range `owned` (crate
-    /// API for [`crate::shard::ShardedNetwork`]; `cfg` is pre-validated).
+    /// Build the engine instance owning the contiguous router range
+    /// `owned` — `None` for the whole network — over a shared fabric
+    /// (crate API for [`crate::shard::ShardedNetwork`]; `cfg` is
+    /// pre-validated). Mutable state is allocated for owned routers only,
+    /// plus one link replica per cut link the range receives on.
     pub(crate) fn new_shard(
         cfg: SimConfig,
         load: f64,
         seed: u64,
-        topo: Arc<dyn Topology>,
-        owned: std::ops::Range<u32>,
-    ) -> Self {
-        Self::build(cfg, load, seed, topo, Some(owned))
-    }
-
-    fn build(
-        cfg: SimConfig,
-        load: f64,
-        seed: u64,
-        topo: Arc<dyn Topology>,
+        fabric: Arc<Fabric>,
         owned: Option<std::ops::Range<u32>>,
     ) -> Self {
-        let family = cfg.topology.family();
-        let pp = topo.num_ports();
-        let pn = topo.nodes_per_router();
-        let nr = topo.num_routers();
-        let arr = cfg.arrangement.clone();
+        let fab = &*fabric;
+        let (pp, n_in) = (fab.pp, fab.n_in);
+        let nr = fab.topo.num_routers();
         let sharded = owned.is_some();
         let owned_r = owned.unwrap_or(0..nr as u32);
         debug_assert!(owned_r.start < owned_r.end && owned_r.end <= nr as u32);
-        let owns = |r: usize| owned_r.contains(&(r as u32));
+        let owned_n = fab.node_base[owned_r.start as usize]..fab.node_end(owned_r.end as usize);
+        let (r0, n_own) = (owned_r.start as usize, owned_r.len());
 
-        let mut adj = vec![None; nr * pp];
-        let node_base: Vec<u32> = (0..nr).map(|r| topo.node_base(r) as u32).collect();
-        let mut port_class = vec![LinkClass::Local; pp];
-        for port in 0..pp {
-            port_class[port] = topo.port_class(0, port);
-        }
-        for r in 0..nr {
-            for port in 0..pp {
-                debug_assert_eq!(topo.port_class(r, port), port_class[port]);
-                adj[r * pp + port] = topo
-                    .neighbor(r, port)
-                    .map(|(nr_, np)| (nr_ as u32, np as u16));
-            }
-        }
-        let global_ports: Vec<usize> = (0..pp)
-            .filter(|&p| port_class[p] == LinkClass::Global)
-            .collect();
-        // Dragonflies sense their global ports; single-class topologies
-        // sense every network port (PB's UGAL comparison and saturation
-        // flags then cover the first minimal hop of any path).
-        let sense_all = global_ports.is_empty();
-        let sense_ports: Vec<usize> = if sense_all {
-            (0..pp).collect()
-        } else {
-            global_ports
-        };
-
-        let make_bank = |class: LinkClass, cfg: &SimConfig| -> Occupancy {
+        let make_occ = |class: LinkClass| -> Occupancy {
             let vcs = cfg.vcs_for_class(class).max(1);
             match cfg.buffers.organization {
                 BufferOrg::Static => Occupancy::new_static(vcs, cfg.vc_capacity(class)),
@@ -531,141 +514,121 @@ impl Network {
             }
         };
 
-        // Preallocate every pool for its worst-case population so the
-        // steady state never allocates: banks for their capacity in
-        // packets, links for their latency-bounded in-flight window,
-        // output queues for their buffer depth.
+        // Worst-case population of every queue — its growth bound, not a
+        // preallocation: banks hold their capacity in packets, output
+        // queues their buffer depth, and a link pipeline one entry per
+        // transfer that can start while an earlier one is still in flight
+        // (credits leave an input at crossbar speed, so they set the
+        // window).
         let size = cfg.packet_size.max(1);
-        let bank_packets =
-            |class: LinkClass, cfg: &SimConfig| (cfg.port_capacity(class) / size) as usize + 1;
-        let inj_packets = (cfg.buffers.injection * cfg.injection_vcs as u32 / size) as usize + 1;
-        let out_packets = (cfg.buffers.output / size) as usize + 2;
-        let max_lat = cfg.local_latency.max(cfg.global_latency) as u64;
-        let link_window = (max_lat / size as u64) as usize + 4;
+        let inj_bound = (cfg.buffers.injection * cfg.injection_vcs as u32 / size) as usize + 1;
+        let out_bound = (cfg.buffers.output / size) as usize + 2;
+        let dur = size.div_ceil(cfg.speedup);
+        let window = |port: usize| ((fab.port_latency[port] + size) / dur) as usize + 2;
 
-        let mut routers: Vec<Router> = (0..nr)
-            .map(|r| {
-                // Foreign routers (sharded mode) keep their slots so flat
-                // indexing stays global, but are never stepped: skip their
-                // queue preallocation entirely.
-                let mine = owns(r);
-                let inputs: Vec<BufferBank> = (0..pp)
-                    .map(|p| {
-                        BufferBank::with_packet_capacity(
-                            make_bank(port_class[p], &cfg),
-                            if mine {
-                                bank_packets(port_class[p], &cfg)
+        let mut replicas: Vec<usize> = Vec::new();
+        let mut inputs = Vec::with_capacity(n_own * n_in);
+        for ri in 0..n_own {
+            for i in 0..n_in {
+                let (occ, bound, rx) = match fab.port_class.get(i) {
+                    Some(&class) => {
+                        // The feeding link's record: the transmitter's own
+                        // when it is owned, else a replica appended after
+                        // the owned outputs.
+                        let rx = fab.adj[(r0 + ri) * pp + i].map_or(u32::MAX, |(ur, up)| {
+                            if owned_r.contains(&ur) {
+                                ((ur as usize - r0) * pp + up as usize) as u32
                             } else {
-                                0
-                            },
-                        )
-                    })
-                    .collect();
-                let inj: Vec<BufferBank> = (0..pn)
-                    .map(|_| {
-                        BufferBank::with_packet_capacity(
-                            Occupancy::new_static(cfg.injection_vcs, cfg.buffers.injection),
-                            if mine { inj_packets } else { 0 },
-                        )
-                    })
-                    .collect();
-                let out_credit: Vec<Occupancy> =
-                    (0..pp).map(|p| make_bank(port_class[p], &cfg)).collect();
-                let n_in = pp + pn;
-                Router {
-                    inputs,
-                    inj,
-                    in_arb: (0..n_in)
-                        .map(|i| {
-                            let vcs = if i < pp {
-                                cfg.vcs_for_class(port_class[i]).max(1)
-                            } else {
-                                cfg.injection_vcs
-                            };
-                            RrArbiter::new(vcs)
-                        })
-                        .collect(),
-                    out_arb: (0..pp).map(|_| RrArbiter::new(n_in)).collect(),
-                    out_credit,
-                    out_queue: (0..pp)
-                        .map(|_| VecDeque::with_capacity(if mine { out_packets } else { 0 }))
-                        .collect(),
-                    rng: SmallRng::seed_from_u64(
-                        seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(r as u64 + 1),
+                                replicas.push(up as usize);
+                                (n_own * pp + replicas.len() - 1) as u32
+                            }
+                        });
+                        let packets = (cfg.port_capacity(class) / size) as usize + 1;
+                        (make_occ(class), packets, rx)
+                    }
+                    None => (
+                        Occupancy::new_static(cfg.injection_vcs, cfg.buffers.injection),
+                        inj_bound,
+                        u32::MAX,
                     ),
-                }
+                };
+                inputs.push(InputRec {
+                    bank: BufferBank::with_packet_capacity(occ, bound),
+                    busy: 0,
+                    arb: RrArbiter::new(fab.vcs_by_in[i] as usize),
+                    vc_mask: 0,
+                    bypass: 0,
+                    rx,
+                    memo: ri as u32 * fab.memo_off[n_in] + fab.memo_off[i],
+                });
+            }
+        }
+
+        // QoS precomputation: validation already proved the configuration
+        // safe (see `SimConfig::check_qos`), so the engine only caches the
+        // derived masks, bounds and initial quotas here.
+        let qos = cfg.qos;
+        let repart = qos.is_some_and(|q| q.repartition);
+        let quota = |port: usize| -> [u32; 2] {
+            let Some(q) = qos.filter(|q| q.repartition) else {
+                return [0; 2];
+            };
+            // Initial split: control gets its fraction of the port, rounded
+            // down to whole packets and clamped so both classes hold at
+            // least one packet. Ports too small to split stay
+            // unpartitioned (both quotas = capacity, the gate is inert
+            // and the repartitioner skips them).
+            let total = fab.port_total[port];
+            if total >= 2 * size {
+                let c = ((total as f64 * q.control_quota_fraction) as u32 / size * size)
+                    .clamp(size, total - size);
+                [c, total - c]
+            } else {
+                [total; 2]
+            }
+        };
+        let outputs: Vec<OutputRec> = (0..n_own * pp)
+            .map(|o| o % pp)
+            .chain(replicas)
+            .map(|port| OutputRec {
+                xbar: 0,
+                epoch: 0,
+                cred_sched: 0,
+                occ: 0,
+                bypass: 0,
+                cls_occ: [0; 2],
+                cls_quota: quota(port),
+                out_in: false,
+                arb: RrArbiter::new(n_in),
+                queue: VecDeque::new(),
+                link: LinkState::with_capacity(window(port)),
             })
             .collect();
-
         // Uniform packet size: let the credit mirrors maintain a ready-VC
         // bitmask incrementally, so the allocator's VC-candidate scan is a
         // word scan instead of a per-VC `can_accept` loop (static buffers
         // only; DAMQ admission depends on shared headroom and falls back).
-        for router in &mut routers {
-            for credit in &mut router.out_credit {
+        let out_credit = (0..n_own * pp)
+            .map(|o| {
+                let mut credit = make_occ(fab.port_class[o % pp]);
                 credit.register_probe(size);
-            }
-        }
-
-        // A link replica matters to a shard when it transmits on it (owns
-        // the sending router) or receives from it (owns the downstream
-        // router); foreign-foreign links are never touched.
-        let links = (0..nr * pp)
-            .map(|lid| {
-                let tx_owned = owns(lid / pp);
-                let rx_owned = adj[lid].is_some_and(|(dr, _)| owns(dr as usize));
-                LinkState::with_capacity(if tx_owned || rx_owned { link_window } else { 0 })
+                credit
             })
             .collect();
-
-        // The timing wheels address links by flat id and resolve packet
-        // destinations through `adj[lid]`, which requires the wiring to be
-        // involutive (it is for all our topologies).
-        #[cfg(debug_assertions)]
-        for r in 0..nr {
-            for port in 0..pp {
-                if let Some((nr2, np)) = adj[r * pp + port] {
-                    debug_assert_eq!(
-                        adj[nr2 as usize * pp + np as usize],
-                        Some((r as u32, port as u16)),
-                        "adjacency must be involutive"
-                    );
-                }
-            }
-        }
-        // Worst-case link event horizon: a credit departs at most
-        // `packet_size` cycles after its grant and arrives one link latency
-        // later; packet heads arrive one latency after transmit.
-        let horizon = max_lat + size as u64 + 2;
-
-        // Precompute the baseline policy's pure (class, slot) -> (vc, pos)
-        // mapping so the allocator's hottest path is a table lookup.
-        let baseline_table: Vec<[(u8, u16); MAX_PLAN]> = if cfg.policy == VcPolicy::Baseline {
-            let reference: &[LinkClass] = match family.generic_diameter() {
-                None => cfg.routing.dragonfly_reference(),
-                Some(d) => cfg.routing.generic_reference(d),
-            };
-            [MessageClass::Request, MessageClass::Reply]
-                .iter()
-                .map(|&class| {
-                    let mut row = [(0u8, 0u16); MAX_PLAN];
-                    // Reply rows exist only for reactive workloads (the
-                    // arrangement has no reply part otherwise, and no
-                    // reply packet can ever query the table).
-                    if class == MessageClass::Reply && !cfg.workload.is_reactive() {
-                        return row;
-                    }
-                    for (slot, entry) in row.iter_mut().enumerate().take(reference.len()) {
-                        let (bclass, bvc) = baseline_vc(&arr, class, reference, slot);
-                        let pos = arr.position(bclass, bvc).expect("baseline vc") as u16;
-                        *entry = (bvc as u8, pos);
-                    }
-                    row
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let routers = owned_r
+            .clone()
+            .map(|r| RouterRec {
+                queued: 0,
+                alloc_in: false,
+                plan_in: false,
+                sense_in: false,
+                settled: u64::MAX,
+                in_mask: 0,
+                rng: SmallRng::seed_from_u64(
+                    seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(r as u64 + 1),
+                ),
+            })
+            .collect();
 
         // Reactive workloads split the offered load between requests and the
         // replies they trigger.
@@ -674,129 +637,73 @@ impl Network {
         } else {
             load
         };
-        let space = NodeSpace {
-            num_nodes: topo.num_nodes(),
-            nodes_per_group: topo.num_nodes() / topo.num_groups(),
-            num_groups: topo.num_groups(),
-        };
-        // A permutation flow workload fixes each node's destination from a
-        // seed-only random derangement; every shard derives the identical
-        // table, keeping sharded runs bit-identical.
-        let perm: Option<Vec<u32>> = match cfg.workload.flow_spec() {
-            Some(spec) if matches!(spec.pattern, FlowPattern::Permutation) => {
-                Some(random_permutation(topo.num_nodes(), seed))
-            }
-            _ => None,
-        };
-        let gens: Vec<NodeTraffic> = (0..topo.num_nodes())
+        let nodes = owned_n
+            .clone()
             .map(|n| {
-                NodeTraffic::new(
-                    cfg.workload,
-                    n,
-                    space,
-                    gen_load,
-                    cfg.packet_size,
-                    seed,
-                    perm.as_ref().map(|p| p[n]),
-                )
+                let n = n as usize;
+                let r = fab.topo.router_of_node(n);
+                NodeRec {
+                    gen: NodeTraffic::new(
+                        cfg.workload,
+                        n,
+                        fab.space,
+                        gen_load,
+                        cfg.packet_size,
+                        seed,
+                        fab.perm.as_ref().map(|p| p[n]),
+                    ),
+                    input: ((r - r0) * n_in + pp + n - fab.node_base[r] as usize) as u32,
+                    staging: VecDeque::new(),
+                    eject_busy: [0; 2],
+                    inj_rr: 0,
+                }
             })
             .collect();
 
         let boards = if cfg.routing.uses_boards() {
-            let rpg = topo.routers_per_group();
-            (0..topo.num_groups())
-                .map(|_| GroupBoard::new(rpg, sense_ports.len(), cfg.local_latency as u64))
+            let rpg = fab.topo.routers_per_group();
+            (0..fab.topo.num_groups())
+                .map(|_| GroupBoard::new(rpg, fab.sense_ports.len(), cfg.local_latency as u64))
                 .collect()
         } else {
             Vec::new()
         };
 
-        let n_nodes = topo.num_nodes();
-        // Node numbering is router-major (`node_base` is monotone), so the
-        // nodes of a contiguous router range are themselves contiguous.
-        let owned_n = {
-            let start = node_base[owned_r.start as usize];
-            let end = if owned_r.end as usize == nr {
-                n_nodes as u32
-            } else {
-                node_base[owned_r.end as usize]
-            };
-            start..end
-        };
+        // Worst-case link event horizon: a credit departs at most
+        // `packet_size` cycles after its grant and arrives one link latency
+        // later; packet heads arrive one latency after transmit.
+        let horizon = cfg.local_latency.max(cfg.global_latency) as u64 + size as u64 + 2;
         let policy = RoutePolicy::new(&cfg);
-        let cfg_has_flows = cfg.workload.flow_spec().is_some();
         // In-transit decisions (PAR's divert mark, DAL's per-dimension
         // evaluation, adaptive copy re-selection) mutate packets during
         // evaluation, so such configurations never settle; FlexVC
         // mutations (patience, reversion) are tracked per round via
         // `eval_mutated`.
         let transit_decisions = policy.decides_in_transit();
-        let fast_min = policy.is_static_min();
-        let can_settle = !transit_decisions;
-        let cfg_vcs_by_port: Vec<u8> = (0..pp)
-            .map(|p| cfg.vcs_for_class(port_class[p]).clamp(1, 255) as u8)
-            .collect();
-        let injection_vcs_u8 = cfg.injection_vcs.min(255) as u8;
-        // QoS precomputation: validation already proved the configuration
-        // safe (see `SimConfig::check_qos`), so the engine only caches the
-        // derived masks, bounds and initial quotas here.
-        let qos = cfg.qos;
-        let qos_active = qos.is_some();
-        let bypass_bound = qos.map_or(0, |q| q.bypass_bound);
-        let repart = qos.is_some_and(|q| q.repartition);
-        let qos_masks = [
+        let masks = |class| {
             [
-                cfg.qos_vc_mask(LinkClass::Local, TrafficClass::Control),
-                cfg.qos_vc_mask(LinkClass::Local, TrafficClass::Bulk),
-            ],
-            [
-                cfg.qos_vc_mask(LinkClass::Global, TrafficClass::Control),
-                cfg.qos_vc_mask(LinkClass::Global, TrafficClass::Bulk),
-            ],
-        ];
-        let port_total: Vec<u32> = (0..pp).map(|p| cfg.port_capacity(port_class[p])).collect();
-        let mut cls_quota = vec![0u32; if repart { nr * pp * 2 } else { 0 }];
-        if repart {
-            let frac = qos.expect("repart implies qos").control_quota_fraction;
-            for p in 0..pp {
-                let total = port_total[p];
-                // Initial split: control gets `frac` of the port, rounded
-                // down to whole packets and clamped so both classes hold at
-                // least one packet. Ports too small to split stay
-                // unpartitioned (both quotas = capacity, the gate is inert
-                // and the repartitioner skips them).
-                let (cq, bq) = if total >= 2 * size {
-                    let c = ((total as f64 * frac) as u32 / size * size).clamp(size, total - size);
-                    (c, total - c)
-                } else {
-                    (total, total)
-                };
-                for r in 0..nr {
-                    cls_quota[(r * pp + p) * 2] = cq;
-                    cls_quota[(r * pp + p) * 2 + 1] = bq;
-                }
-            }
-        }
+                cfg.qos_vc_mask(class, TrafficClass::Control),
+                cfg.qos_vc_mask(class, TrafficClass::Bulk),
+            ]
+        };
         Network {
-            cfg,
-            topo,
-            family,
-            arr,
-            policy,
+            fast_min: policy.is_static_min(),
             transit_decisions,
-            fast_min,
-            pp,
-            pn,
-            adj,
-            node_base,
-            port_class,
-            sense_ports,
-            sense_all,
+            policy,
             routers,
-            links,
-            gens,
-            staging: vec![VecDeque::new(); n_nodes],
-            inj_rr: vec![0; n_nodes],
+            inputs,
+            outputs,
+            out_credit,
+            memo: vec![
+                SkipMemo {
+                    until: 0,
+                    epoch: u64::MAX,
+                    port: 0,
+                };
+                n_own * fab.memo_off[n_in] as usize
+            ],
+            nodes,
+            out_bound,
             boards,
             metrics: Metrics::default(),
             cycle: 0,
@@ -809,62 +716,32 @@ impl Network {
             owned_n,
             sharded,
             outbox: Vec::new(),
-            queued: vec![0; nr],
             alloc_list: Vec::new(),
-            alloc_in: vec![false; nr],
             plan_list: Vec::new(),
-            plan_in: vec![false; nr],
             out_list: Vec::new(),
-            out_in: vec![false; nr * pp],
             sense_list: Vec::new(),
-            sense_in: vec![false; nr],
             pkt_wheel: Wheel::new(horizon),
             cred_wheel: Wheel::new(horizon),
-            cred_sched: vec![0; nr * pp],
             #[cfg(debug_assertions)]
             shadow_cred: Wheel::new(horizon),
             rel_wheel: Wheel::new(horizon),
-            cand: vec![None; pp + pn],
-            cand_set: Vec::with_capacity(pp + pn),
+            cand: vec![None; n_in],
+            cand_set: Vec::with_capacity(n_in),
             ports_scratch: Vec::with_capacity(pp),
-            in_mask: vec![0; nr],
-            vc_mask: vec![0; nr * (pp + pn)],
-            in_busy: vec![0; nr * (pp + pn)],
-            out_xbar: vec![0; nr * pp],
-            out_occ: vec![0; nr * pp],
-            eject_busy: vec![0; nr * pn * 2],
-            vcs_by_in: (0..pp + pn)
-                .map(|i| {
-                    if i < pp {
-                        cfg_vcs_by_port[i]
-                    } else {
-                        injection_vcs_u8
-                    }
-                })
-                .collect(),
-            settled: vec![u64::MAX; nr],
-            can_settle,
+            can_settle: !transit_decisions,
             eval_mutated: false,
             eval_mutated_here: false,
             eval_block: EvalBlock::Never,
-            port_epoch: vec![0; nr * pp],
-            vc_skip_port: vec![0; nr * (pp + pn) * 16],
-            vc_skip_epoch: vec![u64::MAX; nr * (pp + pn) * 16],
-            vc_skip_until: vec![0; nr * (pp + pn) * 16],
-            baseline_table,
-            has_flows: cfg_has_flows,
+            has_flows: cfg.workload.flow_spec().is_some(),
             flow_tags: std::collections::HashMap::new(),
             occ_scratch: Vec::new(),
             flag_scratch: Vec::new(),
-            qos_active,
-            bypass_bound,
-            bypass_in: vec![0; if qos_active { nr * (pp + pn) } else { 0 }],
-            bypass_out: vec![0; if qos_active { nr * pp } else { 0 }],
-            qos_masks,
+            qos_active: qos.is_some(),
+            bypass_bound: qos.map_or(0, |q| q.bypass_bound),
+            qos_masks: [masks(LinkClass::Local), masks(LinkClass::Global)],
             repart,
-            cls_occ: vec![0; if repart { nr * pp * 2 } else { 0 }],
-            cls_quota,
-            port_total,
+            cfg,
+            fabric,
         }
     }
 
@@ -872,6 +749,12 @@ impl Network {
     #[inline]
     fn owns(&self, r: u32) -> bool {
         self.owned_r.contains(&r)
+    }
+
+    /// First owned router id: record-table offset `ri` is router `r0 + ri`.
+    #[inline]
+    fn r0(&self) -> usize {
+        self.owned_r.start as usize
     }
 
     /// Offered load this network was built with.
@@ -900,15 +783,47 @@ impl Network {
         self.last_progress
     }
 
-    fn in_window(&self, cycle: u64) -> bool {
-        cycle >= self.cfg.warmup && cycle < self.cfg.warmup + self.cfg.measure
+    /// Grow every demand-sized queue (bank slabs, output queues, link
+    /// pipelines) to its bound now, as the engine did at build before
+    /// queues followed the traffic. Results are unaffected — growth moves
+    /// no packet — which is what the equivalence tests use this to show.
+    pub fn pregrow_queues(&mut self) {
+        for input in &mut self.inputs {
+            input.bank.reserve_bound();
+        }
+        for out in &mut self.outputs {
+            out.queue.reserve_exact(self.out_bound - out.queue.len());
+            out.link.reserve_bound();
+        }
     }
 
-    fn latency_of(&self, class: LinkClass) -> u32 {
-        match class {
-            LinkClass::Local => self.cfg.local_latency,
-            LinkClass::Global => self.cfg.global_latency,
-        }
+    /// The largest number of entries by which any demand-sized queue's
+    /// allocated capacity exceeds its bound: 0 on a correct engine, whose
+    /// queues never outgrow what it preallocated before they followed the
+    /// traffic (debug builds also assert this at every growth site).
+    pub fn queue_overshoot(&self) -> usize {
+        let banks = self
+            .inputs
+            .iter()
+            .map(|i| (i.bank.capacity(), i.bank.bound()));
+        let queues = self
+            .outputs
+            .iter()
+            .map(|o| (o.queue.capacity(), self.out_bound));
+        let links = self
+            .outputs
+            .iter()
+            .map(|o| (o.link.capacity(), o.link.window()));
+        banks
+            .chain(queues)
+            .chain(links)
+            .map(|(capacity, bound)| capacity.saturating_sub(bound))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn in_window(&self, cycle: u64) -> bool {
+        cycle >= self.cfg.warmup && cycle < self.cfg.warmup + self.cfg.measure
     }
 
     /// A flow's ideal (zero-load) completion time: the train's full
@@ -923,11 +838,12 @@ impl Network {
         dst_router: u32,
         size: u32,
     ) -> u64 {
-        let src_r = self.topo.router_of_node(src as usize);
-        let path = self.topo.min_classes(src_r, dst_router as usize);
+        let topo = &self.fabric.topo;
+        let src_r = topo.router_of_node(src as usize);
+        let path = topo.min_classes(src_r, dst_router as usize);
         let unloaded: u64 = path[..]
             .iter()
-            .map(|&c| (self.cfg.pipeline_latency + self.latency_of(c)) as u64)
+            .map(|&c| (self.cfg.pipeline_latency + self.cfg.link_latency(c)) as u64)
             .sum();
         tag.len as u64 * size as u64 + unloaded
     }
@@ -948,7 +864,7 @@ impl Network {
             let staged = if self.in_flight > 0 {
                 0
             } else {
-                self.staging.iter().map(|q| q.len()).sum::<usize>() as i64
+                self.staged_pending()
             };
             let pending = self.in_flight + staged;
             if pending == 0 || self.cycle >= end || self.metrics.deadlocked {
@@ -968,7 +884,7 @@ impl Network {
             .cycle
             .saturating_sub(self.cfg.warmup)
             .min(self.cfg.measure);
-        SimResult::from_metrics(&self.metrics, self.offered, self.topo.num_nodes())
+        SimResult::from_metrics(&self.metrics, self.offered, self.fabric.space.num_nodes)
     }
 
     /// Advance one cycle.
@@ -1028,7 +944,9 @@ impl Network {
         debug_assert!(self.sharded);
         debug_assert!(len >= 1);
         debug_assert!(
-            len == 1 || self.boards.is_empty() || self.owned_r.len() == self.topo.num_routers(),
+            len == 1
+                || self.boards.is_empty()
+                || self.owned_r.len() == self.fabric.topo.num_routers(),
             "multi-cycle epochs with boards require a cut-free shard"
         );
         for c in t0..t0 + len - 1 {
@@ -1060,6 +978,7 @@ impl Network {
     /// shard's own phases — is indistinguishable from the single-engine
     /// schedule, where the same effects were queued during the phases.
     pub(crate) fn apply_boundary(&mut self, now: u64, ev: BoundaryEvent) {
+        let fab = &*self.fabric;
         match ev.payload {
             BoundaryPayload::Packet { flight, flow } => {
                 // Epoch soundness: every cut-crossing arrival lands strictly
@@ -1067,13 +986,16 @@ impl Network {
                 // epoch length is capped at), so applying late never
                 // back-dates an event.
                 debug_assert!(ev.at > now);
-                debug_assert!(self.owns(self.adj[ev.lid as usize].expect("wired").0));
+                let (dr, dp) = fab.adj[ev.lid as usize].expect("wired");
+                debug_assert!(self.owned_r.contains(&dr));
                 if let Some(tag) = flow {
                     self.flow_tags
                         .insert((flight.packet.src, flight.packet.id), tag);
                 }
-                self.pkt_wheel.schedule(now, ev.at, ev.lid);
-                self.links[ev.lid as usize].receive_flight(flight);
+                let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
+                self.pkt_wheel.schedule(now, ev.at, input as u32);
+                let replica = self.inputs[input].rx as usize;
+                self.outputs[replica].link.receive_flight(flight);
             }
             BoundaryPayload::Credit {
                 vc,
@@ -1082,9 +1004,12 @@ impl Network {
                 tclass,
             } => {
                 debug_assert!(ev.at > now);
-                debug_assert!(self.owns(ev.lid / self.pp as u32));
-                self.links[ev.lid as usize].receive_credit(ev.at, vc, phits, class, tclass);
-                self.schedule_credit(now, ev.at, ev.lid as usize);
+                debug_assert!(self.owned_r.contains(&(ev.lid / fab.pp as u32)));
+                let o = ev.lid as usize - self.r0() * fab.pp;
+                self.outputs[o]
+                    .link
+                    .receive_credit(ev.at, vc, phits, class, tclass);
+                self.schedule_credit(now, ev.at, o);
             }
             BoundaryPayload::Board {
                 group,
@@ -1126,13 +1051,23 @@ impl Network {
         &self.cfg
     }
 
+    /// The shared immutable tables (tests: every shard holds the same one).
+    #[cfg(test)]
+    pub(crate) fn fabric(&self) -> &Arc<Fabric> {
+        &self.fabric
+    }
+
+    /// Lengths of the input, output (replicas included) and credit-mirror
+    /// tables (tests: a shard's state is sized to what it owns).
+    #[cfg(test)]
+    pub(crate) fn table_sizes(&self) -> (usize, usize, usize) {
+        (self.inputs.len(), self.outputs.len(), self.out_credit.len())
+    }
+
     /// Replies staged at owned nodes but not yet injected (the drain
     /// conservation check counts them as pending).
     pub(crate) fn staged_pending(&self) -> i64 {
-        self.staging[self.owned_n.start as usize..self.owned_n.end as usize]
-            .iter()
-            .map(|q| q.len())
-            .sum::<usize>() as i64
+        self.nodes.iter().map(|n| n.staging.len()).sum::<usize>() as i64
     }
 
     /// Mute the owned traffic generators (sharded drain).
@@ -1142,24 +1077,25 @@ impl Network {
 
     /// Periodic per-VC occupancy sampling (the §III-D sensing signal).
     fn sample_occupancy(&mut self) {
+        let fab = &*self.fabric;
         let prof = &mut self.metrics.vc_profile;
         if prof.samples == 0 {
             for class in [LinkClass::Local, LinkClass::Global] {
                 let i = class.index();
                 prof.sums[i] = vec![0; self.cfg.vcs_for_class(class)];
-                prof.ports[i] = (self.port_class.iter().filter(|&&c| c == class).count()
-                    * self.routers.len()) as u64;
+                prof.ports[i] = (fab.port_class.iter().filter(|&&c| c == class).count()
+                    * fab.topo.num_routers()) as u64;
             }
         }
         prof.samples += 1;
         // Owned routers only (the full network when not sharded); `ports`
         // above still counts the whole network, so per-shard profiles sum
         // exactly to the single-engine profile.
-        for router in &self.routers[self.owned_r.start as usize..self.owned_r.end as usize] {
-            for (port, bank) in router.inputs.iter().enumerate() {
-                let sums = &mut prof.sums[self.port_class[port].index()];
-                for vc in 0..bank.vcs() {
-                    sums[vc] += bank.occ.occupancy(vc) as u64;
+        for router_inputs in self.inputs.chunks(fab.n_in) {
+            for (input, &class) in router_inputs.iter().zip(&fab.port_class) {
+                let sums = &mut prof.sums[class.index()];
+                for (vc, sum) in sums.iter_mut().enumerate() {
+                    *sum += input.bank.occ.occupancy(vc) as u64;
                 }
             }
         }
@@ -1176,30 +1112,28 @@ impl Network {
     /// state and runs in the same phase slot on every shard, so sharded
     /// runs stay bit-identical.
     fn repartition(&mut self) {
-        let pp = self.pp;
+        let fab = &*self.fabric;
         let size = self.cfg.packet_size;
-        for r in self.owned_r.start as usize..self.owned_r.end as usize {
-            for p in 0..pp {
-                let base = (r * pp + p) * 2;
-                let (cq, bq) = (self.cls_quota[base], self.cls_quota[base + 1]);
-                if cq + bq != self.port_total[p] {
-                    continue; // port too small to split (inert quotas)
-                }
-                let (co, bo) = (self.cls_occ[base], self.cls_occ[base + 1]);
-                let ctrl_pressed = co * 4 > cq * 3 && bo * 2 < bq;
-                let bulk_pressed = bo * 4 > bq * 3 && co * 2 < cq;
-                let (donor, taker) = if ctrl_pressed && !bulk_pressed {
-                    (base + 1, base)
-                } else if bulk_pressed && !ctrl_pressed {
-                    (base, base + 1)
-                } else {
-                    continue;
-                };
-                let floor = self.cls_occ[donor].max(size);
-                if self.cls_quota[donor] >= floor + size {
-                    self.cls_quota[donor] -= size;
-                    self.cls_quota[taker] += size;
-                }
+        let owned = self.out_credit.len();
+        for (o, out) in self.outputs[..owned].iter_mut().enumerate() {
+            let [cq, bq] = out.cls_quota;
+            if cq + bq != fab.port_total[o % fab.pp] {
+                continue; // port too small to split (inert quotas)
+            }
+            let [co, bo] = out.cls_occ;
+            let ctrl_pressed = co * 4 > cq * 3 && bo * 2 < bq;
+            let bulk_pressed = bo * 4 > bq * 3 && co * 2 < cq;
+            let (donor, taker) = if ctrl_pressed && !bulk_pressed {
+                (1, 0)
+            } else if bulk_pressed && !ctrl_pressed {
+                (0, 1)
+            } else {
+                continue;
+            };
+            let floor = out.cls_occ[donor].max(size);
+            if out.cls_quota[donor] >= floor + size {
+                out.cls_quota[donor] -= size;
+                out.cls_quota[taker] += size;
             }
         }
     }
@@ -1208,51 +1142,55 @@ impl Network {
     // Phase 1: arrivals
     // ------------------------------------------------------------------
 
+    /// Queue `pkt` on VC `vc` of unified input `in_idx` of router offset
+    /// `ri` and put the router on the allocation worklist.
+    fn enqueue(&mut self, ri: usize, in_idx: usize, vc: usize, pkt: Packet, now: u64) {
+        debug_assert!(vc < MAX_VCS);
+        let input = &mut self.inputs[ri * self.fabric.n_in + in_idx];
+        input.bank.push(vc, pkt);
+        input.vc_mask |= 1 << vc;
+        let router = &mut self.routers[ri];
+        router.queued += 1;
+        if in_idx < 64 {
+            router.in_mask |= 1 << in_idx;
+        }
+        mark(&mut self.alloc_list, &mut router.alloc_in, ri);
+        self.last_progress = now;
+    }
+
     fn deliver(&mut self, now: u64) {
-        let pp = self.pp;
-        // Packet arrivals: exactly the links with a head phit due now
-        // (scheduled at transmit time). `adj[lid]` resolves the receiving
-        // router/port thanks to involutive wiring.
+        let (pp, n_in) = (self.fabric.pp, self.fabric.n_in);
+        // Packet arrivals: exactly the inputs with a head phit due now
+        // (scheduled at transmit time), popped from the link feeding them.
         let due = self.pkt_wheel.take(now);
-        for &lid32 in &due {
-            let lid = lid32 as usize;
-            let (dr, dp) = self.adj[lid].expect("transmitting link is wired");
-            let (r, ip) = (dr as usize, dp as usize);
-            while let Some(f) = self.links[lid].pop_arrived(now) {
+        for &input in &due {
+            let input = input as usize;
+            let link = self.inputs[input].rx as usize;
+            while let Some(f) = self.outputs[link].link.pop_arrived(now) {
                 let mut pkt = f.packet;
                 pkt.head_arrival = f.head_arrival;
                 pkt.tail_arrival = f.tail_arrival;
-                let vc = f.vc as usize;
-                self.routers[r].inputs[ip].push(vc, pkt);
-                self.queued[r] += 1;
-                if ip < 64 {
-                    self.in_mask[r] |= 1 << ip;
-                }
-                if vc < 16 {
-                    self.vc_mask[r * (self.pp + self.pn) + ip] |= 1 << vc;
-                }
-                mark(&mut self.alloc_list, &mut self.alloc_in, r);
-                self.last_progress = now;
+                self.enqueue(input / n_in, input % n_in, f.vc as usize, pkt, now);
             }
         }
         self.pkt_wheel.put_back(now, due);
-        // Credit arrivals: links with a credit due now (the credit queue
+        // Credit arrivals: outputs with a credit due now (the credit queue
         // lives on the *upstream* link, owned by the router it returns to).
         // One wheel entry per (link, cycle) — `schedule_credit` batches —
         // and the drain loop applies every credit due on that link at once.
         #[cfg(debug_assertions)]
         let mut drained_dbg: Vec<(u32, u32)> = Vec::new();
         let due = self.cred_wheel.take(now);
-        for &lid32 in &due {
-            let lid = lid32 as usize;
-            let (r, op) = (lid / pp, lid % pp);
+        for &o32 in &due {
+            let o = o32 as usize;
+            let out = &mut self.outputs[o];
             let mut any = false;
-            while let Some(c) = self.links[lid].pop_credit(now) {
-                self.routers[r].out_credit[op].remove(c.vc as usize, c.phits, c.class);
+            while let Some(c) = out.link.pop_credit(now) {
+                self.out_credit[o].remove(c.vc as usize, c.phits, c.class);
                 if self.repart {
                     // The downstream buffer drained a packet of this class:
                     // release its share of the class quota.
-                    self.cls_occ[(r * pp + op) * 2 + c.tclass.index()] -= c.phits;
+                    out.cls_occ[c.tclass.index()] -= c.phits;
                 }
                 // A returning credit is forward progress: downstream
                 // drained a buffer we were blocked on. Without this, an
@@ -1263,18 +1201,20 @@ impl Network {
                 any = true;
                 #[cfg(debug_assertions)]
                 match drained_dbg.last_mut() {
-                    Some((l, n)) if *l == lid32 => *n += 1,
-                    _ => drained_dbg.push((lid32, 1)),
+                    Some((l, n)) if *l == o32 => *n += 1,
+                    _ => drained_dbg.push((o32, 1)),
                 }
             }
             if any {
                 // Credits restore acceptance on this output port: wake its
-                // memoized rejections (see `port_epoch`).
-                self.port_epoch[lid] += 1;
+                // memoized rejections (see `OutputRec::epoch`).
+                out.epoch += 1;
                 if !self.boards.is_empty()
-                    && (self.sense_all || self.port_class[op] == LinkClass::Global)
+                    && (self.fabric.sense_all
+                        || self.fabric.port_class[o % pp] == LinkClass::Global)
                 {
-                    mark(&mut self.sense_list, &mut self.sense_in, r);
+                    let ri = o / pp;
+                    mark(&mut self.sense_list, &mut self.routers[ri].sense_in, ri);
                 }
             }
         }
@@ -1307,33 +1247,23 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn process_pending(&mut self, now: u64) {
-        let pp = self.pp;
         let due = self.rel_wheel.take(now);
-        for &(rid, rel) in &due {
-            let rid = rid as usize;
+        for &rel in &due {
             match rel {
                 Pending::Input {
-                    in_idx,
+                    input,
                     vc,
                     phits,
                     class,
-                    at,
-                } => {
-                    debug_assert_eq!(at, now);
-                    let in_idx = in_idx as usize;
-                    let router = &mut self.routers[rid];
-                    if in_idx < pp {
-                        router.inputs[in_idx].release(vc as usize, phits, class);
-                    } else {
-                        router.inj[in_idx - pp].release(vc as usize, phits, class);
-                    }
-                }
-                Pending::OutBuf { port, phits, at } => {
-                    debug_assert_eq!(at, now);
-                    self.out_occ[rid * pp + port as usize] -= phits;
+                } => self.inputs[input as usize]
+                    .bank
+                    .release(vc as usize, phits, class),
+                Pending::OutBuf { output, phits } => {
+                    let out = &mut self.outputs[output as usize];
+                    out.occ -= phits;
                     // Output space restored: wake the port's memoized
-                    // rejections (see `port_epoch`).
-                    self.port_epoch[rid * pp + port as usize] += 1;
+                    // rejections (see `OutputRec::epoch`).
+                    out.epoch += 1;
                 }
             }
         }
@@ -1348,15 +1278,23 @@ impl Network {
         let size = self.cfg.packet_size;
         let reactive = self.cfg.workload.is_reactive();
         let in_window = self.in_window(now);
-        for n in self.owned_n.start as usize..self.owned_n.end as usize {
+        let n_in = self.fabric.n_in;
+        for nl in 0..self.nodes.len() {
+            let n = self.owned_n.start as usize + nl;
+            let input = self.nodes[nl].input as usize;
+            let (ri, in_idx) = (input / n_in, input % n_in);
             // New requests from the pattern generator (muted while
             // draining; staged replies below still flush).
-            if let Some(em) = (!self.draining).then(|| self.gens[n].next(now)).flatten() {
+            if let Some(em) = (!self.draining)
+                .then(|| self.nodes[nl].gen.next(now))
+                .flatten()
+            {
                 if in_window {
                     self.metrics.generated_packets += 1;
                     self.metrics.generated_phits += size as u64;
                 }
                 let tclass = em.tclass;
+                let node = &mut self.nodes[nl];
                 let vc = if reactive {
                     0
                 } else if self.qos_active && self.cfg.injection_vcs > 1 {
@@ -1368,19 +1306,17 @@ impl Network {
                         TrafficClass::Control => 0,
                         TrafficClass::Bulk => {
                             let lanes = self.cfg.injection_vcs as u8 - 1;
-                            let v = self.inj_rr[n] % lanes;
-                            self.inj_rr[n] = (v + 1) % lanes;
+                            let v = node.inj_rr % lanes;
+                            node.inj_rr = (v + 1) % lanes;
                             v + 1
                         }
                     }
                 } else {
-                    let v = self.inj_rr[n];
-                    self.inj_rr[n] = (v + 1) % self.cfg.injection_vcs as u8;
+                    let v = node.inj_rr;
+                    node.inj_rr = (v + 1) % self.cfg.injection_vcs as u8;
                     v
                 } as usize;
-                let r = self.topo.router_of_node(n);
-                let local = n - self.node_base[r] as usize;
-                if self.routers[r].inj[local].occ.can_accept(vc, size) {
+                if self.inputs[input].bank.occ.can_accept(vc, size) {
                     let pkt = self.new_packet(
                         n as u32,
                         em.dest as u32,
@@ -1391,34 +1327,17 @@ impl Network {
                     if let Some(tag) = em.flow {
                         self.flow_tags.insert((pkt.src, pkt.id), tag);
                     }
-                    self.routers[r].inj[local].push(vc, pkt);
-                    self.queued[r] += 1;
-                    let in_idx = self.pp + local;
-                    if in_idx < 64 {
-                        self.in_mask[r] |= 1 << in_idx;
-                    }
-                    if vc < 16 {
-                        self.vc_mask[r * (self.pp + self.pn) + in_idx] |= 1 << vc;
-                    }
-                    mark(&mut self.alloc_list, &mut self.alloc_in, r);
-                    mark(&mut self.plan_list, &mut self.plan_in, r);
-                    self.in_flight += 1;
-                    self.last_progress = now;
+                    self.inject(ri, in_idx, vc, pkt, now);
                 } else if in_window {
                     self.metrics.dropped_packets += 1;
                 }
             }
             // Staged replies enter the reply injection VC when it has room.
-            while let Some(&(dst, ready)) = self.staging[n].front() {
-                if ready > now {
+            while let Some(&(dst, ready)) = self.nodes[nl].staging.front() {
+                if ready > now || !self.inputs[input].bank.occ.can_accept(1, size) {
                     break;
                 }
-                let r = self.topo.router_of_node(n);
-                let local = n - self.node_base[r] as usize;
-                if !self.routers[r].inj[local].occ.can_accept(1, size) {
-                    break;
-                }
-                self.staging[n].pop_front();
+                self.nodes[nl].staging.pop_front();
                 if in_window {
                     self.metrics.generated_packets += 1;
                     self.metrics.generated_phits += size as u64;
@@ -1427,19 +1346,17 @@ impl Network {
                 // validation rejects: they are always bulk.
                 let pkt =
                     self.new_packet(n as u32, dst, MessageClass::Reply, TrafficClass::Bulk, now);
-                self.routers[r].inj[local].push(1, pkt);
-                self.queued[r] += 1;
-                let in_idx = self.pp + local;
-                if in_idx < 64 {
-                    self.in_mask[r] |= 1 << in_idx;
-                }
-                self.vc_mask[r * (self.pp + self.pn) + in_idx] |= 1 << 1;
-                mark(&mut self.alloc_list, &mut self.alloc_in, r);
-                mark(&mut self.plan_list, &mut self.plan_in, r);
-                self.in_flight += 1;
-                self.last_progress = now;
+                self.inject(ri, in_idx, 1, pkt, now);
             }
         }
+    }
+
+    /// Enter a new packet into its injection queue: it may be an unplanned
+    /// head, so the router also joins the planning worklist.
+    fn inject(&mut self, ri: usize, in_idx: usize, vc: usize, pkt: Packet, now: u64) {
+        self.enqueue(ri, in_idx, vc, pkt, now);
+        mark(&mut self.plan_list, &mut self.routers[ri].plan_in, ri);
+        self.in_flight += 1;
     }
 
     fn new_packet(
@@ -1456,7 +1373,7 @@ impl Network {
             id,
             src,
             dst,
-            dst_router: self.topo.router_of_node(dst as usize) as u32,
+            dst_router: self.fabric.topo.router_of_node(dst as usize) as u32,
             class,
             tclass,
             size: self.cfg.packet_size,
@@ -1489,22 +1406,25 @@ impl Network {
         // (head of an empty VC) or a pop (successor becomes head). Both
         // sites mark the worklist, so draining it each cycle plans exactly
         // the heads the full sweep would have planned.
+        let fab = &*self.fabric;
+        let (pp, n_in) = (fab.pp, fab.n_in);
         let mut list = std::mem::take(&mut self.plan_list);
-        for &r32 in &list {
-            let r = r32 as usize;
-            self.plan_in[r] = false;
-            for local in 0..self.pn {
+        for &ri32 in &list {
+            let ri = ri32 as usize;
+            let r = self.r0() + ri;
+            // Split borrows: heads live in `inputs`, congestion state in
+            // `out_credit`/`rng`/boards.
+            let router = &mut self.routers[ri];
+            router.plan_in = false;
+            for input in &mut self.inputs[ri * n_in + pp..(ri + 1) * n_in] {
                 for vc in 0..self.cfg.injection_vcs {
-                    // Split borrows: the head lives in `inj`, congestion
-                    // state in `out_credit`/`rng`/boards.
-                    let router = &mut self.routers[r];
-                    let Some(head) = router.inj[local].head(vc) else {
+                    let Some(head) = input.bank.head_mut(vc) else {
                         continue;
                     };
                     if head.planned {
                         continue;
                     }
-                    let (dst_r, class) = (head.dst_router as usize, head.class);
+                    let dst_r = head.dst_router as usize;
                     let (plan, min_routed) = if self.fast_min {
                         // Monomorphized MIN fast path: `plan_injection` in
                         // Min mode without adaptive copies reads no sensed
@@ -1513,28 +1433,27 @@ impl Network {
                         if dst_r == r {
                             (PlannedPath::empty(), true)
                         } else {
-                            (min_plan(&*self.topo, r, dst_r), true)
+                            (min_plan(&*fab.topo, r, dst_r), true)
                         }
                     } else {
                         let sense = SenseView {
-                            out_credit: &router.out_credit,
+                            out_credit: &self.out_credit[ri * pp..(ri + 1) * pp],
                             boards: &self.boards,
-                            sense_ports: &self.sense_ports,
-                            sense_all: self.sense_all,
+                            sense_ports: &fab.sense_ports,
+                            sense_all: fab.sense_all,
                             min_cred: self.cfg.sensing.min_cred,
-                            adj: &self.adj,
-                            port_class: &self.port_class,
+                            adj: &fab.adj,
+                            port_class: &fab.port_class,
                         };
                         self.policy.plan_injection(
-                            &*self.topo,
+                            &*fab.topo,
                             &sense,
                             &mut router.rng,
                             r,
                             dst_r,
-                            class,
+                            head.class,
                         )
                     };
-                    let head = router.inj[local].head_mut(vc).expect("head");
                     head.plan = plan;
                     head.min_routed = min_routed;
                     head.derouted = !min_routed;
@@ -1552,9 +1471,7 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn allocate(&mut self, now: u64) {
-        let pp = self.pp;
-        let pn = self.pn;
-        let n_in = pp + pn;
+        let (pp, n_in) = (self.fabric.pp, self.fabric.n_in);
         let mut cand = std::mem::take(&mut self.cand);
         let mut cand_set = std::mem::take(&mut self.cand_set);
         let mut ports_scratch = std::mem::take(&mut self.ports_scratch);
@@ -1568,20 +1485,21 @@ impl Network {
         let mut li = 0;
         // Request slots are mask-tracked (`req_mask` is rebuilt per port
         // visit and stale entries are never read), so one initialization
-        // serves the whole sweep — the per-visit 16-slot re-init showed up
-        // at scale.
-        let mut reqs: [Option<Decision>; 16] = [None; 16];
+        // serves the whole sweep — the per-visit re-init showed up at
+        // scale.
+        let mut reqs: [Option<Decision>; MAX_VCS] = [None; MAX_VCS];
         while li < list.len() {
-            let r = list[li] as usize;
-            if self.queued[r] == 0 {
-                self.alloc_in[r] = false;
+            let ri = list[li] as usize;
+            let router = &mut self.routers[ri];
+            if router.queued == 0 {
+                router.alloc_in = false;
                 list.swap_remove(li);
                 continue;
             }
             li += 1;
             // Settled this cycle: an earlier round proved zero nominations
             // under a mutation-free policy, so this round is a no-op too.
-            if self.settled[r] == now {
+            if router.settled == now {
                 continue;
             }
             // Candidate scratch is cleared *selectively* (only slots set
@@ -1595,7 +1513,7 @@ impl Network {
             // space fits a 64-bit mask (always, for our topologies) only
             // occupied ports are visited at all.
             let use_mask = n_in <= 64;
-            let mut occupied = if use_mask { self.in_mask[r] } else { 0 };
+            let mut occupied = if use_mask { router.in_mask } else { 0 };
             // Fallback cursor for (hypothetical) routers wider than 64
             // unified inputs: visit everything; the per-port queued check
             // below still skips empty banks.
@@ -1616,7 +1534,8 @@ impl Network {
                     lin_idx += 1;
                     lin_idx - 1
                 };
-                if self.in_busy[r * n_in + in_idx] > now {
+                let input = ri * n_in + in_idx;
+                if self.inputs[input].busy > now {
                     continue;
                 }
                 let mut req_mask: u32 = 0;
@@ -1624,17 +1543,16 @@ impl Network {
                 // priority; stays 0 when QoS is off).
                 let mut ctrl_mask: u32 = 0;
                 // VC-level skip: only VCs with queued packets (tracked in
-                // `vc_mask`, bank untouched) are evaluated; VCs >= 16 were
-                // never evaluated by the original sweep either.
-                let mut vc_bits = self.vc_mask[r * n_in + in_idx];
+                // `vc_mask`, bank untouched) are evaluated.
+                let mut vc_bits = self.inputs[input].vc_mask;
                 while vc_bits != 0 {
                     let vc = vc_bits.trailing_zeros() as usize;
                     vc_bits &= vc_bits - 1;
-                    debug_assert!(vc < self.vcs_by_in[in_idx] as usize);
-                    let sl = (r * n_in + in_idx) * 16 + vc;
-                    if self.vc_skip_until[sl] > now
-                        || self.vc_skip_epoch[sl]
-                            == self.port_epoch[r * pp + self.vc_skip_port[sl] as usize]
+                    debug_assert!(vc < self.fabric.vcs_by_in[in_idx] as usize);
+                    let sl = self.inputs[input].memo as usize + vc;
+                    let memo = self.memo[sl];
+                    if memo.until > now
+                        || memo.epoch == self.outputs[ri * pp + memo.port as usize].epoch
                     {
                         // Memoized rejection: provably still `None` — the
                         // recorded deadline has not passed, or no event
@@ -1644,22 +1562,17 @@ impl Network {
                         // grant requires an acceptance, and an acceptance
                         // requires the deadline to expire or the epoch to
                         // move past the recorded value first.
-                        debug_assert!(self.evaluate_head(r, in_idx, vc, now).is_none());
+                        debug_assert!(self.evaluate_head(ri, in_idx, vc, now).is_none());
                         continue;
                     }
                     self.eval_mutated_here = false;
-                    if let Some(d) = self.evaluate_head(r, in_idx, vc, now) {
+                    if let Some(d) = self.evaluate_head(ri, in_idx, vc, now) {
                         reqs[vc] = Some(d);
                         req_mask |= 1 << vc;
-                        if self.qos_active
-                            && self.head_tclass(r, in_idx, vc) == TrafficClass::Control
-                        {
+                        if self.qos_active && self.head_tclass(input, vc) == TrafficClass::Control {
                             ctrl_mask |= 1 << vc;
                         }
-                    } else if !self.transit_decisions
-                        && vc < 16
-                        && !self.eval_mutated_here
-                        && !self.qos_active
+                    } else if !self.transit_decisions && !self.eval_mutated_here && !self.qos_active
                     {
                         // Memoize the rejection by its first failing gate
                         // (see `EvalBlock`). Heads that mutated (patience
@@ -1668,18 +1581,23 @@ impl Network {
                         // part of the policy — neither records anything.
                         match self.eval_block {
                             EvalBlock::Never => {}
+                            // Deadline only; epoch key disabled.
                             EvalBlock::Until(t) => {
-                                // Deadline only; epoch key disabled.
-                                self.vc_skip_until[sl] = t.max(now + 1);
-                                self.vc_skip_epoch[sl] = u64::MAX;
+                                self.memo[sl] = SkipMemo {
+                                    until: t.max(now + 1),
+                                    epoch: u64::MAX,
+                                    port: memo.port,
+                                }
                             }
+                            // Holds for the rest of this cycle (no events
+                            // fire during allocation) and beyond, until the
+                            // port sees an event.
                             EvalBlock::Event(port) => {
-                                // Holds for the rest of this cycle (no
-                                // events fire during allocation) and
-                                // beyond, until the port sees an event.
-                                self.vc_skip_until[sl] = now + 1;
-                                self.vc_skip_port[sl] = port;
-                                self.vc_skip_epoch[sl] = self.port_epoch[r * pp + port as usize];
+                                self.memo[sl] = SkipMemo {
+                                    until: now + 1,
+                                    epoch: self.outputs[ri * pp + port as usize].epoch,
+                                    port,
+                                }
                             }
                         }
                     }
@@ -1692,20 +1610,19 @@ impl Network {
                 // `bypass_bound` consecutive mixed rounds won by control,
                 // one bulk nomination goes through and the counter resets,
                 // so bulk always makes progress.
+                let rec = &mut self.inputs[input];
                 let grant_mask = if self.qos_active && ctrl_mask != 0 && ctrl_mask != req_mask {
-                    let slot = r * n_in + in_idx;
-                    if self.bypass_in[slot] >= self.bypass_bound {
-                        self.bypass_in[slot] = 0;
+                    if rec.bypass >= self.bypass_bound {
+                        rec.bypass = 0;
                         req_mask & !ctrl_mask
                     } else {
-                        self.bypass_in[slot] += 1;
+                        rec.bypass += 1;
                         ctrl_mask
                     }
                 } else {
                     req_mask
                 };
-                let router = &mut self.routers[r];
-                if let Some(vc) = router.in_arb[in_idx].grant(|v| grant_mask & (1 << v) != 0) {
+                if let Some(vc) = rec.arb.grant(|v| grant_mask & (1 << v) != 0) {
                     let d = reqs[vc].expect("granted request");
                     cand[in_idx] = Some((vc as u8, d));
                     cand_set.push(in_idx as u16);
@@ -1720,18 +1637,18 @@ impl Network {
                 // allocation round of this cycle must reproduce the same
                 // empty outcome: settle the router until the next cycle.
                 if self.can_settle && !self.eval_mutated {
-                    self.settled[r] = now;
+                    self.routers[ri].settled = now;
                 }
                 continue; // stages 1.5/2 would be no-ops
             }
             // Stage 1.5: ejection grants (consumption channels). `cand_set`
             // is in ascending `in_idx` order (stage 1 iterates ascending).
-            for ci in 0..cand_set.len() {
-                let in_idx = cand_set[ci] as usize;
+            for &in_idx16 in &cand_set {
+                let in_idx = in_idx16 as usize;
                 if let Some((vc, Decision::Eject { channel })) = cand[in_idx] {
                     cand[in_idx] = None;
-                    if self.eject_busy[r * self.pn * 2 + channel as usize] <= now {
-                        self.grant_eject(r, in_idx, vc as usize, channel as usize, now);
+                    if *self.eject_busy(channel) <= now {
+                        self.grant_eject(ri, in_idx, vc as usize, channel, now);
                     }
                 }
             }
@@ -1755,15 +1672,18 @@ impl Network {
                     let ii = in_idx16 as usize;
                     if ii < 64 {
                         if let Some((vc, Decision::Forward { .. })) = cand[ii] {
-                            if self.head_tclass(r, ii, vc as usize) == TrafficClass::Control {
+                            if self.head_tclass(ri * n_in + ii, vc as usize)
+                                == TrafficClass::Control
+                            {
                                 ctrl_in |= 1 << ii;
                             }
                         }
                     }
                 }
             }
-            for pi in 0..ports_scratch.len() {
-                let port = ports_scratch[pi] as usize;
+            for &port16 in &ports_scratch {
+                let port = port16 as usize;
+                let out = &mut self.outputs[ri * pp + port];
                 // Same strict-priority-with-bounded-bypass rule as stage 1,
                 // now among the inputs competing for this output port.
                 let mut want_ctrl: Option<bool> = None;
@@ -1781,17 +1701,16 @@ impl Network {
                         }
                     }
                     if has_ctrl && has_bulk {
-                        let slot = r * pp + port;
-                        if self.bypass_out[slot] >= self.bypass_bound {
-                            self.bypass_out[slot] = 0;
+                        if out.bypass >= self.bypass_bound {
+                            out.bypass = 0;
                             want_ctrl = Some(false);
                         } else {
-                            self.bypass_out[slot] += 1;
+                            out.bypass += 1;
                             want_ctrl = Some(true);
                         }
                     }
                 }
-                let winner = self.routers[r].out_arb[port].grant(|in_idx| {
+                let winner = out.arb.grant(|in_idx| {
                     matches!(cand[in_idx], Some((_, Decision::Forward { port: p, .. })) if p as usize == port)
                         && want_ctrl
                             .is_none_or(|w| (in_idx < 64 && (ctrl_in >> in_idx) & 1 == 1) == w)
@@ -1804,7 +1723,7 @@ impl Network {
                         pos,
                     } = d
                     {
-                        self.grant_forward(r, in_idx, vc as usize, port, out_vc, pos, now);
+                        self.grant_forward(ri, in_idx, vc as usize, port, out_vc, pos, now);
                     }
                 }
             }
@@ -1819,25 +1738,29 @@ impl Network {
         self.ports_scratch = ports_scratch;
     }
 
-    /// Traffic class of the head of `(r, in_idx, vc)` (QoS arbitration;
-    /// empty VCs read as bulk, but are never consulted).
+    /// Busy-until of a consumption channel (see [`Decision::Eject`]).
     #[inline]
-    fn head_tclass(&self, r: usize, in_idx: usize, vc: usize) -> TrafficClass {
-        let router = &self.routers[r];
-        let head = if in_idx < self.pp {
-            router.inputs[in_idx].head(vc)
-        } else {
-            router.inj[in_idx - self.pp].head(vc)
-        };
-        head.map_or(TrafficClass::Bulk, |h| h.tclass)
+    fn eject_busy(&mut self, channel: u32) -> &mut u64 {
+        &mut self.nodes[channel as usize / 2].eject_busy[channel as usize % 2]
     }
 
-    /// Evaluate the head of one input VC; may mutate the packet (planning
-    /// reversion, PAR divert).
-    fn evaluate_head(&mut self, r: usize, in_idx: usize, vc: usize, now: u64) -> Option<Decision> {
-        let pp = self.pp;
+    /// Traffic class of the head of VC `vc` of input record `input` (QoS
+    /// arbitration; empty VCs read as bulk, but are never consulted).
+    #[inline]
+    fn head_tclass(&self, input: usize, vc: usize) -> TrafficClass {
+        self.inputs[input]
+            .bank
+            .head(vc)
+            .map_or(TrafficClass::Bulk, |h| h.tclass)
+    }
+
+    /// Evaluate the head of one input VC of router offset `ri`; may mutate
+    /// the packet (planning reversion, PAR divert).
+    fn evaluate_head(&mut self, ri: usize, in_idx: usize, vc: usize, now: u64) -> Option<Decision> {
+        let (pp, n_in) = (self.fabric.pp, self.fabric.n_in);
+        let r = self.r0() + ri;
+        let input = ri * n_in + in_idx;
         let size = self.cfg.packet_size;
-        let is_injection = in_idx >= pp;
         self.eval_block = EvalBlock::Never;
 
         // In-transit routing decisions (PAR divert, DAL per-dimension
@@ -1846,34 +1769,23 @@ impl Network {
         // Without transit decisions the same checks run on the fused head
         // read inside the loop below instead (one bank lookup, not two).
         if self.transit_decisions {
-            {
-                let router = &self.routers[r];
-                let head = if is_injection {
-                    router.inj[in_idx - pp].head(vc)?
-                } else {
-                    router.inputs[in_idx].head(vc)?
-                };
-                if head.head_arrival > now {
-                    self.eval_block = EvalBlock::Until(head.head_arrival);
-                    return None;
-                }
-                if !head.planned {
-                    self.eval_block = EvalBlock::Until(now + 1);
-                    return None;
-                }
+            let head = self.inputs[input].bank.head(vc)?;
+            if head.head_arrival > now {
+                self.eval_block = EvalBlock::Until(head.head_arrival);
+                return None;
             }
-            self.transit_decide(r, in_idx, vc, now);
+            if !head.planned {
+                self.eval_block = EvalBlock::Until(now + 1);
+                return None;
+            }
+            self.transit_decide(ri, in_idx, vc);
         }
 
         // Forwarding evaluation with at most one reversion.
         let mut reverted = false;
         loop {
-            let router = &self.routers[r];
-            let head = if is_injection {
-                router.inj[in_idx - pp].head(vc)?
-            } else {
-                router.inputs[in_idx].head(vc)?
-            };
+            let fab = &*self.fabric;
+            let head = self.inputs[input].bank.head(vc)?;
             if !self.transit_decisions && !reverted {
                 if head.head_arrival > now {
                     // Cut-through eligibility is time-pure.
@@ -1892,21 +1804,23 @@ impl Network {
             // detour that passed through the destination router).
             if head.plan.is_done() {
                 debug_assert_eq!(head.dst_router as usize, r, "done plan away from dst");
+                let node_idx = head.dst - self.owned_n.start;
+                let node = &self.nodes[node_idx as usize];
                 // Protocol coupling: a node whose reply-generation queue is
                 // full cannot consume further requests until replies drain.
                 if self.cfg.workload.is_reactive()
                     && head.class == MessageClass::Request
-                    && self.staging[head.dst as usize].len() >= self.cfg.reply_queue_packets
+                    && node.staging.len() >= self.cfg.reply_queue_packets
                 {
                     // Staging drains only in next cycle's generation pass.
                     self.eval_block = EvalBlock::Until(now + 1);
                     return None;
                 }
-                let local = head.dst as usize - self.node_base[r] as usize;
-                let channel = (local * 2 + head.class.index()) as u16;
-                let busy = self.eject_busy[r * self.pn * 2 + channel as usize];
+                let busy = node.eject_busy[head.class.index()];
                 return if busy <= now {
-                    Some(Decision::Eject { channel })
+                    Some(Decision::Eject {
+                        channel: node_idx * 2 + head.class.index() as u32,
+                    })
                 } else {
                     self.eval_block = EvalBlock::Until(busy);
                     None
@@ -1915,51 +1829,56 @@ impl Network {
             let hop = *head.plan.next_hop().expect("plan not done");
             let dst_r = head.dst_router as usize;
             let port = hop.port as usize;
-            let pclass = self.port_class[port];
+            let pclass = fab.port_class[port];
+            let out = &self.outputs[ri * pp + port];
             // Output-side structural checks.
-            let xbar_until = self.out_xbar[r * pp + port];
-            if xbar_until > now {
+            if out.xbar > now {
                 // Time-pure: the crossbar frees at a known cycle (the
                 // caller memoizes the deadline; reverted heads never
                 // memoize — `eval_mutated_here` is already set).
-                self.eval_block = EvalBlock::Until(xbar_until);
+                self.eval_block = EvalBlock::Until(out.xbar);
                 return None;
             }
-            if self.out_occ[r * pp + port] + size > self.cfg.buffers.output {
+            if out.occ + size > self.cfg.buffers.output {
                 // Improves only on an output-buffer release event.
                 self.eval_block = EvalBlock::Event(port as u16);
                 return None;
             }
-            if self.repart {
-                // Dynamic-repartition admission gate: the head's class must
-                // fit inside its phit quota of the downstream buffer.
-                // Improves on a same-port credit return or a repartition in
-                // this class's favor (memoization is disabled under QoS).
-                let qslot = (r * pp + port) * 2 + head.tclass.index();
-                if self.cls_occ[qslot] + size > self.cls_quota[qslot] {
-                    self.eval_block = EvalBlock::Event(port as u16);
-                    return None;
-                }
+            // Dynamic-repartition admission gate: the head's class must
+            // fit inside its phit quota of the downstream buffer.
+            // Improves on a same-port credit return or a repartition in
+            // this class's favor (memoization is disabled under QoS).
+            if self.repart
+                && out.cls_occ[head.tclass.index()] + size > out.cls_quota[head.tclass.index()]
+            {
+                self.eval_block = EvalBlock::Event(port as u16);
+                return None;
             }
-            let credit = &router.out_credit[port];
+            let credit = &self.out_credit[ri * pp + port];
             match self.cfg.policy {
                 VcPolicy::Baseline => {
                     // Precomputed pure (class, slot) -> (vc, pos) mapping
-                    // (see `baseline_table` in `Network::new`).
-                    let (bvc, pos) = self.baseline_table[head.class.index()][hop.slot as usize];
+                    // (see `Fabric::baseline_table`).
+                    let (bvc, pos) = fab.baseline_table[head.class.index()][hop.slot as usize];
                     #[cfg(debug_assertions)]
                     {
-                        let reference: &[LinkClass] = match self.family.generic_diameter() {
-                            None => self.cfg.routing.dragonfly_reference(),
-                            // Generic references are all-Local; slots map 1:1.
-                            Some(d) => self.cfg.routing.generic_reference(d),
-                        };
-                        let (bclass, fresh_vc) =
-                            baseline_vc(&self.arr, head.class, reference, hop.slot as usize);
+                        let arr = &self.cfg.arrangement;
+                        let reference: &[LinkClass] =
+                            match self.cfg.topology.family().generic_diameter() {
+                                None => self.cfg.routing.dragonfly_reference(),
+                                // Generic references are all-Local; slots map 1:1.
+                                Some(d) => self.cfg.routing.generic_reference(d),
+                            };
+                        let (bclass, fresh_vc) = flexvc_core::policy::baseline_vc(
+                            arr,
+                            head.class,
+                            reference,
+                            hop.slot as usize,
+                        );
                         debug_assert_eq!(bclass, pclass, "reference class mismatch");
                         debug_assert_eq!(fresh_vc as u8, bvc, "stale baseline table");
                         debug_assert_eq!(
-                            self.arr.position(pclass, fresh_vc).expect("baseline vc") as u16,
+                            arr.position(pclass, fresh_vc).expect("baseline vc") as u16,
                             pos
                         );
                     }
@@ -1987,6 +1906,7 @@ impl Network {
                     // opportunistic landing lookahead). Thanks to the
                     // `flex_opts` cache this runs once per (buffer, plan),
                     // not once per allocation round.
+                    let arr = &self.cfg.arrangement;
                     let fresh_opts = |head: &Packet| {
                         let mut planned: [LinkClass; 8] = [LinkClass::Local; 8];
                         let rem = head.plan.remaining();
@@ -1998,20 +1918,29 @@ impl Network {
                             [flexvc_topology::ClassPath::new(); 8];
                         let mut cur_router = r;
                         for (i, h) in rem.iter().enumerate() {
-                            let next = self.adj[cur_router * pp + h.port as usize]
+                            let next = fab.adj[cur_router * pp + h.port as usize]
                                 .expect("routed port wired")
                                 .0 as usize;
-                            esc_store[i] = self.topo.min_classes(next, head.dst_router as usize);
+                            esc_store[i] = fab.topo.min_classes(next, head.dst_router as usize);
                             cur_router = next;
                         }
                         let escapes: [&[LinkClass]; 8] = std::array::from_fn(|i| &esc_store[i][..]);
                         flexvc_options_lookahead(
-                            &self.arr,
+                            arr,
                             head.class,
                             head.pos(),
                             &planned[..nrem],
                             &escapes[..nrem],
                         )
+                    };
+                    // Allowed-VC mask for the head's traffic class on this
+                    // link class: full when QoS is off or shared, a strict
+                    // subset under class-partitioned VC budgets (whose
+                    // per-class deadlock safety `check_qos` proved).
+                    let qmask = if self.qos_active {
+                        self.qos_masks[pclass.index()][head.tclass.index()]
+                    } else {
+                        u32::MAX
                     };
                     let opts = match head.flex_opts {
                         Some(cached) => {
@@ -2020,32 +1949,12 @@ impl Network {
                         }
                         None => {
                             let computed = fresh_opts(head);
-                            let router = &mut self.routers[r];
-                            let head = if is_injection {
-                                router.inj[in_idx - pp].head_mut(vc)?
-                            } else {
-                                router.inputs[in_idx].head_mut(vc)?
-                            };
-                            head.flex_opts = Some(computed);
+                            self.inputs[input].bank.head_mut(vc)?.flex_opts = Some(computed);
                             computed
                         }
                     };
-                    // Allowed-VC mask for the head's traffic class on this
-                    // link class: full when QoS is off or shared, a strict
-                    // subset under class-partitioned VC budgets (whose
-                    // per-class deadlock safety `check_qos` proved).
-                    let qmask = if self.qos_active {
-                        let t = self.head_tclass(r, in_idx, vc);
-                        self.qos_masks[pclass.index()][t.index()]
-                    } else {
-                        u32::MAX
-                    };
-                    // Re-establish the read borrows dropped for the cache
-                    // write above.
-                    let router = &self.routers[r];
-                    let credit = &router.out_credit[port];
                     if let Some(opts) = opts {
-                        let mut cands: [(usize, usize); 16] = [(0, 0); 16];
+                        let mut cands: [(usize, usize); MAX_VCS] = [(0, 0); MAX_VCS];
                         let mut nc = 0;
                         match credit.ready_mask() {
                             // Word scan over the incrementally-maintained
@@ -2083,13 +1992,12 @@ impl Network {
                             }
                         }
                         if nc > 0 {
-                            let router = &mut self.routers[r];
                             let pick = self
                                 .cfg
                                 .selection
-                                .pick(&cands[..nc], &mut router.rng)
+                                .pick(&cands[..nc], &mut self.routers[ri].rng)
                                 .expect("non-empty");
-                            let pos = self.arr.position(pclass, pick).expect("picked vc") as u16;
+                            let pos = arr.position(pclass, pick).expect("picked vc") as u16;
                             return Some(Decision::Forward {
                                 port: port as u16,
                                 vc: pick as u8,
@@ -2105,16 +2013,10 @@ impl Network {
                         }
                         // Opportunistic hop without downstream space: wait
                         // out the configured patience, then revert.
-                        let patience = self.cfg.revert_patience;
                         self.eval_mutated = true;
                         self.eval_mutated_here = true;
-                        let router = &mut self.routers[r];
-                        let head = if is_injection {
-                            router.inj[in_idx - pp].head_mut(vc)?
-                        } else {
-                            router.inputs[in_idx].head_mut(vc)?
-                        };
-                        if head.opp_blocked < patience {
+                        let head = self.inputs[input].bank.head_mut(vc)?;
+                        if head.opp_blocked < self.cfg.revert_patience {
                             head.opp_blocked += 1;
                             return None;
                         }
@@ -2128,14 +2030,8 @@ impl Network {
                     reverted = true;
                     self.eval_mutated = true;
                     self.eval_mutated_here = true;
-                    let plan = min_plan(&*self.topo, r, dst_r);
-                    let router = &mut self.routers[r];
-                    let head = if is_injection {
-                        router.inj[in_idx - pp].head_mut(vc)?
-                    } else {
-                        router.inputs[in_idx].head_mut(vc)?
-                    };
-                    head.plan = plan;
+                    let head = self.inputs[input].bank.head_mut(vc)?;
+                    head.plan = min_plan(&*fab.topo, r, dst_r);
                     head.min_routed = true;
                     head.reverts += 1;
                     head.flex_opts = None;
@@ -2148,53 +2044,44 @@ impl Network {
     /// In-transit decision point: hand the head to the routing policy
     /// (PAR divert, DAL per-dimension misroute, adaptive copy
     /// re-selection) with the router-local sensed state.
-    fn transit_decide(&mut self, r: usize, in_idx: usize, vc: usize, _now: u64) {
-        let pp = self.pp;
-        let is_injection = in_idx >= pp;
-        let in_class = if is_injection {
-            LinkClass::Local
-        } else {
-            self.port_class[in_idx]
-        };
-        let topo = Arc::clone(&self.topo);
-        let router = &mut self.routers[r];
-        let head = if is_injection {
-            router.inj[in_idx - pp].head_mut(vc)
-        } else {
-            router.inputs[in_idx].head_mut(vc)
-        };
-        let Some(head) = head else {
+    fn transit_decide(&mut self, ri: usize, in_idx: usize, vc: usize) {
+        let fab = &*self.fabric;
+        let pp = fab.pp;
+        let Some(head) = self.inputs[ri * fab.n_in + in_idx].bank.head_mut(vc) else {
             return;
         };
         let sense = SenseView {
-            out_credit: &router.out_credit,
+            out_credit: &self.out_credit[ri * pp..(ri + 1) * pp],
             boards: &self.boards,
-            sense_ports: &self.sense_ports,
-            sense_all: self.sense_all,
+            sense_ports: &fab.sense_ports,
+            sense_all: fab.sense_all,
             min_cred: self.cfg.sensing.min_cred,
-            adj: &self.adj,
-            port_class: &self.port_class,
+            adj: &fab.adj,
+            port_class: &fab.port_class,
         };
+        // Injection queues count as local-class inputs.
+        let in_class = fab.port_class.get(in_idx).copied();
         self.policy.transit_update(
-            &*topo,
+            &*fab.topo,
             &sense,
-            &mut router.rng,
-            r,
+            &mut self.routers[ri].rng,
+            self.owned_r.start as usize + ri,
             head,
-            is_injection,
-            in_class,
+            in_class.is_none(),
+            in_class.unwrap_or(LinkClass::Local),
         );
     }
 
-    /// Return the credit for an input buffer a grant just vacated: queue it
-    /// on the upstream link (owned by the router it returns to). When that
-    /// router lives on another shard, the credit becomes a boundary event —
-    /// the arrival cycle `t_c + lat` is strictly beyond the current cycle,
-    /// so applying it at the exchange is exact.
+    /// Return the credit for the buffer a grant just vacated on unified
+    /// input `in_idx` of router offset `ri`: queue it on the upstream link
+    /// (owned by the router it returns to). When that router lives on
+    /// another shard, the credit becomes a boundary event — the arrival
+    /// cycle `t_c + lat` is strictly beyond the current cycle, so applying
+    /// it at the exchange is exact.
     #[allow(clippy::too_many_arguments)]
     fn return_credit(
         &mut self,
-        r: usize,
+        ri: usize,
         in_idx: usize,
         vc_in: usize,
         phits: u32,
@@ -2203,19 +2090,18 @@ impl Network {
         t_c: u64,
         now: u64,
     ) {
-        let pp = self.pp;
-        if in_idx >= pp {
-            return; // injection queues are node-local: no upstream link
-        }
-        let Some((ur, up)) = self.adj[r * pp + in_idx] else {
+        let fab = &*self.fabric;
+        // Injection queues are node-local: no upstream link.
+        let Some(&lat) = fab.port_latency.get(in_idx) else {
             return;
         };
-        let lat = self.latency_of(self.port_class[in_idx]);
-        let up_lid = ur as usize * pp + up as usize;
+        let Some((ur, up)) = fab.adj[(self.r0() + ri) * fab.pp + in_idx] else {
+            return;
+        };
         if self.sharded && !self.owns(ur) {
             self.outbox.push(BoundaryEvent {
                 at: t_c + lat as u64,
-                lid: up_lid as u32,
+                lid: ur * fab.pp as u32 + up as u32,
                 dst: ur,
                 payload: BoundaryPayload::Credit {
                     vc: vc_in as u8,
@@ -2225,31 +2111,87 @@ impl Network {
                 },
             });
         } else {
-            self.links[up_lid].send_credit(t_c, lat, vc_in as u8, phits, class, tclass);
-            self.schedule_credit(now, t_c + lat as u64, up_lid);
+            let up = self.inputs[ri * fab.n_in + in_idx].rx as usize;
+            self.outputs[up]
+                .link
+                .send_credit(t_c, lat, vc_in as u8, phits, class, tclass);
+            self.schedule_credit(now, t_c + lat as u64, up);
         }
     }
 
-    /// Schedule the credit-drain wheel for a credit arriving on link `lid`
+    /// Schedule the credit-drain wheel for a credit arriving on output `o`
     /// at cycle `at`, batching per link per cycle: `deliver` pops *every*
     /// credit due at `at` from one wheel entry, so a second entry for the
     /// same (link, cycle) would drain nothing — skip pushing it. Credit
     /// arrivals are monotonic per link (asserted in `LinkState`), so a
     /// recorded cycle can only be superseded by a later one.
     #[inline]
-    fn schedule_credit(&mut self, now: u64, at: u64, lid: usize) {
+    fn schedule_credit(&mut self, now: u64, at: u64, o: usize) {
         #[cfg(debug_assertions)]
-        self.shadow_cred.schedule(now, at, lid as u32);
-        if self.cred_sched[lid] != at {
-            self.cred_sched[lid] = at;
-            self.cred_wheel.schedule(now, at, lid as u32);
+        self.shadow_cred.schedule(now, at, o as u32);
+        if self.outputs[o].cred_sched != at {
+            self.outputs[o].cred_sched = at;
+            self.cred_wheel.schedule(now, at, o as u32);
         }
+    }
+
+    /// Dequeue the granted head of VC `vc_in` of unified input `in_idx` at
+    /// router offset `ri`; the input's feed stays busy until `t_c(&pkt)`,
+    /// when its buffer space is released and its credit departs upstream.
+    fn dequeue(
+        &mut self,
+        ri: usize,
+        in_idx: usize,
+        vc_in: usize,
+        now: u64,
+        t_c: impl FnOnce(&Packet) -> u64,
+    ) -> (Packet, u64) {
+        let input = ri * self.fabric.n_in + in_idx;
+        let rec = &mut self.inputs[input];
+        let pkt = rec.bank.pop(vc_in);
+        let t_c = t_c(&pkt);
+        rec.busy = t_c;
+        if rec.bank.vc_is_empty(vc_in) {
+            rec.vc_mask &= !(1 << vc_in);
+        }
+        let router = &mut self.routers[ri];
+        router.queued -= 1;
+        if rec.bank.queued_packets() == 0 && in_idx < 64 {
+            router.in_mask &= !(1 << in_idx);
+        }
+        if in_idx >= self.fabric.pp {
+            // The next injection-queue packet (if any) becomes an
+            // unplanned head.
+            mark(&mut self.plan_list, &mut router.plan_in, ri);
+        }
+        self.rel_wheel.schedule(
+            now,
+            t_c,
+            Pending::Input {
+                input: input as u32,
+                vc: vc_in as u8,
+                phits: pkt.size,
+                class: pkt.buffered_class,
+            },
+        );
+        self.return_credit(
+            ri,
+            in_idx,
+            vc_in,
+            pkt.size,
+            pkt.buffered_class,
+            pkt.tclass,
+            t_c,
+            now,
+        );
+        self.last_progress = now;
+        (pkt, t_c)
     }
 
     #[allow(clippy::too_many_arguments)] // a grant is naturally 7-tuple-shaped
     fn grant_forward(
         &mut self,
-        r: usize,
+        ri: usize,
         in_idx: usize,
         vc_in: usize,
         port: u16,
@@ -2257,146 +2199,56 @@ impl Network {
         pos: u16,
         now: u64,
     ) {
-        let pp = self.pp;
+        let pp = self.fabric.pp;
         let size = self.cfg.packet_size;
         let dur = size.div_ceil(self.cfg.speedup);
-        let router = &mut self.routers[r];
-        let mut pkt = if in_idx < pp {
-            router.inputs[in_idx].pop(vc_in)
-        } else {
-            router.inj[in_idx - pp].pop(vc_in)
-        };
-        let released_class = pkt.buffered_class;
-        let released_tclass = pkt.tclass;
         // Injection transfers serialize at link rate (the node-to-router
         // channel); network transfers run at crossbar speed, bounded by the
         // packet's own tail arrival (cut-through chaining).
-        let t_c = if in_idx < pp {
-            (now + dur as u64).max(pkt.tail_arrival + 1)
-        } else {
-            now + size as u64
-        };
-        self.in_busy[r * (pp + self.pn) + in_idx] = t_c;
-        self.out_xbar[r * pp + port as usize] = t_c;
-        router.out_credit[port as usize].add(out_vc as usize, size, pkt.credit_class());
-        self.out_occ[r * pp + port as usize] += size;
+        let (mut pkt, t_c) = self.dequeue(ri, in_idx, vc_in, now, |pkt| {
+            if in_idx < pp {
+                (now + dur as u64).max(pkt.tail_arrival + 1)
+            } else {
+                now + size as u64
+            }
+        });
+        let o = ri * pp + port as usize;
+        let out = &mut self.outputs[o];
+        out.xbar = t_c;
+        self.out_credit[o].add(out_vc as usize, size, pkt.credit_class());
+        out.occ += size;
         if self.repart {
             // The head's class now occupies part of the downstream buffer;
             // released when its credit returns (the credit carries the
             // class).
-            self.cls_occ[(r * pp + port as usize) * 2 + released_tclass.index()] += size;
+            out.cls_occ[pkt.tclass.index()] += size;
         }
-        self.rel_wheel.schedule(
-            now,
-            t_c,
-            (
-                r as u32,
-                Pending::Input {
-                    at: t_c,
-                    in_idx: in_idx as u32,
-                    vc: vc_in as u8,
-                    phits: size,
-                    class: released_class,
-                },
-            ),
-        );
         pkt.position = Some(pos);
         pkt.plan.advance();
         pkt.hops += 1;
-        router.out_queue[port as usize].push_back(OutPkt {
-            pkt,
-            ready_at: now + self.cfg.pipeline_latency as u64,
-            vc: out_vc,
-        });
-        // Return the credit for the buffer we just vacated.
-        self.return_credit(
-            r,
-            in_idx,
-            vc_in,
-            size,
-            released_class,
-            released_tclass,
-            t_c,
-            now,
+        push_bounded(
+            &mut out.queue,
+            self.out_bound,
+            OutPkt {
+                pkt,
+                ready_at: now + self.cfg.pipeline_latency as u64,
+                vc: out_vc,
+            },
         );
-        self.queued[r] -= 1;
-        {
-            let router = &self.routers[r];
-            let bank = if in_idx < pp {
-                &router.inputs[in_idx]
-            } else {
-                &router.inj[in_idx - pp]
-            };
-            if vc_in < 16 && bank.vc_len(vc_in) == 0 {
-                self.vc_mask[r * (pp + self.pn) + in_idx] &= !(1 << vc_in);
-            }
-            if bank.queued_packets() == 0 && in_idx < 64 {
-                self.in_mask[r] &= !(1 << in_idx);
-            }
-        }
-        if in_idx >= pp {
-            // The next injection-queue packet (if any) becomes an
-            // unplanned head.
-            mark(&mut self.plan_list, &mut self.plan_in, r);
-        }
-        mark(&mut self.out_list, &mut self.out_in, r * pp + port as usize);
+        mark(&mut self.out_list, &mut out.out_in, o);
         if !self.boards.is_empty()
-            && (self.sense_all || self.port_class[port as usize] == LinkClass::Global)
+            && (self.fabric.sense_all || self.fabric.port_class[port as usize] == LinkClass::Global)
         {
-            mark(&mut self.sense_list, &mut self.sense_in, r);
+            mark(&mut self.sense_list, &mut self.routers[ri].sense_in, ri);
         }
-        self.last_progress = now;
     }
 
-    fn grant_eject(&mut self, r: usize, in_idx: usize, vc_in: usize, channel: usize, now: u64) {
-        let pp = self.pp;
+    fn grant_eject(&mut self, ri: usize, in_idx: usize, vc_in: usize, channel: u32, now: u64) {
         let size = self.cfg.packet_size;
-        let router = &mut self.routers[r];
-        let pkt = if in_idx < pp {
-            router.inputs[in_idx].pop(vc_in)
-        } else {
-            router.inj[in_idx - pp].pop(vc_in)
-        };
-        let released_class = pkt.buffered_class;
         let done = now + size as u64; // 1 phit/cycle consumption
-        let t_c = done.max(pkt.tail_arrival + 1);
-        self.in_busy[r * (pp + self.pn) + in_idx] = t_c;
-        self.eject_busy[r * self.pn * 2 + channel] = t_c;
-        self.rel_wheel.schedule(
-            now,
-            t_c,
-            (
-                r as u32,
-                Pending::Input {
-                    at: t_c,
-                    in_idx: in_idx as u32,
-                    vc: vc_in as u8,
-                    phits: size,
-                    class: released_class,
-                },
-            ),
-        );
-        self.return_credit(r, in_idx, vc_in, size, released_class, pkt.tclass, t_c, now);
-        self.queued[r] -= 1;
-        {
-            let router = &self.routers[r];
-            let bank = if in_idx < pp {
-                &router.inputs[in_idx]
-            } else {
-                &router.inj[in_idx - pp]
-            };
-            if vc_in < 16 && bank.vc_len(vc_in) == 0 {
-                self.vc_mask[r * (pp + self.pn) + in_idx] &= !(1 << vc_in);
-            }
-            if bank.queued_packets() == 0 && in_idx < 64 {
-                self.in_mask[r] &= !(1 << in_idx);
-            }
-        }
-        if in_idx >= pp {
-            mark(&mut self.plan_list, &mut self.plan_in, r);
-        }
+        let (pkt, t_c) = self.dequeue(ri, in_idx, vc_in, now, |pkt| done.max(pkt.tail_arrival + 1));
+        *self.eject_busy(channel) = t_c;
         self.in_flight -= 1;
-        self.last_progress = now;
         if self.in_window(now) {
             self.metrics.consume(
                 pkt.class,
@@ -2423,7 +2275,9 @@ impl Network {
         // Reactive: the destination answers with a reply once the request
         // has fully arrived.
         if self.cfg.workload.is_reactive() && pkt.class == MessageClass::Request {
-            self.staging[pkt.dst as usize].push_back((pkt.src, done));
+            self.nodes[(pkt.dst - self.owned_n.start) as usize]
+                .staging
+                .push_back((pkt.src, done));
         }
     }
 
@@ -2432,34 +2286,29 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn serialize_outputs(&mut self, now: u64) {
-        let pp = self.pp;
+        let fab = &*self.fabric;
+        let lid0 = self.r0() * fab.pp;
         // Only output ports with queued packets can start a serialization;
         // drained ports are dropped from the worklist lazily.
         let mut list = std::mem::take(&mut self.out_list);
         let mut li = 0;
         while li < list.len() {
-            let lid = list[li] as usize;
-            let (r, port) = (lid / pp, lid % pp);
-            if self.routers[r].out_queue[port].is_empty() {
-                self.out_in[lid] = false;
+            let o = list[li] as usize;
+            let out = &mut self.outputs[o];
+            let Some(front) = out.queue.front() else {
+                out.out_in = false;
                 list.swap_remove(li);
                 continue;
-            }
+            };
             li += 1;
-            if !self.links[lid].is_free(now) {
+            if !out.link.is_free(now) || front.ready_at > now {
                 continue;
             }
-            let lat = self.latency_of(self.port_class[port]);
-            let router = &mut self.routers[r];
-            let front = router.out_queue[port].front().expect("non-empty checked");
-            if front.ready_at > now {
-                continue;
-            }
-            let out = router.out_queue[port].pop_front().expect("front exists");
-            let size = out.pkt.size;
-            let foreign_rx =
-                self.sharded && !self.owns(self.adj[lid].expect("transmitting link is wired").0);
-            if foreign_rx {
+            let OutPkt { pkt, vc, .. } = out.queue.pop_front().expect("front exists");
+            let size = pkt.size;
+            let lat = fab.port_latency[o % fab.pp];
+            let (dr, dp) = fab.adj[lid0 + o].expect("transmitting link is wired");
+            if self.sharded && !self.owned_r.contains(&dr) {
                 // The receiving router lives on another shard: keep the
                 // serialization state (`busy_until`) here, ship the
                 // in-flight record to the receiver's link replica — with
@@ -2468,32 +2317,29 @@ impl Network {
                 // arrives at `now + lat`, beyond this cycle, so delivery
                 // timing is identical to the local path.
                 let flow = if self.has_flows {
-                    self.flow_tags.remove(&(out.pkt.src, out.pkt.id))
+                    self.flow_tags.remove(&(pkt.src, pkt.id))
                 } else {
                     None
                 };
-                let flight = self.links[lid].transmit_boundary(now, lat, out.vc, out.pkt);
+                let flight = out.link.transmit_boundary(now, lat, vc, pkt);
                 self.outbox.push(BoundaryEvent {
                     at: flight.head_arrival,
-                    lid: lid as u32,
-                    dst: self.adj[lid].expect("wired").0,
+                    lid: (lid0 + o) as u32,
+                    dst: dr,
                     payload: BoundaryPayload::Packet { flight, flow },
                 });
             } else {
-                self.links[lid].transmit(now, lat, out.vc, out.pkt);
-                self.pkt_wheel.schedule(now, now + lat as u64, lid as u32);
+                out.link.transmit(now, lat, vc, pkt);
+                let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
+                self.pkt_wheel.schedule(now, now + lat as u64, input as u32);
             }
             self.rel_wheel.schedule(
                 now,
                 now + size as u64,
-                (
-                    r as u32,
-                    Pending::OutBuf {
-                        at: now + size as u64,
-                        port: port as u16,
-                        phits: size,
-                    },
-                ),
+                Pending::OutBuf {
+                    output: o as u32,
+                    phits: size,
+                },
             );
             // Phits starting to move on a link count as progress.
             self.last_progress = now;
@@ -2506,7 +2352,8 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn update_sensing(&mut self, now: u64) {
-        let rpg = self.topo.routers_per_group();
+        let fab = &*self.fabric;
+        let rpg = fab.topo.routers_per_group();
         let t_phits = self.cfg.sensing.threshold * self.cfg.packet_size;
         let min_cred = self.cfg.sensing.min_cred;
         let classes: &[MessageClass] = if self.cfg.workload.is_reactive() {
@@ -2523,15 +2370,16 @@ impl Network {
         let mut list = std::mem::take(&mut self.sense_list);
         let mut occs = std::mem::take(&mut self.occ_scratch);
         let mut flags = std::mem::take(&mut self.flag_scratch);
-        for &r32 in &list {
-            let r = r32 as usize;
-            self.sense_in[r] = false;
-            let group = self.topo.group_of_router(r);
+        for &ri32 in &list {
+            let ri = ri32 as usize;
+            self.routers[ri].sense_in = false;
+            let r = self.r0() + ri;
+            let group = fab.topo.group_of_router(r);
             let local = r - group * rpg;
             for &class in classes {
                 occs.clear();
-                occs.extend(self.sense_ports.iter().map(|&gp| {
-                    let credit = &self.routers[r].out_credit[gp];
+                occs.extend(fab.sense_ports.iter().map(|&gp| {
+                    let credit = &self.out_credit[ri * fab.pp + gp];
                     match self.cfg.sensing.mode {
                         SensingMode::PerPort => {
                             if min_cred {
@@ -2547,7 +2395,7 @@ impl Network {
                             let vc = match class {
                                 MessageClass::Request => 0,
                                 MessageClass::Reply => {
-                                    self.arr.vc_count_request(self.port_class[gp])
+                                    self.cfg.arrangement.vc_count_request(fab.port_class[gp])
                                 }
                             };
                             if min_cred {

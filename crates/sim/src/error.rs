@@ -64,6 +64,17 @@ pub enum ConfigError {
     },
     /// Output or injection buffers cannot hold one packet.
     PortBuffersBelowPacket,
+    /// A port class (request + reply VCs together) or the injection queues
+    /// carry more VCs than [`MAX_VCS`](crate::MAX_VCS), the width of the
+    /// engine's inline per-VC state and VC bitmasks.
+    TooManyVcs {
+        /// Which VC set: `"local"`, `"global"` or `"injection"`.
+        what: &'static str,
+        /// Configured VC count.
+        vcs: usize,
+        /// The supported maximum.
+        max: usize,
+    },
     /// The topology parameters describe a shape the simulator cannot build
     /// (e.g. a HyperX with more than 3 dimensions or a degenerate axis).
     InvalidTopology {
@@ -161,6 +172,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::PortBuffersBelowPacket => {
                 write!(f, "output/injection buffers below one packet")
+            }
+            ConfigError::TooManyVcs { what, vcs, max } => {
+                write!(f, "{vcs} {what} VCs exceed the supported maximum of {max}")
             }
             ConfigError::InvalidTopology { why } => {
                 write!(f, "invalid topology: {why}")
@@ -275,6 +289,19 @@ mod tests {
             "experiment point #3 is invalid: packet size must be positive"
         );
         assert!(r.source().is_some());
+    }
+
+    #[test]
+    fn too_many_vcs_names_the_set_and_the_limit() {
+        let e = ConfigError::TooManyVcs {
+            what: "local",
+            vcs: 18,
+            max: 16,
+        };
+        assert_eq!(
+            e.to_string(),
+            "18 local VCs exceed the supported maximum of 16"
+        );
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod config;
 pub mod engine;
 pub mod equivalence;
 pub mod error;
+mod fabric;
 pub mod link;
 pub mod metrics;
 pub mod packet;
@@ -46,6 +47,7 @@ pub mod sensing;
 pub mod serde_impls;
 pub mod shard;
 
+pub use bank::MAX_VCS;
 pub use builder::SimConfigBuilder;
 pub use config::{
     paper_routing_for, BufferConfig, BufferOrg, BufferSizing, ClassVcMap, QosConfig, SensingConfig,

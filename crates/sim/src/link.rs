@@ -5,6 +5,7 @@
 //! at `t0 + latency` and its tail at `t0 + latency + size − 1`. Credits flow
 //! on the reverse direction with the same latency.
 
+use crate::bank::bounded_growth;
 use crate::packet::Packet;
 use flexvc_core::{CreditClass, TrafficClass};
 use std::collections::VecDeque;
@@ -39,41 +40,57 @@ pub struct CreditMsg {
 }
 
 /// State of one directed link (plus its reverse credit flow).
-#[derive(Debug, Default)]
+///
+/// Both pipelines are demand-sized: they start empty and double up to the
+/// window given at construction, so an idle link costs only this record.
+#[derive(Debug)]
 pub struct LinkState {
     /// Packets in flight, ordered by arrival.
-    pub packets: VecDeque<InFlight>,
+    packets: VecDeque<InFlight>,
     /// Credits in flight on the reverse direction, ordered by arrival.
-    pub credits: VecDeque<CreditMsg>,
+    credits: VecDeque<CreditMsg>,
     /// The link is serializing a packet until this cycle (exclusive).
-    pub busy_until: u64,
+    busy_until: u64,
+    /// Most entries either pipeline can hold at once (growth bound).
+    window: usize,
+}
+
+impl Default for LinkState {
+    /// A link whose pipelines are bounded only by what the caller sends.
+    fn default() -> Self {
+        Self::with_capacity(usize::MAX)
+    }
+}
+
+/// Append to a demand-sized queue bounded by `window` entries (see
+/// [`bounded_growth`]).
+#[inline]
+pub(crate) fn push_bounded<T>(q: &mut VecDeque<T>, window: usize, item: T) {
+    if q.len() == q.capacity() {
+        q.reserve_exact(bounded_growth(q.len(), window));
+    }
+    q.push_back(item);
 }
 
 impl LinkState {
-    /// A link with both rings preallocated for the expected in-flight
-    /// population (≈ latency / packet serialization time), so steady-state
-    /// traffic never grows them.
+    /// A link whose packet and credit pipelines each hold at most
+    /// `in_flight` entries (≈ latency / serialization time, per link
+    /// class). Nothing is allocated until traffic flows.
     pub fn with_capacity(in_flight: usize) -> Self {
         LinkState {
-            packets: VecDeque::with_capacity(in_flight),
-            credits: VecDeque::with_capacity(in_flight),
+            packets: VecDeque::new(),
+            credits: VecDeque::new(),
             busy_until: 0,
+            window: in_flight,
         }
     }
+
     /// Begin transmitting `packet` at cycle `now` toward input VC `vc`
     /// downstream. Returns the tail-arrival cycle.
     pub fn transmit(&mut self, now: u64, latency: u32, vc: u8, packet: Packet) -> u64 {
-        debug_assert!(self.busy_until <= now, "link already serializing");
-        let size = packet.size as u64;
-        self.busy_until = now + size;
-        let head_arrival = now + latency as u64;
-        let tail_arrival = head_arrival + size - 1;
-        self.packets.push_back(InFlight {
-            packet,
-            vc,
-            head_arrival,
-            tail_arrival,
-        });
+        let flight = self.transmit_boundary(now, latency, vc, packet);
+        let tail_arrival = flight.tail_arrival;
+        self.receive_flight(flight);
         tail_arrival
     }
 
@@ -115,13 +132,18 @@ impl LinkState {
                 .is_none_or(|f| f.head_arrival <= flight.head_arrival),
             "boundary packets must arrive in order per link"
         );
-        self.packets.push_back(flight);
+        push_bounded(&mut self.packets, self.window, flight);
     }
 
-    /// Enqueue a credit that was emitted by a foreign shard's router on the
-    /// downstream end of this link. Mirrors [`LinkState::send_credit`] with a
-    /// pre-computed arrival cycle; the same single-source monotonicity
-    /// argument applies because boundary events are applied in emission order.
+    /// Enqueue a credit arriving at cycle `arrival` (what
+    /// [`LinkState::send_credit`] does for a local credit, and how a credit
+    /// emitted by a foreign shard's router enters its upstream link).
+    /// Credit departures on one link are monotonic: they all originate from
+    /// the single downstream input port feeding this link, whose `busy`
+    /// serialization guarantees each transfer completes (and thus departs
+    /// its credit) after the previous one, and boundary events are applied
+    /// in emission order. A plain back-push therefore keeps the queue
+    /// arrival-sorted — no O(n) sorted insert needed.
     pub fn receive_credit(
         &mut self,
         arrival: u64,
@@ -134,13 +156,14 @@ impl LinkState {
             self.credits.back().is_none_or(|c| c.arrival <= arrival),
             "credit departures must be monotonic per link"
         );
-        self.credits.push_back(CreditMsg {
+        let msg = CreditMsg {
             arrival,
             vc,
             phits,
             class,
             tclass,
-        });
+        };
+        push_bounded(&mut self.credits, self.window, msg);
     }
 
     /// Pop the next packet whose head has arrived by `now`.
@@ -163,24 +186,7 @@ impl LinkState {
         class: CreditClass,
         tclass: TrafficClass,
     ) {
-        let msg = CreditMsg {
-            arrival: departs + latency as u64,
-            vc,
-            phits,
-            class,
-            tclass,
-        };
-        // Credit departures on one link are strictly monotonic: they all
-        // originate from the single downstream input port feeding this
-        // link, whose `in_busy` serialization guarantees each transfer
-        // completes (and thus departs its credit) after the previous one.
-        // A plain back-push therefore keeps the queue arrival-sorted — no
-        // O(n) sorted insert needed.
-        debug_assert!(
-            self.credits.back().is_none_or(|c| c.arrival <= msg.arrival),
-            "credit departures must be monotonic per link"
-        );
-        self.credits.push_back(msg);
+        self.receive_credit(departs + latency as u64, vc, phits, class, tclass);
     }
 
     /// Pop the next credit arrived by `now`.
@@ -195,6 +201,24 @@ impl LinkState {
     /// Whether the link can start a new serialization at `now`.
     pub fn is_free(&self, now: u64) -> bool {
         self.busy_until <= now
+    }
+
+    /// Larger of the two pipelines' allocated capacities (never more than
+    /// [`Self::window`]).
+    pub(crate) fn capacity(&self) -> usize {
+        self.packets.capacity().max(self.credits.capacity())
+    }
+
+    /// Most entries either pipeline can hold at once.
+    pub(crate) fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Grow both pipelines to the window now (see
+    /// [`BufferBank::reserve_bound`](crate::bank::BufferBank)).
+    pub(crate) fn reserve_bound(&mut self) {
+        self.packets.reserve_exact(self.window - self.packets.len());
+        self.credits.reserve_exact(self.window - self.credits.len());
     }
 }
 
@@ -279,9 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_preallocates() {
-        let link = LinkState::with_capacity(16);
-        assert!(link.packets.capacity() >= 16);
-        assert!(link.credits.capacity() >= 16);
+    fn pipelines_are_demand_sized_and_bounded() {
+        let mut link = LinkState::with_capacity(3);
+        assert_eq!(link.capacity(), 0, "nothing allocated before traffic");
+        for i in 0..3u64 {
+            link.transmit(i * 8, 100, 0, pkt(i, 8));
+            link.send_credit(i, 100, 0, 8, CreditClass::MinRouted, TrafficClass::Bulk);
+        }
+        assert_eq!(link.packets.capacity(), 3);
+        assert_eq!(link.credits.capacity(), 3);
+        link.reserve_bound();
+        assert_eq!(link.capacity(), link.window());
     }
 }

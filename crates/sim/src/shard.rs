@@ -3,10 +3,12 @@
 //! A [`ShardedNetwork`] partitions the routers of one simulation across N
 //! worker shards — distinct from the [`crate::runner`]'s *per-point*
 //! threading, which parallelizes independent simulations. Each shard is a
-//! full [`Network`] instance that owns a contiguous router range: its
-//! routers' timing wheels, worklists, buffer banks and credit mirrors live
-//! only there, while the flat pools keep global indexing (foreign slots
-//! exist but are empty and never touched).
+//! [`Network`] instance that owns a contiguous router range: it allocates
+//! record tables, timing wheels, worklists, buffer banks and credit mirrors
+//! for those routers only (plus one link replica per cut link it receives
+//! on), while the immutable topology-derived tables are built once into a
+//! `Fabric` that every shard shares behind an `Arc`. Router, node and link
+//! ids stay global in packets and boundary events.
 //!
 //! # The boundary exchange
 //!
@@ -116,6 +118,7 @@
 use crate::config::SimConfig;
 use crate::engine::Network;
 use crate::error::ConfigError;
+use crate::fabric::Fabric;
 use crate::link::InFlight;
 use crate::metrics::{Metrics, SimResult};
 use flexvc_core::{CreditClass, MessageClass, TrafficClass};
@@ -470,9 +473,12 @@ impl ShardedNetwork {
             })
             .collect();
         let nodes = topo.num_nodes();
+        let fabric = Arc::new(Fabric::new(&cfg, topo, seed));
         let shards = ranges
             .into_iter()
-            .map(|range| Network::new_shard(cfg.clone(), load, seed, Arc::clone(&topo), range))
+            .map(|range| {
+                Network::new_shard(cfg.clone(), load, seed, Arc::clone(&fabric), Some(range))
+            })
             .collect();
         ShardedNetwork {
             shards,
@@ -777,6 +783,46 @@ mod tests {
         assert_eq!(r.iter().map(|s| s.len()).sum::<usize>(), 10);
         // Single segment swallows everything.
         assert_eq!(balanced_units(&[3, 4, 5], 1), vec![0..3]);
+    }
+
+    #[test]
+    fn shards_share_one_fabric_and_hold_state_for_owned_routers_only() {
+        use flexvc_core::RoutingMode;
+        use flexvc_traffic::{Pattern, Workload};
+        let mut cfg = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::oblivious(Pattern::Uniform),
+        );
+        cfg.shards = 2;
+        let net = ShardedNetwork::new(cfg, 0.3, 1).unwrap();
+        let fabric = net.shards[0].fabric();
+        assert!(Arc::ptr_eq(fabric, net.shards[1].fabric()));
+        let (pp, n_in) = (fabric.pp, fabric.n_in);
+        for (s, shard) in net.shards.iter().enumerate() {
+            let owned = net.stats[s].routers.clone();
+            // Links received across the cut: transmitter foreign, far end
+            // owned.
+            let cut_rx = fabric
+                .adj
+                .iter()
+                .enumerate()
+                .filter(|&(lid, far)| {
+                    !owned.contains(&((lid / pp) as u32))
+                        && far.is_some_and(|(r, _)| owned.contains(&r))
+                })
+                .count();
+            assert!(cut_rx > 0, "shard {s} should receive on some cut link");
+            assert_eq!(
+                shard.table_sizes(),
+                (
+                    owned.len() * n_in,
+                    owned.len() * pp + cut_rx,
+                    owned.len() * pp
+                ),
+                "shard {s} tables: inputs, outputs + replicas, credit mirrors"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,131 @@
+//! Allocation instrument: engine storage follows the traffic.
+//!
+//! A counting `#[global_allocator]` (per-thread counters, so the harness's
+//! parallel test threads do not disturb each other) measures what
+//! `Network::with_topology` and a run allocate:
+//!
+//! * build-time allocations are O(1) in the network size — a handful of
+//!   flat record tables, not a heap block per queue;
+//! * build-time bytes grow no faster than the network's unified inputs
+//!   (router ports + nodes);
+//! * queues grow on demand and never past the worst-case bound the engine
+//!   used to preallocate.
+//!
+//! Run in release mode on CI as well: the bound checks at the growth sites
+//! are `debug_assert`s, the capacity probe works in both.
+
+use flexvc_core::{Arrangement, RoutingMode};
+use flexvc_sim::prelude::*;
+use flexvc_traffic::{Pattern, Workload};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    // Const-initialized and destructor-free: reading them inside the
+    // allocator neither allocates nor registers a TLS destructor.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System` unchanged; the counters are
+// plain thread-local cells touched by no one else.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        COUNT.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + layout.size() as u64));
+        // SAFETY: same layout, forwarded to the system allocator.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        COUNT.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + new_size.saturating_sub(layout.size()) as u64));
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// `(allocations, bytes requested)` made by `f` on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (c0, b0) = (COUNT.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (out, COUNT.with(Cell::get) - c0, BYTES.with(Cell::get) - b0)
+}
+
+/// The paper's FlexVC 4/2 MIN/UN configuration on a balanced Dragonfly.
+fn flexvc_4_2(h: usize) -> SimConfig {
+    SimConfig::dragonfly_baseline(h, RoutingMode::Min, Workload::oblivious(Pattern::Uniform))
+        .with_flexvc(Arrangement::dragonfly(4, 2))
+}
+
+/// Allocations and bytes of one engine build (topology construction
+/// excluded), and the network's size in unified inputs: network ports plus
+/// attached nodes, summed over routers — what per-port state scales with
+/// (the radix grows with `h`, so routers + nodes alone undercounts it).
+fn build_cost(h: usize) -> (u64, u64, usize) {
+    let cfg = flexvc_4_2(h);
+    let topo = cfg.topology.build();
+    let inputs = topo.num_routers() * topo.num_ports() + topo.num_nodes();
+    let (net, count, bytes) = counted(|| Network::with_topology(cfg, 0.3, 1, topo).unwrap());
+    drop(net);
+    (count, bytes, inputs)
+}
+
+#[test]
+fn build_allocates_a_handful_of_tables_not_a_block_per_queue() {
+    // The parent commit (`Vec<Router>` → `Vec<BufferBank>` → nine `Vec`s
+    // per bank, every queue preallocated) made 3,350 allocations building
+    // this h = 2 network, 16,226 at h = 3 and 809,127 at h = 8. One
+    // twentieth of the h = 2 figure is the pin; the flat tables need 21.
+    const PARENT_H2_BUILD_ALLOCATIONS: u64 = 3_350;
+    let (count, ..) = build_cost(2);
+    assert!(
+        count <= PARENT_H2_BUILD_ALLOCATIONS / 20,
+        "h = 2 build made {count} allocations"
+    );
+}
+
+#[test]
+fn build_cost_scales_no_faster_than_ports_plus_nodes() {
+    let (c2, b2, inputs2) = build_cost(2);
+    let (c3, b3, inputs3) = build_cost(3);
+    let scale = inputs3 as f64 / inputs2 as f64;
+    assert!(scale > 2.0, "h = 3 should be a much larger network");
+    // Counts are per table, not per router: growing the network adds none
+    // (a little slack for amortized `Vec` growth inside the constructors).
+    assert!(c3 <= c2 + 8, "allocations grew {c2} -> {c3}");
+    assert!(
+        (b3 as f64) <= b2 as f64 * scale,
+        "bytes grew {b2} -> {b3}, network {scale:.2}x"
+    );
+}
+
+#[test]
+fn saturated_queues_grow_on_demand_and_stay_within_their_bounds() {
+    let mut cfg = flexvc_4_2(2);
+    cfg.warmup = 1_000;
+    cfg.measure = 3_000;
+    cfg.watchdog = 8_000;
+    let mut net = Network::new(cfg, 1.0, 3).unwrap();
+    assert_eq!(net.queue_overshoot(), 0);
+    // Debug builds assert the bound at every growth site while this runs.
+    let (result, count, _) = counted(|| net.run());
+    assert!(!result.deadlocked);
+    assert!(result.accepted > 0.5, "accepted {}", result.accepted);
+    assert!(count > 0, "saturation must have grown some queue");
+    assert_eq!(
+        net.queue_overshoot(),
+        0,
+        "a queue outgrew its worst-case bound"
+    );
+}

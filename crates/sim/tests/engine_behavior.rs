@@ -5,8 +5,9 @@
 //! they stay fast in debug builds. The quantitative paper-shape checks live
 //! in the workspace-level integration tests (run in release).
 
-use flexvc_core::{Arrangement, RoutingMode, VcPolicy, VcSelection};
+use flexvc_core::{Arrangement, LinkClass, RoutingMode, VcPolicy, VcSelection};
 use flexvc_sim::prelude::*;
+use flexvc_sim::MAX_VCS;
 use flexvc_traffic::{Pattern, Workload};
 
 fn base(routing: RoutingMode, pattern: Pattern) -> SimConfig {
@@ -338,4 +339,38 @@ fn flexvc_opportunistic_3_2_reverts_under_pressure() {
         r.reverts_per_packet > 0.0,
         "opportunistic VAL at saturation should revert sometimes"
     );
+}
+
+#[test]
+fn more_vcs_than_the_engine_tracks_is_a_typed_error() {
+    // Regression: this arrangement (19 local VCs) used to pass `validate`
+    // and then index past the allocator's 16-entry candidate scratch at
+    // load 0.9 — VCs >= 16 were also invisible to the `u16` VC mask.
+    let seq: Vec<LinkClass> = "L G L L L L L L L L L L L L L L L L L G L"
+        .split(' ')
+        .map(|t| match t {
+            "L" => LinkClass::Local,
+            _ => LinkClass::Global,
+        })
+        .collect();
+    let cfg = base(RoutingMode::Min, Pattern::Uniform).with_flexvc(Arrangement::new(seq));
+    let too_many = |what, vcs| ConfigError::TooManyVcs {
+        what,
+        vcs,
+        max: MAX_VCS,
+    };
+    let err = run_one(&cfg, 0.9, 1).unwrap_err().to_string();
+    assert!(
+        err.ends_with("19 local VCs exceed the supported maximum of 16"),
+        "{err}"
+    );
+    assert_eq!(Network::new(cfg, 0.9, 1).err(), Some(too_many("local", 19)));
+
+    // The bound covers the injection queues, and is inclusive.
+    let mut cfg = base(RoutingMode::Min, Pattern::Uniform);
+    cfg.injection_vcs = MAX_VCS + 1;
+    assert_eq!(cfg.validate(), Err(too_many("injection", MAX_VCS + 1)));
+    cfg.injection_vcs = MAX_VCS;
+    assert_eq!(cfg.validate(), Ok(()));
+    assert!(!run_one(&cfg, 0.3, 1).unwrap().deadlocked);
 }

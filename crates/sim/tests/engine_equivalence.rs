@@ -14,9 +14,11 @@
 //! purpose), re-record by printing the fields of `run_one` on the old
 //! engine - never by copying the new engine's output untested.
 
+use flexvc_core::{Arrangement, RoutingMode};
 use flexvc_sim::equivalence::{hyperx_flatbf_differential_points, points};
 use flexvc_sim::runner::run_one;
-use flexvc_sim::{ShardedNetwork, TopologySpec};
+use flexvc_sim::{Network, ShardedNetwork, SimConfig, TopologySpec};
+use flexvc_traffic::{Pattern, Workload};
 
 struct Golden {
     name: &'static str,
@@ -669,6 +671,40 @@ fn sharded_engine_is_bit_identical_at_five_shards() {
             "{name}: shards=5 diverged from the single engine"
         );
     }
+}
+
+/// Demand-sized queues must be invisible in the results: a run whose bank
+/// slabs, output queues and link pipelines start empty and grow under
+/// traffic is compared bit-for-bit against one whose queues were all grown
+/// to their worst-case bound before the first cycle (the pre-PR 14
+/// storage). An h = 3 Dragonfly near saturation, so queues do grow — and,
+/// in debug builds, every growth site asserts its bound on the way.
+#[test]
+fn queue_growth_is_unobservable() {
+    let mut cfg = SimConfig::dragonfly_baseline(
+        3,
+        RoutingMode::Valiant,
+        Workload::oblivious(Pattern::adv1()),
+    )
+    .with_flexvc(Arrangement::dragonfly(4, 2));
+    cfg.warmup = 500;
+    cfg.measure = 1_500;
+    cfg.watchdog = 4_000;
+    let run = |pregrown: bool| {
+        let mut net = Network::new(cfg.clone(), 0.45, 17).unwrap();
+        if pregrown {
+            net.pregrow_queues();
+        }
+        let result = net.run();
+        assert_eq!(net.queue_overshoot(), 0);
+        flexvc_serde::to_json(&result)
+    };
+    let demand_sized = run(false);
+    assert_eq!(demand_sized, run(true));
+    assert!(
+        demand_sized.contains("\"deadlocked\":false"),
+        "degenerate run"
+    );
 }
 
 #[test]
