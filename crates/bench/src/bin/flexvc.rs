@@ -35,7 +35,7 @@ BENCH OPTIONS:
     --quick                shorter windows (the CI profile)
     --group <name>         run a single kernel group (e.g. fig5_h2); see
                            the group list in the crate docs
-    --shards <n>           engine shards per kernel (0 = auto-detect from
+    --shards <n>           engine threads per kernel (0 = auto-detect from
                            the host's cores; default: each kernel's own
                            setting — results are shard-count-invariant)
     --out <path>           report path (default: BENCH_current.json; pass
@@ -54,11 +54,12 @@ SHOW OPTIONS:
 RUN OPTIONS:
     --file <path>          load the scenario from a file instead of the registry
     --threads <n>          worker threads, one simulation each (default: all cores)
-    --shards <n>           engine shards per simulation (0 = auto-detect;
+    --shards <n>           engine threads per simulation (0 = auto-detect;
                            default: the scenario's `shards` field, usually 1).
                            Results are bit-identical for every shard count;
                            prefer --threads for sweeps with many points and
-                           --shards for a few huge-topology points
+                           --shards for a few huge-topology points, which
+                           are stepped in cache-sized blocks at any count
     --out <path>           write structured results to a file
     --format json|csv      format for --out (default: by extension, else json)
     --quiet                suppress per-point progress on stderr
@@ -352,34 +353,34 @@ fn bench(opts: Options) -> ExitCode {
             g.speedup_vs_baseline
         );
     }
-    // The partition and per-shard work-time stats behind every sharded
-    // kernel (last timed repeat): where the router ranges landed, how the
-    // port+terminal weight split, and how uneven the actual work was.
+    // The partition, per-worker work time and exchange volume behind every
+    // kernel that ran as more than one block (last timed repeat): where
+    // the router ranges landed, how many blocks each was stepped in, how
+    // the port+terminal weight split, and how uneven the actual work was.
     let sharded: Vec<_> = report
         .kernels
         .iter()
         .filter(|k| !k.shard_stats.is_empty())
         .collect();
     if !sharded.is_empty() {
-        println!("\n| sharded kernel | shards | partition routers@weight | work s | imbalance |");
-        println!("|---|---|---|---|---|");
+        println!(
+            "\n| sharded kernel | workers | partition routers@weight | blocks \
+             | events/epoch | work s | imbalance |"
+        );
+        println!("|---|---|---|---|---|---|---|");
         for k in sharded {
-            let parts: Vec<String> = k
-                .shard_stats
-                .iter()
-                .map(|s| format!("{}@{}", s.routers, s.weight))
-                .collect();
-            let work: Vec<String> = k
-                .shard_stats
-                .iter()
-                .map(|s| format!("{:.2}", s.work_seconds))
-                .collect();
+            let column = |cell: fn(&flexvc_bench::perf::KernelShardStat) -> String| {
+                let cells: Vec<String> = k.shard_stats.iter().map(cell).collect();
+                cells.join(" ")
+            };
             println!(
-                "| {} | {} | {} | {} | {:.2} |",
+                "| {} | {} | {} | {} | {:.0} | {} | {:.2} |",
                 k.name,
                 k.shards,
-                parts.join(" "),
-                work.join(" "),
+                column(|s| format!("{}@{}", s.routers, s.weight)),
+                column(|s| s.blocks.to_string()),
+                k.events_per_epoch,
+                column(|s| format!("{:.2}", s.work_seconds)),
                 k.shard_imbalance
             );
         }

@@ -39,14 +39,14 @@
 //!   scale (2,064 routers, 16,512 nodes), proving paper-scale runs are
 //!   tractable on one core.
 //! * **paper** — the paper-scale topologies of the `*-paper` scenarios
-//!   (h = 8 Dragonfly, 16³ HyperX, megafly Dragonfly+) run through the
-//!   sharded engine, pairing a `shards = 1` kernel with a `shards = 2`
-//!   twin on the same configuration so the report records the multi-shard
-//!   speedup directly (`_s1` vs `_s2` kernel names). The ratio only
-//!   reads above 1 on multi-core hosts; on a single core it reads the
-//!   residual exchange overhead (≤ 1 by construction), amortized across
-//!   λ-cycle epochs by the batched boundary exchange, with per-shard
-//!   partition/imbalance stats recorded alongside.
+//!   (h = 8 Dragonfly, 16³ HyperX, megafly Dragonfly+), pairing a
+//!   `shards = 1` kernel with a `shards = 2` twin on the same
+//!   configuration so the report records the two-thread speedup directly
+//!   (`_s1` vs `_s2` kernel names; both are cache-blocked). The ratio
+//!   only reads above 1 on multi-core hosts; on a single core it reads
+//!   the residual barrier overhead (≤ 1 by construction). Per-worker
+//!   partition, block and imbalance stats and the boundary events per
+//!   epoch are recorded alongside.
 //!
 //! Speedups are computed against cycles/sec recorded from the
 //! pre-refactor (full-sweep) engine on the *same kernels and hardware*
@@ -57,7 +57,6 @@
 use flexvc_core::{Arrangement, RoutingMode};
 use flexvc_serde::{Deserialize, Error as DeError, Map, Serialize, Value};
 use flexvc_sim::prelude::*;
-use flexvc_sim::Network;
 use flexvc_traffic::{FlowSpec, Pattern, SizeDist, Workload};
 use std::time::Instant;
 
@@ -145,22 +144,28 @@ pub struct KernelResult {
     pub accepted: f64,
     /// Whether the run deadlocked (must be false for every kernel).
     pub deadlocked: bool,
-    /// Engine shards the kernel ran with (1 = plain single engine).
+    /// Worker threads the kernel ran with (1 = the calling thread only).
     pub shards: usize,
-    /// Per-shard partition and work-time stats from the last timed repeat
-    /// (empty for single-engine kernels).
+    /// Per-worker partition and work-time stats from the last timed repeat
+    /// (empty when the kernel ran as one block: nothing was exchanged).
     pub shard_stats: Vec<KernelShardStat>,
-    /// Shard load imbalance: max over mean of the per-shard work seconds
-    /// (1.0 = perfectly balanced; 0.0 when not sharded).
+    /// Worker load imbalance: max over mean of the per-worker work seconds
+    /// (1.0 = perfectly balanced; 0.0 on one worker).
     pub shard_imbalance: f64,
+    /// Boundary events (packets, credits, board publishes) exchanged per
+    /// epoch in the last timed repeat — deterministic for a given block
+    /// partition; 0.0 when the kernel ran as one block.
+    pub events_per_epoch: f64,
 }
 
-/// One shard's partition slice and measured work time within a kernel.
+/// One worker's partition slice and measured work time within a kernel.
 #[derive(Debug, Clone)]
 pub struct KernelShardStat {
-    /// Routers owned by the shard.
+    /// Routers owned by the worker.
     pub routers: u64,
-    /// Partition weight of the shard's range (ports + terminals).
+    /// Cache-sized blocks the worker steps its routers in.
+    pub blocks: u64,
+    /// Partition weight of the worker's range (ports + terminals).
     pub weight: u64,
     /// Wall-clock seconds the shard's worker spent stepping/exchanging
     /// (barrier waits excluded) in the last timed repeat.
@@ -710,32 +715,15 @@ where
         // (seconds at the paper scales, noisy) would otherwise drown the
         // short windows. Cycles are those *actually stepped* (a
         // deadlocked run stops early; its truncated cycle count must not
-        // inflate cycles/sec). Sharded runs also return the partition and
-        // per-shard work-time stats for the report.
-        type Once = (u64, f64, SimResult, usize, Vec<KernelShardStat>);
+        // inflate cycles/sec). The network comes back for its partition,
+        // work-time and exchange stats.
+        type Once = (f64, SimResult, ShardedNetwork);
         let run_once = |cfg: SimConfig, timed: bool| -> Result<Once, RunError> {
-            if flexvc_sim::shard::resolve_shards(cfg.shards, cfg.topology.num_routers()) > 1 {
-                let mut net = ShardedNetwork::new(cfg, k.load, k.seed).map_err(invalid)?;
-                let t0 = timed.then(Instant::now);
-                let result = net.run();
-                let wall = t0.map_or(0.0, |t| t.elapsed().as_secs_f64().max(1e-9));
-                let stats = net
-                    .shard_stats()
-                    .iter()
-                    .map(|s| KernelShardStat {
-                        routers: s.routers.len() as u64,
-                        weight: s.weight,
-                        work_seconds: s.work_seconds,
-                    })
-                    .collect();
-                Ok((net.cycle(), wall, result, net.num_shards(), stats))
-            } else {
-                let mut net = Network::new(cfg, k.load, k.seed).map_err(invalid)?;
-                let t0 = timed.then(Instant::now);
-                let result = net.run();
-                let wall = t0.map_or(0.0, |t| t.elapsed().as_secs_f64().max(1e-9));
-                Ok((net.cycle(), wall, result, 1, Vec::new()))
-            }
+            let mut net = ShardedNetwork::new(cfg, k.load, k.seed).map_err(invalid)?;
+            let t0 = timed.then(Instant::now);
+            let result = net.run();
+            let wall = t0.map_or(0.0, |t| t.elapsed().as_secs_f64().max(1e-9));
+            Ok((wall, result, net))
         };
         // Warmup iterations: quarter windows reach the same steady-state
         // structures (buffers, wheels, boards) at a fraction of the cost.
@@ -756,24 +744,34 @@ where
         };
         let (mut cycles, mut wall) = (0u64, 0.0f64);
         let mut repeats = 0;
-        let mut result;
-        let (mut shard_count, mut shard_stats);
-        loop {
-            let (c, w, r, n, stats) = run_once(cfg.clone(), true)?;
-            cycles += c;
+        let (result, net) = loop {
+            let (w, result, net) = run_once(cfg.clone(), true)?;
+            cycles += net.cycle();
             wall += w;
             repeats += 1;
-            result = r;
-            shard_count = n;
-            shard_stats = stats;
             if cycles >= MIN_MEASURED_CYCLES
                 || wall >= min_wall
                 || repeats >= MAX_REPEATS
                 || result.deadlocked
             {
-                break;
+                break (result, net);
             }
-        }
+        };
+        // A cut-free run (one block) exchanged nothing: no stats to show.
+        let stats = if net.epoch_cycles() == u64::MAX {
+            &[]
+        } else {
+            net.shard_stats()
+        };
+        let shard_stats: Vec<KernelShardStat> = stats
+            .iter()
+            .map(|s| KernelShardStat {
+                routers: s.routers.len() as u64,
+                blocks: s.blocks.len() as u64,
+                weight: s.weight,
+                work_seconds: s.work_seconds,
+            })
+            .collect();
         let shard_imbalance = if shard_stats.len() > 1 {
             let mean =
                 shard_stats.iter().map(|s| s.work_seconds).sum::<f64>() / shard_stats.len() as f64;
@@ -798,9 +796,10 @@ where
             repeats,
             accepted: result.accepted,
             deadlocked: result.deadlocked,
-            shards: shard_count,
+            shards: net.num_shards(),
             shard_stats,
             shard_imbalance,
+            events_per_epoch: net.boundary_events().total() as f64 / net.epochs().max(1) as f64,
         };
         progress(&kr);
         kernels.push(kr);
@@ -958,7 +957,8 @@ impl Serialize for KernelResult {
         if !self.shard_stats.is_empty() {
             m = m
                 .with("shard_stats", self.shard_stats.to_value())
-                .with("shard_imbalance", self.shard_imbalance.to_value());
+                .with("shard_imbalance", self.shard_imbalance.to_value())
+                .with("events_per_epoch", self.events_per_epoch.to_value());
         }
         Value::Map(m)
     }
@@ -969,6 +969,7 @@ impl Serialize for KernelShardStat {
         Value::Map(
             Map::new()
                 .with("routers", self.routers.to_value())
+                .with("blocks", self.blocks.to_value())
                 .with("weight", self.weight.to_value())
                 .with("work_seconds", self.work_seconds.to_value()),
         )
@@ -980,6 +981,7 @@ impl Deserialize for KernelShardStat {
         let m = v.as_map()?;
         Ok(KernelShardStat {
             routers: m.field_or("routers", 0u64)?,
+            blocks: m.field_or("blocks", 1u64)?,
             weight: m.field_or("weight", 0u64)?,
             work_seconds: m.field_or("work_seconds", 0.0)?,
         })
@@ -1036,6 +1038,7 @@ impl Deserialize for KernelResult {
             shards: m.field_or::<u64>("shards", 1)? as usize,
             shard_stats: m.field_or("shard_stats", Vec::new())?,
             shard_imbalance: m.field_or("shard_imbalance", 0.0)?,
+            events_per_epoch: m.field_or("events_per_epoch", 0.0)?,
         })
     }
 }
@@ -1123,16 +1126,19 @@ mod tests {
                 shard_stats: vec![
                     KernelShardStat {
                         routers: 36,
+                        blocks: 1,
                         weight: 500,
                         work_seconds: 0.04,
                     },
                     KernelShardStat {
                         routers: 36,
+                        blocks: 2,
                         weight: 480,
                         work_seconds: 0.05,
                     },
                 ],
                 shard_imbalance: 0.05 / 0.045,
+                events_per_epoch: 1234.5,
             }],
             groups: vec![],
         };
@@ -1147,6 +1153,8 @@ mod tests {
         assert_eq!(back.kernels[0].shards, 2);
         assert_eq!(back.kernels[0].shard_stats.len(), 2);
         assert_eq!(back.kernels[0].shard_stats[1].weight, 480);
+        assert_eq!(back.kernels[0].shard_stats[1].blocks, 2);
+        assert_eq!(back.kernels[0].events_per_epoch, 1234.5);
         // Pre-PR9 reports (no shard fields) still deserialize.
         let old: BenchReport = flexvc_serde::from_json(
             r#"{"schema":"flexvc-bench-v1","kernels":[{"name":"a","cycles_per_sec":1.0}],"groups":[]}"#,
@@ -1247,6 +1255,7 @@ mod tests {
             shards: 1,
             shard_stats: Vec::new(),
             shard_imbalance: 0.0,
+            events_per_epoch: 0.0,
         }
     }
 

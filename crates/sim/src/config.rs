@@ -484,12 +484,12 @@ pub struct SimConfig {
     /// which the equivalence snapshots rely on.
     pub adaptive_copies: bool,
     /// Engine shards: partition the routers across this many worker
-    /// threads with a deterministic per-cycle boundary exchange (see
+    /// threads with a deterministic per-epoch boundary exchange (see
     /// `sim::shard`). Results are bit-identical for every shard count;
-    /// only wall-clock time changes. `1` runs the plain single-engine
-    /// path; `0` auto-detects from the host's available parallelism
-    /// (the one setting whose *throughput* — never results — depends on
-    /// the machine).
+    /// only wall-clock time changes. `1` runs on the calling thread;
+    /// `0` auto-detects from the host's available parallelism (the one
+    /// setting whose *throughput* — never results — depends on the
+    /// machine).
     pub shards: usize,
     /// Multi-class QoS: strict-priority arbitration with bounded bypass,
     /// optional class-partitioned VC budgets and dynamic buffer

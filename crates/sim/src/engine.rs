@@ -76,12 +76,12 @@ use crate::arbiter::RrArbiter;
 use crate::bank::{BufferBank, Occupancy, MAX_VCS};
 use crate::config::{BufferOrg, SensingMode, SimConfig};
 use crate::fabric::Fabric;
-use crate::link::{push_bounded, LinkState};
+use crate::link::{push_bounded, CreditMsg, LinkState};
 use crate::metrics::{Metrics, SimResult};
 use crate::packet::{Packet, PlannedPath};
 use crate::plan::{min_plan, RoutePolicy, SenseView};
 use crate::sensing::{saturated_flags_into, GroupBoard};
-use crate::shard::{BoundaryEvent, BoundaryPayload};
+use crate::shard::{BoardEvent, CreditEvent, Outbox, PacketEvent};
 use flexvc_core::policy::flexvc_options_lookahead;
 use flexvc_core::{CreditClass, HopKind, LinkClass, MessageClass, TrafficClass, VcPolicy};
 use flexvc_topology::Topology;
@@ -363,13 +363,14 @@ pub struct Network {
     /// Nodes attached to owned routers (contiguous because node numbering
     /// is router-major; see [`Fabric::node_base`]).
     owned_n: std::ops::Range<u32>,
-    /// `true` when this instance is a shard: effects that cross the
-    /// ownership boundary (packet transmits, credit returns, PB board
-    /// publishes) are emitted into `outbox` instead of applied locally.
+    /// `true` when this instance owns only part of the network: effects
+    /// that cross the ownership boundary (packet transmits, credit returns,
+    /// PB board publishes) are emitted into `outbox` instead of applied
+    /// locally.
     sharded: bool,
-    /// Boundary events emitted this cycle, in emission order (drained and
-    /// routed to their owning shard by the shard driver each cycle).
-    outbox: Vec<BoundaryEvent>,
+    /// Boundary events emitted this epoch, in emission order per kind
+    /// (drained and routed to their owning block by the shard driver).
+    outbox: Outbox,
     // --- active-set scheduling state (behavior-neutral bookkeeping) ---
     /// Routers with queued packets: the allocation worklist.
     alloc_list: Vec<u32>,
@@ -496,8 +497,8 @@ impl Network {
         let fab = &*fabric;
         let (pp, n_in) = (fab.pp, fab.n_in);
         let nr = fab.topo.num_routers();
-        let sharded = owned.is_some();
         let owned_r = owned.unwrap_or(0..nr as u32);
+        let sharded = owned_r.len() < nr;
         debug_assert!(owned_r.start < owned_r.end && owned_r.end <= nr as u32);
         let owned_n = fab.node_base[owned_r.start as usize]..fab.node_end(owned_r.end as usize);
         let (r0, n_own) = (owned_r.start as usize, owned_r.len());
@@ -715,7 +716,7 @@ impl Network {
             owned_r,
             owned_n,
             sharded,
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             alloc_list: Vec::new(),
             plan_list: Vec::new(),
             out_list: Vec::new(),
@@ -743,6 +744,18 @@ impl Network {
             cfg,
             fabric,
         }
+    }
+
+    /// Bytes of record tables (inputs, outputs, credit mirrors, skip memos)
+    /// one owned router adds to an engine instance: what every phase sweep
+    /// of a cycle touches, and so what the shard driver sizes its blocks
+    /// by. Queue contents are excluded — they follow the traffic.
+    pub(crate) fn router_table_bytes(fab: &Fabric) -> usize {
+        use std::mem::size_of;
+        size_of::<RouterRec>()
+            + fab.n_in * size_of::<InputRec>()
+            + fab.pp * (size_of::<OutputRec>() + size_of::<Occupancy>())
+            + fab.memo_off[fab.n_in] as usize * size_of::<SkipMemo>()
     }
 
     /// Whether this instance owns (steps) router `r`.
@@ -917,7 +930,7 @@ impl Network {
         }
         self.serialize_outputs(now);
         if self.cfg.routing.uses_boards() {
-            self.update_sensing(now);
+            self.update_sensing();
         }
         if now.is_multiple_of(128) && self.in_window(now) {
             self.sample_occupancy();
@@ -941,12 +954,9 @@ impl Network {
     /// (the driver's epoch bound proves those cycles cannot fire; the
     /// epoch's last cycle runs the exact global check as usual).
     pub(crate) fn step_epoch_shard(&mut self, t0: u64, len: u64) {
-        debug_assert!(self.sharded);
         debug_assert!(len >= 1);
         debug_assert!(
-            len == 1
-                || self.boards.is_empty()
-                || self.owned_r.len() == self.fabric.topo.num_routers(),
+            len == 1 || self.boards.is_empty() || !self.sharded,
             "multi-cycle epochs with boards require a cut-free shard"
         );
         for c in t0..t0 + len - 1 {
@@ -959,67 +969,62 @@ impl Network {
         self.step_phases(t0 + len - 1);
     }
 
-    /// Drain this cycle's boundary events (in emission order).
-    pub(crate) fn take_outbox(&mut self) -> Vec<BoundaryEvent> {
-        std::mem::take(&mut self.outbox)
+    /// Exchange the outbox with `other`: the shard driver lends one buffer
+    /// to whichever of its blocks is stepping and takes it back, filled
+    /// with the epoch's boundary events, to dispatch.
+    pub(crate) fn swap_outbox(&mut self, other: &mut Outbox) {
+        std::mem::swap(&mut self.outbox, other);
     }
 
-    /// Return the (drained) outbox buffer so its capacity is reused.
-    pub(crate) fn put_outbox(&mut self, buf: Vec<BoundaryEvent>) {
-        debug_assert!(buf.is_empty() && self.outbox.is_empty());
-        self.outbox = buf;
-    }
-
-    /// Absorb one foreign boundary event during the end-of-cycle exchange
-    /// of cycle `now`. Every event's effect cycle is strictly in the future
-    /// (packet heads arrive one link latency after transmit, credits one
-    /// latency after their departure, board publishes land in the boards'
-    /// write buffer until the tick), so applying them here — after this
-    /// shard's own phases — is indistinguishable from the single-engine
-    /// schedule, where the same effects were queued during the phases.
-    pub(crate) fn apply_boundary(&mut self, now: u64, ev: BoundaryEvent) {
+    /// Absorb the boundary events another block addressed to this one
+    /// during the epoch ending at cycle `now`. Every event's effect cycle
+    /// is strictly in the future (packet heads arrive one link latency
+    /// after transmit, credits one latency after their departure — both at
+    /// least the cut-link latency the epoch length is capped at — and board
+    /// publishes land in the boards' write buffer until the tick), so
+    /// applying them here — after this block's own phases — is
+    /// indistinguishable from the single-engine schedule, where the same
+    /// effects were queued during the phases.
+    pub(crate) fn absorb(&mut self, now: u64, mail: &Outbox) {
         let fab = &*self.fabric;
-        match ev.payload {
-            BoundaryPayload::Packet { flight, flow } => {
-                // Epoch soundness: every cut-crossing arrival lands strictly
-                // after the exchange cycle (delay ≥ the cut-link latency the
-                // epoch length is capped at), so applying late never
-                // back-dates an event.
-                debug_assert!(ev.at > now);
-                let (dr, dp) = fab.adj[ev.lid as usize].expect("wired");
-                debug_assert!(self.owned_r.contains(&dr));
-                if let Some(tag) = flow {
-                    self.flow_tags
-                        .insert((flight.packet.src, flight.packet.id), tag);
-                }
-                let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
-                self.pkt_wheel.schedule(now, ev.at, input as u32);
-                let replica = self.inputs[input].rx as usize;
-                self.outputs[replica].link.receive_flight(flight);
+        let lid0 = self.r0() * fab.pp;
+        for ev in &mail.packets {
+            let at = ev.flight.head_arrival;
+            debug_assert!(at > now);
+            let (dr, dp) = fab.adj[ev.lid as usize].expect("wired");
+            debug_assert!(self.owned_r.contains(&dr));
+            if let Some(tag) = ev.flow {
+                self.flow_tags
+                    .insert((ev.flight.packet.src, ev.flight.packet.id), tag);
             }
-            BoundaryPayload::Credit {
+            let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
+            self.pkt_wheel.schedule(now, at, input as u32);
+            let replica = self.inputs[input].rx as usize;
+            self.outputs[replica].link.receive_flight(ev.flight.clone());
+        }
+        for ev in &mail.credits {
+            let CreditMsg {
+                arrival,
                 vc,
                 phits,
                 class,
                 tclass,
-            } => {
-                debug_assert!(ev.at > now);
-                debug_assert!(self.owned_r.contains(&(ev.lid / fab.pp as u32)));
-                let o = ev.lid as usize - self.r0() * fab.pp;
-                self.outputs[o]
-                    .link
-                    .receive_credit(ev.at, vc, phits, class, tclass);
-                self.schedule_credit(now, ev.at, o);
-            }
-            BoundaryPayload::Board {
-                group,
-                local,
-                port,
-                class,
-                sat,
-            } => {
-                self.boards[group as usize].publish(local as usize, port as usize, class, sat);
-            }
+            } = ev.msg;
+            debug_assert!(arrival > now);
+            let o = ev.lid as usize - lid0;
+            debug_assert!(o < self.out_credit.len(), "credit for a foreign link");
+            self.outputs[o]
+                .link
+                .receive_credit(arrival, vc, phits, class, tclass);
+            self.schedule_credit(now, arrival, o);
+        }
+        for ev in &mail.boards {
+            self.boards[ev.group as usize].publish(
+                ev.local as usize,
+                ev.port as usize,
+                ev.class,
+                ev.sat,
+            );
         }
     }
 
@@ -2099,11 +2104,11 @@ impl Network {
             return;
         };
         if self.sharded && !self.owns(ur) {
-            self.outbox.push(BoundaryEvent {
-                at: t_c + lat as u64,
+            self.outbox.credits.push(CreditEvent {
                 lid: ur * fab.pp as u32 + up as u32,
                 dst: ur,
-                payload: BoundaryPayload::Credit {
+                msg: CreditMsg {
+                    arrival: t_c + lat as u64,
                     vc: vc_in as u8,
                     phits,
                     class,
@@ -2322,11 +2327,11 @@ impl Network {
                     None
                 };
                 let flight = out.link.transmit_boundary(now, lat, vc, pkt);
-                self.outbox.push(BoundaryEvent {
-                    at: flight.head_arrival,
+                self.outbox.packets.push(PacketEvent {
                     lid: (lid0 + o) as u32,
                     dst: dr,
-                    payload: BoundaryPayload::Packet { flight, flow },
+                    flight,
+                    flow,
                 });
             } else {
                 out.link.transmit(now, lat, vc, pkt);
@@ -2351,7 +2356,7 @@ impl Network {
     // Phase 7: Piggyback sensing
     // ------------------------------------------------------------------
 
-    fn update_sensing(&mut self, now: u64) {
+    fn update_sensing(&mut self) {
         let fab = &*self.fabric;
         let rpg = fab.topo.routers_per_group();
         let t_phits = self.cfg.sensing.threshold * self.cfg.packet_size;
@@ -2417,17 +2422,12 @@ impl Network {
                     // the replicas stay bit-identical to the single-engine
                     // board.
                     if self.sharded {
-                        self.outbox.push(BoundaryEvent {
-                            at: now,
-                            lid: 0,
-                            dst: u32::MAX,
-                            payload: BoundaryPayload::Board {
-                                group: group as u32,
-                                local: local as u32,
-                                port: i as u32,
-                                class,
-                                sat,
-                            },
+                        self.outbox.boards.push(BoardEvent {
+                            group: group as u32,
+                            local: local as u32,
+                            port: i as u32,
+                            class,
+                            sat,
                         });
                     }
                 }

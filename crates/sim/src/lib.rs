@@ -60,7 +60,7 @@ pub use runner::{
     load_sweep, run_averaged, run_one, run_points, run_points_with_progress,
     run_points_with_threads, saturation_throughput, Point, PointProgress,
 };
-pub use shard::{ShardStats, ShardedNetwork};
+pub use shard::{BoundaryCounts, ShardStats, ShardedNetwork};
 
 /// Common imports for examples and experiment binaries.
 pub mod prelude {

@@ -11,7 +11,7 @@ use flexvc_core::{CreditClass, TrafficClass};
 use std::collections::VecDeque;
 
 /// A packet in flight on a link.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct InFlight {
     /// The packet itself.
     pub packet: Packet,

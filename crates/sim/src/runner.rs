@@ -12,10 +12,9 @@
 //! uses for live progress output.
 
 use crate::config::SimConfig;
-use crate::engine::Network;
 use crate::error::{ConfigError, RunError};
 use crate::metrics::SimResult;
-use crate::shard::{resolve_shards, ShardedNetwork};
+use crate::shard::ShardedNetwork;
 use flexvc_topology::Topology;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,9 +44,9 @@ pub struct PointProgress<'a> {
     pub result: &'a SimResult,
 }
 
-/// Run one simulation to completion. Dispatches to the sharded engine when
-/// the configuration's resolved shard count exceeds 1 (see `sim::shard`;
-/// results are bit-identical either way).
+/// Run one simulation to completion through the engine driver
+/// (`sim::shard`): `cfg.shards` worker threads, each stepping cache-sized
+/// blocks of its routers; results are bit-identical for every count.
 pub fn run_one(cfg: &SimConfig, load: f64, seed: u64) -> Result<SimResult, ConfigError> {
     cfg.validate()?;
     run_prebuilt(cfg, load, seed, cfg.topology.build())
@@ -61,11 +60,7 @@ fn run_prebuilt(
     seed: u64,
     topo: Arc<dyn Topology>,
 ) -> Result<SimResult, ConfigError> {
-    if resolve_shards(cfg.shards, topo.num_routers()) > 1 {
-        Ok(ShardedNetwork::with_topology(cfg.clone(), load, seed, topo)?.run())
-    } else {
-        Ok(Network::with_topology(cfg.clone(), load, seed, topo)?.run())
-    }
+    Ok(ShardedNetwork::with_topology(cfg.clone(), load, seed, topo)?.run())
 }
 
 /// Run a batch of points in parallel; results are in input order. Invalid
@@ -272,7 +267,7 @@ mod tests {
     }
 
     /// The shard count must be invisible in batch results: the same points
-    /// through the sharded engine (`shards = 2`) and the plain engine
+    /// on two worker threads (`shards = 2`) and on the calling thread
     /// (`shards = 1`) produce identical numbers, sequential or parallel.
     #[test]
     fn sharded_points_agree_with_single_engine() {

@@ -1,66 +1,83 @@
-//! Deterministic sharded execution: engine-level parallelism.
+//! The engine driver: deterministic sharded, cache-blocked execution.
 //!
-//! A [`ShardedNetwork`] partitions the routers of one simulation across N
-//! worker shards — distinct from the [`crate::runner`]'s *per-point*
-//! threading, which parallelizes independent simulations. Each shard is a
-//! [`Network`] instance that owns a contiguous router range: it allocates
-//! record tables, timing wheels, worklists, buffer banks and credit mirrors
-//! for those routers only (plus one link replica per cut link it receives
-//! on), while the immutable topology-derived tables are built once into a
-//! `Fabric` that every shard shares behind an `Arc`. Router, node and link
-//! ids stay global in packets and boundary events.
+//! A [`ShardedNetwork`] cuts the routers of one simulation twice — distinct
+//! from the [`crate::runner`]'s *per-point* threading, which parallelizes
+//! independent simulations:
+//!
+//! * into one contiguous range per **worker** thread (`cfg.shards` of them;
+//!   [`partition_topology`]) — how much of the host is used;
+//! * and each worker's range into **blocks** ([`partition_blocks`]) whose
+//!   record tables fit [`BLOCK_BUDGET_BYTES`] — how much of the network is
+//!   stepped at once. A worker steps its blocks one after the other, each
+//!   for a whole epoch, so a block's tables stay cache-resident across the
+//!   epoch's cycles instead of being streamed through the cache once per
+//!   phase per cycle (temporal cache blocking).
+//!
+//! Each block is a [`Network`] instance that owns a contiguous router
+//! range: it allocates record tables, timing wheels, worklists, buffer
+//! banks and credit mirrors for those routers only (plus one link replica
+//! per cut link it receives on), while the immutable topology-derived
+//! tables are built once into a `Fabric` that every block shares behind an
+//! `Arc`. Router, node and link ids stay global in packets and boundary
+//! events. One worker with one block is the plain single engine under this
+//! driver; one worker runs on the calling thread.
 //!
 //! # The boundary exchange
 //!
 //! Within a cycle every phase is router-local (see the engine's module
 //! docs: iteration order across routers is independent by construction).
-//! The only effects that cross a shard cut are:
+//! The only effects that cross a block cut are:
 //!
 //! * **packet transmits** whose receiving router is foreign — the
 //!   [`InFlight`] record ships to the receiver's link replica, arriving at
 //!   `now + latency`;
 //! * **credit returns** whose upstream router is foreign — the credit
 //!   arrives at `t_c + latency`, strictly beyond the current cycle;
-//! * **Piggyback board publishes** — replicated to every shard's board
+//! * **Piggyback board publishes** — replicated to every block's board
 //!   copy, becoming visible only at the next board tick.
 //!
 //! All three take effect strictly *after* the cycle that emits them, so
-//! shards can run a whole cycle without communicating, then exchange:
+//! blocks can run a whole cycle without communicating, then exchange:
 //!
 //! ```text
-//!   shard 0:  [cycles t .. t+E)──outbox──┐          ┌─sort──apply──finish┐
-//!   shard 1:  [cycles t .. t+E)──outbox──┼─barrier──┼─sort──apply──finish┼─barrier─▶ next epoch
-//!   shard 2:  [cycles t .. t+E)──outbox──┘          └─sort──apply──finish┘
+//!   worker 0:  [b0: t..t+E)[b1: t..t+E)──mail──┐          ┌─absorb b0,b1──finish┐
+//!   worker 1:  [b2: t..t+E)[b3: t..t+E)──mail──┼─barrier──┼─absorb b2,b3──finish┼─barrier─▶
+//!   worker 2:  [b4: t..t+E)[b5: t..t+E)──mail──┘          └─absorb b4,b5──finish┘
 //! ```
 //!
-//! 1. every shard free-runs an **epoch** of `E` cycles on its own routers,
-//!    accumulating boundary events into per-destination inboxes;
-//! 2. barrier — then every shard sorts its inbox by the canonical
-//!    **(cycle, link-id, source-shard, sequence)** key and applies it;
-//! 3. every shard computes the same global reductions (total packets in
-//!    flight, latest progress cycle), completes the epoch's last cycle
-//!    (board tick, watchdog, `t += 1`), and a second barrier releases the
-//!    next epoch.
+//! 1. every worker free-runs each of its blocks for an **epoch** of `E`
+//!    cycles, sorting the block's boundary events by destination block
+//!    into the worker's row of mail cells;
+//! 2. barrier — then every block absorbs the cells addressed to it, rows
+//!    in worker order: the canonical **(source block, emission sequence)**
+//!    order, whatever the worker count or thread timing;
+//! 3. every worker computes the same global reductions (total packets in
+//!    flight, latest progress cycle), completes the epoch's last cycle on
+//!    each block (board tick, watchdog, `t += 1`), and a second barrier
+//!    releases the next epoch.
 //!
 //! # Epoch batching: why E > 1 is exact
 //!
-//! Packet and credit arrivals crossing the cut are delayed by at least the
+//! Packet and credit arrivals crossing a cut are delayed by at least the
 //! latency of the cut link they traverse. Let **λ** be the minimum latency
-//! over all links cut by the partition ([`Topology::cut_link_classes`]).
-//! An event emitted at cycle `c ∈ [t, t+E)` lands at `≥ c + λ ≥ t + E`
-//! whenever `E ≤ λ` — i.e. **no event can arrive inside the epoch that
-//! emits it**, and applying the whole batch at the epoch-end exchange is
-//! indistinguishable from applying each event at its emission cycle. The
-//! canonical sort key already orders events across the epoch's cycles.
-//! Two caps shorten an epoch below λ:
+//! over all links cut by the block partition
+//! ([`Topology::cut_link_classes`]). An event emitted at cycle
+//! `c ∈ [t, t+E)` lands at `≥ c + λ ≥ t + E` whenever `E ≤ λ` — i.e. **no
+//! event can arrive inside the epoch that emits it**, and applying the
+//! whole batch at the epoch-end exchange is indistinguishable from applying
+//! each event at its emission cycle. The argument never asks which thread
+//! steps a block, so a cut between two blocks of one worker is exact for
+//! the same reason a cut between workers is. Two caps shorten an epoch
+//! below λ:
 //!
 //! * **boards** — Piggyback publishes are written into the boards' `next`
 //!   buffer *without a timestamp* and become visible at the next swap, so
 //!   a foreign publish applied late could miss its swap. Whenever the
-//!   routing mode uses boards across more than one shard, epochs are
+//!   routing mode uses boards across more than one block, epochs are
 //!   forced to one cycle (the exact per-cycle exchange; a single cut-free
-//!   shard has only local publishes and keeps long epochs, ticking its
-//!   boards every cycle).
+//!   block has only local publishes and keeps long epochs, ticking its
+//!   boards every cycle). A one-cycle epoch has nothing to keep cached, so
+//!   board users are never cut into more blocks than workers.
 //! * **watchdog headroom** — the watchdog fires at cycle `c` iff the
 //!   global in-flight count is positive and `c - progress(c)` exceeds the
 //!   threshold `W`. Intermediate epoch cycles skip the check, which is
@@ -78,7 +95,7 @@
 //!
 //! # Topology-aware partitioning
 //!
-//! [`partition_topology`] aligns shard boundaries with the topology's
+//! [`partition_topology`] aligns worker boundaries with the topology's
 //! natural unit ([`Topology::partition_unit`]): Dragonfly/Dragonfly+
 //! groups, HyperX last-dimension hyperplanes, FlatButterfly rows. Aligned
 //! cuts sever only inter-group (global) links, which both shrinks the cut
@@ -86,101 +103,122 @@
 //! free-running per barrier under the default `local=10 / global=100`
 //! latencies. Units are weighted by [`Topology::router_weight`] (ports +
 //! attached terminals, so host-free Dragonfly+ spines don't skew the
-//! balance) and packed into contiguous runs minimizing the maximum shard
+//! balance) and packed into contiguous runs minimizing the maximum worker
 //! weight (exact min-max via binary search over the bottleneck capacity).
-//! When there are fewer units than shards the partitioner falls back to
-//! the count-balanced router split ([`partition`]).
+//! When there are fewer units than workers the partitioner falls back to
+//! the count-balanced router split ([`partition`]). [`partition_blocks`]
+//! then cuts a worker's range at unit boundaries only, so blocks keep the
+//! same λ, and only where the range outgrows the byte budget: a range that
+//! fits is one block and runs exactly as an unblocked shard would.
 //!
-//! # Why results are bit-identical to `shards = 1`
+//! # Why results are bit-identical to the single engine
 //!
-//! The sort key makes the exchange deterministic, and the *application
+//! The mail order makes the exchange deterministic, and the *application
 //! order* of boundary events is behavior-neutral on top of that:
 //!
 //! * each directed link has exactly one transmitting router and one
-//!   receiving router, so all `Packet` events for a link come from one
-//!   shard and are applied in emission order — the order the receiving
+//!   receiving router, so all packet events for a link come from one
+//!   block and are applied in emission order — the order the receiving
 //!   link queue would have seen locally;
-//! * all `Credit` events for a link originate from the single downstream
+//! * all credit events for a link originate from the single downstream
 //!   input port feeding it, whose serialization makes departure cycles
 //!   strictly monotonic — same argument;
-//! * `Board` publishes within a cycle target distinct cells (one router
+//! * board publishes within a cycle target distinct cells (one router
 //!   publishes each cell) and overwrite, so they commute.
 //!
-//! Since every cross-shard effect lands at a future cycle (beyond its
-//! epoch) and intra-cycle state never crosses the cut, the sharded
-//! schedule is a reordering of *commuting* operations of the
-//! single-engine schedule: counters, RNG draw sequences and arbiter
-//! states evolve identically for any shard count and any epoch length,
+//! Since every cross-block effect lands at a future cycle (beyond its
+//! epoch) and intra-cycle state never crosses a cut, the blocked schedule
+//! is a reordering of *commuting* operations of the single-engine
+//! schedule: counters, RNG draw sequences and arbiter states evolve
+//! identically for any worker count, any block size and any epoch length,
 //! including 1. `tests/engine_equivalence.rs` asserts this exactly
-//! (`SimResult` JSON equality) over every recorded golden at shard counts
-//! {1, 2, 3, 4}.
+//! (`SimResult` JSON equality against [`Network::run`]) over every recorded
+//! golden at worker counts {1, 2, 3, 4, 5}, and again with every block
+//! forced down to one unit.
 
 use crate::config::SimConfig;
 use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::fabric::Fabric;
-use crate::link::InFlight;
+use crate::link::{CreditMsg, InFlight};
 use crate::metrics::{Metrics, SimResult};
-use flexvc_core::{CreditClass, MessageClass, TrafficClass};
+use flexvc_core::MessageClass;
 use flexvc_topology::Topology;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, RwLock};
 use std::time::{Duration, Instant};
 
-/// An effect crossing a shard boundary, exchanged at end of epoch.
+/// A packet in flight toward a foreign router's input port.
 #[derive(Debug)]
-pub(crate) struct BoundaryEvent {
-    /// Effect cycle (head/credit arrival; publish cycle for boards).
-    pub at: u64,
-    /// Flat link id the effect applies to (0 for board publishes).
+pub(crate) struct PacketEvent {
+    /// Flat id of the link the packet travels on.
     pub lid: u32,
-    /// Receiving router (owner = destination shard); `u32::MAX` broadcasts
-    /// to every other shard (board publishes).
+    /// Receiving router (its owner is the destination block).
     pub dst: u32,
-    /// The effect itself.
-    pub payload: BoundaryPayload,
+    /// The in-flight link record (its head arrival is the effect cycle).
+    pub flight: InFlight,
+    /// The packet's flow tag under flow workloads: flow identity lives in
+    /// an engine-side table, so the tag migrates to the block that will
+    /// eject the packet.
+    pub flow: Option<flexvc_traffic::FlowTag>,
 }
 
-/// Payload of a [`BoundaryEvent`].
+/// A credit returning to a foreign router's credit mirror.
 #[derive(Debug)]
-pub(crate) enum BoundaryPayload {
-    /// A packet in flight toward a foreign router's input port, with its
-    /// flow tag (if any): flow identity lives in an engine-side table, so
-    /// the tag migrates to the shard that will eject the packet.
-    Packet {
-        /// The in-flight link record.
-        flight: InFlight,
-        /// The packet's flow tag under flow workloads.
-        flow: Option<flexvc_traffic::FlowTag>,
-    },
-    /// A credit returning to a foreign router's credit mirror.
-    Credit {
-        /// VC whose space is released.
-        vc: u8,
-        /// Phits released.
-        phits: u32,
-        /// Routing type of the released packet.
-        class: CreditClass,
-        /// QoS class of the released packet (per-class occupancy
-        /// accounting for the dynamic buffer repartitioner).
-        tclass: TrafficClass,
-    },
-    /// A Piggyback saturation-flag publish, replicated to all shards.
-    Board {
-        /// Group whose board is written.
-        group: u32,
-        /// Publishing router's index within the group.
-        local: u32,
-        /// Sense-port index of the flag.
-        port: u32,
-        /// Message class of the flag.
-        class: MessageClass,
-        /// The saturation flag.
-        sat: bool,
-    },
+pub(crate) struct CreditEvent {
+    /// Flat id of the link whose downstream space is released.
+    pub lid: u32,
+    /// Upstream router (its owner is the destination block).
+    pub dst: u32,
+    /// The credit, stamped with its arrival cycle.
+    pub msg: CreditMsg,
 }
+
+/// A Piggyback saturation-flag publish, replicated to every other block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoardEvent {
+    /// Group whose board is written.
+    pub group: u32,
+    /// Publishing router's index within the group.
+    pub local: u32,
+    /// Sense-port index of the flag.
+    pub port: u32,
+    /// Message class of the flag.
+    pub class: MessageClass,
+    /// The saturation flag.
+    pub sat: bool,
+}
+
+/// Effects crossing a block boundary, one queue per kind, each in emission
+/// order: what a block emits during an epoch, and (as a mail cell) what
+/// one worker's blocks addressed to one destination block. Queues are
+/// per kind because the kinds touch disjoint state, so their relative
+/// order is immaterial — and a credit is an eighth the size of a packet.
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    pub packets: Vec<PacketEvent>,
+    pub credits: Vec<CreditEvent>,
+    pub boards: Vec<BoardEvent>,
+}
+
+impl Outbox {
+    fn clear(&mut self) {
+        self.packets.clear();
+        self.credits.clear();
+        self.boards.clear();
+    }
+}
+
+/// Record-table bytes one block may hold (see the module docs): a quarter
+/// of a typical 4 MiB L2, leaving room for the queues the tables point to
+/// and for the shared fabric tables. Measured on one worker at h = 8
+/// (21 KB of tables per router, 328 KiB per 16-router group): one group per
+/// block steps 590 cycles/s, three (what this budget gives) 560, six 450,
+/// twelve 350, the unblocked engine 220 — while an h = 3 Dragonfly
+/// (826 KiB in all) forced to split in two loses a tenth, so a range that
+/// already fits is left whole (DESIGN.md §5 has the table).
+pub const BLOCK_BUDGET_BYTES: usize = 1 << 20;
 
 /// Resolve a configured shard count: `0` auto-detects from the host's
 /// available parallelism; any request is clamped to the router count
@@ -308,14 +346,42 @@ fn balanced_units(weights: &[u64], k: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Epoch length cap λ for a partition: the minimum latency over cut
-/// links, the hard floor below which no cross-shard packet or credit can
+/// Cut a worker's router range into blocks whose record tables
+/// (`router_bytes` per router) fit `budget` bytes, cutting only at
+/// multiples of `unit` (so a block cut severs the same link classes as a
+/// worker cut) and never below one unit: blocks are filled greedily, and a
+/// single unit larger than the budget stays whole. A range that fits is
+/// returned as one block.
+pub fn partition_blocks(
+    range: Range<u32>,
+    unit: usize,
+    router_bytes: usize,
+    budget: usize,
+) -> Vec<Range<u32>> {
+    let unit = unit.max(1) as u32;
+    let mut blocks = Vec::new();
+    let mut start = range.start;
+    let mut cut = (start / unit + 1) * unit;
+    while cut < range.end {
+        let next = (cut + unit).min(range.end);
+        if (next - start) as usize * router_bytes > budget {
+            blocks.push(start..cut);
+            start = cut;
+        }
+        cut = next;
+    }
+    blocks.push(start..range.end);
+    blocks
+}
+
+/// Epoch length cap λ for a block partition: the minimum latency over cut
+/// links, the hard floor below which no cross-block packet or credit can
 /// arrive. Board-using routing modes force per-cycle exchange (publishes
-/// are not time-keyed — see the module docs); a cut-free partition
-/// (`shards = 1`) leaves the epoch bounded only by the run window and
-/// watchdog headroom.
-fn epoch_lambda(cfg: &SimConfig, topo: &dyn Topology, owner: &[u32], shards: usize) -> u64 {
-    if shards <= 1 {
+/// are not time-keyed — see the module docs); a cut-free partition (one
+/// block) leaves the epoch bounded only by the run window and watchdog
+/// headroom.
+fn epoch_lambda(cfg: &SimConfig, topo: &dyn Topology, owner: &[u32], blocks: usize) -> u64 {
+    if blocks <= 1 {
         return u64::MAX;
     }
     if cfg.routing.uses_boards() {
@@ -336,7 +402,7 @@ fn epoch_lambda(cfg: &SimConfig, topo: &dyn Topology, owner: &[u32], shards: usi
 /// headroom (see the module docs — intermediate cycles must provably not
 /// fire), and the run window. `g_if`/`g_prog` are the exact global
 /// reductions from the previous epoch's exchange, identical on every
-/// shard, so all workers compute the same length.
+/// worker, so all workers compute the same length.
 fn epoch_len(now: u64, end: u64, lambda: u64, g_if: i64, g_prog: u64, watchdog: u64) -> u64 {
     let headroom = if g_if > 0 {
         g_prog
@@ -349,100 +415,241 @@ fn epoch_len(now: u64, end: u64, lambda: u64, g_if: i64, g_prog: u64, watchdog: 
     lambda.min(headroom).min(end - now).max(1)
 }
 
-/// Per-epoch exchange state shared by the shard workers. All slot accesses
-/// are ordered by the barrier (a store before a `wait` happens-before every
-/// load after it), so `Relaxed` atomics suffice.
+/// State the workers share, kept for the life of the simulation. All slot
+/// accesses are ordered by the barrier (a store before a `wait`
+/// happens-before every load after it), so `Relaxed` atomics suffice.
 struct Exchange {
-    /// Per-destination inboxes: `(source shard, sequence, event)`.
-    inboxes: Vec<Mutex<Vec<(u32, u32, BoundaryEvent)>>>,
-    /// Per-shard packets-in-flight contribution (signed: a shard ejecting
+    /// Router -> owning block.
+    owner: Vec<u32>,
+    /// Epoch cap λ (minimum cut-link latency; see [`epoch_lambda`]).
+    lambda: u64,
+    /// Mail, `[source worker][destination block]`: a worker holds its row
+    /// for writing while it steps, every worker reads every row while it
+    /// absorbs; the barriers keep the two apart.
+    mail: Vec<RwLock<Vec<Outbox>>>,
+    /// Per-worker packets-in-flight contribution (signed: a block ejecting
     /// packets injected elsewhere counts negative).
     in_flight: Vec<AtomicI64>,
-    /// Per-shard latest-progress cycle.
+    /// Per-worker latest-progress cycle.
     progress: Vec<AtomicU64>,
-    /// Per-shard staged-reply count (drain mode only).
+    /// Per-worker staged-reply count (drain mode only).
     staged: Vec<AtomicI64>,
-    /// Per-shard wall-clock nanoseconds spent working (stepping, dispatch,
-    /// absorb) as opposed to waiting at barriers — the imbalance signal.
-    work_nanos: Vec<AtomicU64>,
     /// Two waits per epoch: after dispatch, after completion.
     barrier: Barrier,
-    /// Drain verdict (written by shard 0; all shards compute the same).
-    pending: AtomicI64,
 }
 
 impl Exchange {
-    fn new(shards: usize) -> Self {
-        Exchange {
-            inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            in_flight: (0..shards).map(|_| AtomicI64::new(0)).collect(),
-            progress: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            staged: (0..shards).map(|_| AtomicI64::new(0)).collect(),
-            work_nanos: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            barrier: Barrier::new(shards),
-            pending: AtomicI64::new(0),
+    /// Wait for every worker; a lone worker has nobody to wait for.
+    fn sync(&self) {
+        if self.mail.len() > 1 {
+            self.barrier.wait();
         }
-    }
-
-    fn global_in_flight(&self) -> i64 {
-        self.in_flight
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn global_progress(&self) -> u64 {
-        self.progress
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
     }
 }
 
-/// Per-shard execution statistics (machine timing — deliberately kept out
-/// of [`SimResult`], whose contents are shard-invariant).
+/// Per-worker execution statistics (machine timing and the partition —
+/// deliberately kept out of [`SimResult`], whose contents are
+/// shard-invariant).
 #[derive(Debug, Clone)]
 pub struct ShardStats {
-    /// Contiguous router range this shard owns.
+    /// Contiguous router range this worker owns.
     pub routers: Range<u32>,
     /// Partition weight of the range (ports + terminals; see
     /// [`Topology::router_weight`]).
     pub weight: u64,
-    /// Wall-clock seconds this shard's worker spent doing work (stepping,
+    /// The blocks the range is stepped in, in router order (see
+    /// [`partition_blocks`]); one block = the whole range.
+    pub blocks: Vec<Range<u32>>,
+    /// Wall-clock seconds this worker spent doing work (stepping,
     /// dispatching, absorbing) across all `run`/`drain` calls — barrier
-    /// wait time excluded. `max / mean` across shards is the load
+    /// wait time excluded. `max / mean` across workers is the load
     /// imbalance.
     pub work_seconds: f64,
 }
 
-/// A simulation partitioned across shard workers, bit-identical to the
-/// single-engine [`Network`] for any shard count (see the module docs).
+/// Boundary events delivered by the exchange, by kind (a board publish
+/// counts once per block it is replicated to). A function of the block
+/// partition and the simulated traffic only — not of the worker count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BoundaryCounts {
+    /// Packets transmitted across a block cut.
+    pub packets: u64,
+    /// Credits returned across a block cut.
+    pub credits: u64,
+    /// Piggyback board publishes replicated to another block.
+    pub boards: u64,
+}
+
+impl BoundaryCounts {
+    /// All events, whatever their kind.
+    pub fn total(&self) -> u64 {
+        self.packets + self.credits + self.boards
+    }
+}
+
+/// One worker thread's share of the simulation.
+struct Worker {
+    /// Index of the worker's first block; it owns `first .. first +
+    /// blocks.len()`.
+    first: usize,
+    blocks: Vec<Network>,
+    /// The outbox buffer lent to whichever block is stepping.
+    outbox: Outbox,
+    /// Global reductions of the last exchange (packets in flight, latest
+    /// progress cycle): exact, and identical on every worker, so all
+    /// workers agree on every epoch length and stop predicate and barrier
+    /// participation stays consistent. A fresh network has nothing in
+    /// flight and no progress recorded.
+    in_flight: i64,
+    progress: u64,
+    /// Epochs run (the same on every worker).
+    epochs: u64,
+    /// Events this worker's blocks emitted.
+    events: BoundaryCounts,
+}
+
+impl Worker {
+    /// Drive this worker's blocks to cycle `end`, or until the watchdog
+    /// fires, or — when `draining`, in per-cycle epochs mirroring
+    /// [`Network::drain`] — until nothing is pending. Returns the packets
+    /// pending (in flight + staged) as of the last stop check.
+    fn advance(
+        &mut self,
+        w: usize,
+        stat: &mut ShardStats,
+        ex: &Exchange,
+        end: u64,
+        draining: bool,
+    ) -> i64 {
+        let watchdog = self.blocks[0].config().watchdog;
+        let mut work = Duration::ZERO;
+        let pending = loop {
+            let now = self.blocks[0].cycle();
+            let mut pending = self.in_flight;
+            if draining {
+                // Staging queues only matter once the network itself is
+                // empty, so the O(nodes) scan runs rarely; `in_flight` is
+                // global, so every worker evaluates the same predicate.
+                let staged = if self.in_flight > 0 {
+                    0
+                } else {
+                    self.blocks.iter().map(Network::staged_pending).sum()
+                };
+                ex.staged[w].store(staged, Ordering::Relaxed);
+                ex.sync();
+                pending += ex
+                    .staged
+                    .iter()
+                    .map(|a| a.load(Ordering::Relaxed))
+                    .sum::<i64>();
+            }
+            if (draining && pending == 0) || now >= end || self.blocks[0].deadlocked() {
+                break pending;
+            }
+            let len = if draining {
+                1
+            } else {
+                epoch_len(now, end, ex.lambda, self.in_flight, self.progress, watchdog)
+            };
+            let t = Instant::now();
+            self.step_epoch(w, ex, now, len);
+            work += t.elapsed();
+            ex.sync();
+            let t = Instant::now();
+            self.finish_epoch(ex, now + len - 1);
+            work += t.elapsed();
+            ex.sync();
+        };
+        stat.work_seconds += work.as_secs_f64();
+        pending
+    }
+
+    /// Free-run every block for `len` cycles from `now`, one block after
+    /// the other, routing each block's boundary events into this worker's
+    /// mail row, and publish the worker's share of the global reductions.
+    fn step_epoch(&mut self, w: usize, ex: &Exchange, now: u64, len: u64) {
+        let mut row = ex.mail[w].write().expect("mail row poisoned");
+        row.iter_mut().for_each(Outbox::clear);
+        let (mut in_flight, mut progress) = (0, 0);
+        for (i, net) in self.blocks.iter_mut().enumerate() {
+            net.swap_outbox(&mut self.outbox);
+            net.step_epoch_shard(now, len);
+            net.swap_outbox(&mut self.outbox);
+            let s = self.first + i;
+            let out = &mut self.outbox;
+            self.events.packets += out.packets.len() as u64;
+            self.events.credits += out.credits.len() as u64;
+            self.events.boards += (out.boards.len() * (row.len() - 1)) as u64;
+            for ev in out.packets.drain(..) {
+                let d = ex.owner[ev.dst as usize] as usize;
+                debug_assert_ne!(d, s, "boundary packet addressed to its own block");
+                row[d].packets.push(ev);
+            }
+            for ev in out.credits.drain(..) {
+                let d = ex.owner[ev.dst as usize] as usize;
+                debug_assert_ne!(d, s, "boundary credit addressed to its own block");
+                row[d].credits.push(ev);
+            }
+            for ev in out.boards.drain(..) {
+                for (d, cell) in row.iter_mut().enumerate() {
+                    if d != s {
+                        cell.boards.push(ev);
+                    }
+                }
+            }
+            in_flight += net.packets_in_flight();
+            progress = progress.max(net.last_progress());
+        }
+        ex.in_flight[w].store(in_flight, Ordering::Relaxed);
+        ex.progress[w].store(progress, Ordering::Relaxed);
+        self.epochs += 1;
+    }
+
+    /// After the barrier: every block absorbs its mail — rows in worker
+    /// order, which with each row in (block, emission) order is the
+    /// canonical (source block, sequence) order — and completes cycle
+    /// `last` (the epoch's last) with the global reductions.
+    fn finish_epoch(&mut self, ex: &Exchange, last: u64) {
+        self.in_flight = ex.in_flight.iter().map(|a| a.load(Ordering::Relaxed)).sum();
+        self.progress = ex
+            .progress
+            .iter()
+            .map(|a| a.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0);
+        for (i, net) in self.blocks.iter_mut().enumerate() {
+            for row in &ex.mail {
+                let row = row.read().expect("mail row poisoned");
+                net.absorb(last, &row[self.first + i]);
+            }
+            net.finish_cycle_shard(last, self.in_flight, self.progress);
+        }
+    }
+}
+
+/// A simulation partitioned across worker threads and cache-sized blocks,
+/// bit-identical to the single-engine [`Network`] for any worker count and
+/// block size (see the module docs).
 pub struct ShardedNetwork {
-    shards: Vec<Network>,
-    /// Router -> owning shard.
-    owner: Vec<u32>,
-    /// Epoch cap λ (minimum cut-link latency; see [`epoch_lambda`]).
-    lambda: u64,
-    /// Per-shard partition info and accumulated work time.
+    workers: Vec<Worker>,
+    ex: Exchange,
+    /// Per-worker partition info and accumulated work time.
     stats: Vec<ShardStats>,
     offered: f64,
     nodes: usize,
 }
 
 impl ShardedNetwork {
-    /// Build a sharded simulation for `cfg` (shard count from
+    /// Build a sharded simulation for `cfg` (worker count from
     /// [`SimConfig::shards`](crate::SimConfig), `0` = auto-detect) at
     /// offered load `load` with deterministic `seed`. Results do not depend
-    /// on the shard count; wall-clock time does.
+    /// on the worker count; wall-clock time does.
     pub fn new(cfg: SimConfig, load: f64, seed: u64) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        let topo = cfg.topology.build();
-        Ok(Self::build(cfg, load, seed, topo))
+        Self::with_block_budget(cfg, load, seed, BLOCK_BUDGET_BYTES)
     }
 
     /// Like [`ShardedNetwork::new`] with a pre-built topology (shared, not
-    /// rebuilt per shard or per sweep point).
+    /// rebuilt per block or per sweep point).
     pub fn with_topology(
         cfg: SimConfig,
         load: f64,
@@ -450,82 +657,144 @@ impl ShardedNetwork {
         topo: Arc<dyn Topology>,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        Ok(Self::build(cfg, load, seed, topo))
+        Ok(Self::build(cfg, load, seed, topo, BLOCK_BUDGET_BYTES))
     }
 
-    fn build(cfg: SimConfig, load: f64, seed: u64, topo: Arc<dyn Topology>) -> Self {
+    /// [`ShardedNetwork::new`] with another block budget than
+    /// [`BLOCK_BUDGET_BYTES`] — for the tests that show blocks are
+    /// unobservable (`0` forces one block per partition unit).
+    #[doc(hidden)]
+    pub fn with_block_budget(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        budget: usize,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        let topo = cfg.topology.build();
+        Ok(Self::build(cfg, load, seed, topo, budget))
+    }
+
+    fn build(cfg: SimConfig, load: f64, seed: u64, topo: Arc<dyn Topology>, budget: usize) -> Self {
         let nr = topo.num_routers();
         let n = resolve_shards(cfg.shards, nr);
-        let ranges = partition_topology(topo.as_ref(), n);
+        let fabric = Arc::new(Fabric::new(&cfg, Arc::clone(&topo), seed));
+        // Board users exchange every cycle: nothing stays cached across a
+        // one-cycle epoch, so more blocks would only add exchange work.
+        let budget = if cfg.routing.uses_boards() {
+            usize::MAX
+        } else {
+            budget
+        };
+        let router_bytes = Network::router_table_bytes(&fabric);
         let mut owner = vec![0u32; nr];
-        for (s, range) in ranges.iter().enumerate() {
-            for r in range.clone() {
-                owner[r as usize] = s as u32;
+        let mut workers = Vec::with_capacity(n);
+        let mut stats = Vec::with_capacity(n);
+        let mut first = 0;
+        for range in partition_topology(topo.as_ref(), n) {
+            let blocks =
+                partition_blocks(range.clone(), topo.partition_unit(), router_bytes, budget);
+            for (i, block) in blocks.iter().enumerate() {
+                owner[block.start as usize..block.end as usize].fill((first + i) as u32);
             }
-        }
-        let lambda = epoch_lambda(&cfg, topo.as_ref(), &owner, n);
-        let stats = ranges
-            .iter()
-            .map(|range| ShardStats {
-                routers: range.clone(),
+            workers.push(Worker {
+                first,
+                blocks: blocks
+                    .iter()
+                    .map(|b| {
+                        let fabric = Arc::clone(&fabric);
+                        Network::new_shard(cfg.clone(), load, seed, fabric, Some(b.clone()))
+                    })
+                    .collect(),
+                outbox: Outbox::default(),
+                in_flight: 0,
+                progress: 0,
+                epochs: 0,
+                events: BoundaryCounts::default(),
+            });
+            first += blocks.len();
+            stats.push(ShardStats {
                 weight: range.clone().map(|r| topo.router_weight(r as usize)).sum(),
+                routers: range,
+                blocks,
                 work_seconds: 0.0,
-            })
-            .collect();
-        let nodes = topo.num_nodes();
-        let fabric = Arc::new(Fabric::new(&cfg, topo, seed));
-        let shards = ranges
-            .into_iter()
-            .map(|range| {
-                Network::new_shard(cfg.clone(), load, seed, Arc::clone(&fabric), Some(range))
-            })
-            .collect();
-        ShardedNetwork {
-            shards,
+            });
+        }
+        let cells = || (0..first).map(|_| Outbox::default()).collect();
+        let ex = Exchange {
+            lambda: epoch_lambda(&cfg, topo.as_ref(), &owner, first),
             owner,
-            lambda,
+            mail: (0..n).map(|_| RwLock::new(cells())).collect(),
+            in_flight: (0..n).map(|_| AtomicI64::new(0)).collect(),
+            progress: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            staged: (0..n).map(|_| AtomicI64::new(0)).collect(),
+            barrier: Barrier::new(n),
+        };
+        ShardedNetwork {
+            workers,
+            ex,
             stats,
             offered: load,
-            nodes,
+            nodes: topo.num_nodes(),
         }
     }
 
-    /// Number of worker shards.
+    fn blocks(&self) -> impl Iterator<Item = &Network> {
+        self.workers.iter().flat_map(|w| &w.blocks)
+    }
+
+    /// Number of worker threads.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
-    /// Current cycle (all shards advance in lockstep).
+    /// Current cycle (all blocks advance in lockstep).
     pub fn cycle(&self) -> u64 {
-        self.shards[0].cycle()
+        self.workers[0].blocks[0].cycle()
     }
 
-    /// Whether the watchdog flagged a deadlock (identically on all shards).
+    /// Whether the watchdog flagged a deadlock (identically on all blocks).
     pub fn deadlocked(&self) -> bool {
-        self.shards[0].deadlocked()
+        self.workers[0].blocks[0].deadlocked()
     }
 
     /// Packets currently in queues, buffers or links, network-wide.
     pub fn packets_in_flight(&self) -> i64 {
-        self.shards.iter().map(|s| s.packets_in_flight()).sum()
+        self.blocks().map(Network::packets_in_flight).sum()
     }
 
-    /// The epoch cap λ: the most cycles any shard may free-run between
+    /// The epoch cap λ: the most cycles any block may free-run between
     /// boundary exchanges (`u64::MAX` when no link crosses the partition).
     pub fn epoch_cycles(&self) -> u64 {
-        self.lambda
+        self.ex.lambda
     }
 
-    /// Per-shard partition info and accumulated work time (see
+    /// Per-worker partition info and accumulated work time (see
     /// [`ShardStats`]).
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.stats
     }
 
+    /// Epochs run so far, over all `run`/`drain` calls.
+    pub fn epochs(&self) -> u64 {
+        self.workers[0].epochs
+    }
+
+    /// Boundary events exchanged so far, over all `run`/`drain` calls.
+    pub fn boundary_events(&self) -> BoundaryCounts {
+        let mut total = BoundaryCounts::default();
+        for w in &self.workers {
+            total.packets += w.events.packets;
+            total.credits += w.events.credits;
+            total.boards += w.events.boards;
+        }
+        total
+    }
+
     /// Run to completion and aggregate the result (exact counter merge —
     /// bit-identical to the single-engine run).
     pub fn run(&mut self) -> SimResult {
-        let cfg = self.shards[0].config();
+        let cfg = self.workers[0].blocks[0].config();
         let (warmup, measure) = (cfg.warmup, cfg.measure);
         self.advance(warmup + measure, false);
         let cycles = self.cycle().saturating_sub(warmup).min(measure);
@@ -539,197 +808,37 @@ impl ShardedNetwork {
     /// watchdog fires. Returns the packets still pending — the sharded
     /// counterpart of [`Network::drain`]'s conservation check.
     pub fn drain(&mut self, max_cycles: u64) -> i64 {
-        for shard in &mut self.shards {
-            shard.begin_drain();
+        for worker in &mut self.workers {
+            worker.blocks.iter_mut().for_each(Network::begin_drain);
         }
         let end = self.cycle().saturating_add(max_cycles);
         self.advance(end, true)
     }
 
     fn merged_metrics(&self) -> Metrics {
-        let mut merged = self.shards[0].metrics().clone();
-        for shard in &self.shards[1..] {
-            merged.absorb(shard.metrics());
+        let mut blocks = self.blocks();
+        let mut merged = blocks.next().expect("a block").metrics().clone();
+        for block in blocks {
+            merged.absorb(block.metrics());
         }
         merged
     }
 
-    /// Drive all shards to cycle `end` (or drain completion / deadlock),
-    /// one worker thread per shard, two barriers per epoch. Returns the
-    /// drain verdict (pending packets) in drain mode, 0 otherwise.
+    /// Drive all workers to cycle `end` (or drain completion / deadlock):
+    /// the first on the calling thread, one spawned thread for each of the
+    /// others, two barriers per epoch. Returns the packets pending at the
+    /// stop (every worker computes the same).
     fn advance(&mut self, end: u64, draining: bool) -> i64 {
-        let shards = self.shards.len();
-        let ex = Exchange::new(shards);
-        let owner = &self.owner;
-        let lambda = self.lambda;
+        let ex = &self.ex;
+        let mut crew = self.workers.iter_mut().zip(&mut self.stats).enumerate();
+        let (_, (lead, lead_stat)) = crew.next().expect("at least one worker");
         std::thread::scope(|scope| {
-            for (s, net) in self.shards.iter_mut().enumerate() {
-                let ex = &ex;
-                scope.spawn(move || {
-                    if draining {
-                        let pending = drain_worker(net, s, owner, ex, end);
-                        if s == 0 {
-                            ex.pending.store(pending, Ordering::Relaxed);
-                        }
-                    } else {
-                        run_worker(net, s, owner, ex, end, lambda);
-                    }
-                });
+            for (w, (worker, stat)) in crew {
+                scope.spawn(move || worker.advance(w, stat, ex, end, draining));
             }
-        });
-        for (s, stat) in self.stats.iter_mut().enumerate() {
-            stat.work_seconds += ex.work_nanos[s].load(Ordering::Relaxed) as f64 * 1e-9;
-        }
-        ex.pending.load(Ordering::Relaxed)
+            lead.advance(0, lead_stat, ex, end, draining)
+        })
     }
-}
-
-/// Route an epoch's outbox into the per-destination inboxes. Events are
-/// tagged `(source shard, emission sequence)` so receivers can sort into
-/// the canonical order; board publishes broadcast to every other shard.
-fn dispatch(
-    net: &mut Network,
-    s: usize,
-    owner: &[u32],
-    ex: &Exchange,
-    batches: &mut [Vec<(u32, u32, BoundaryEvent)>],
-) {
-    let mut out = net.take_outbox();
-    for (seq, ev) in out.drain(..).enumerate() {
-        let seq = seq as u32;
-        if ev.dst == u32::MAX {
-            let BoundaryPayload::Board {
-                group,
-                local,
-                port,
-                class,
-                sat,
-            } = ev.payload
-            else {
-                unreachable!("only board publishes broadcast");
-            };
-            for (d, batch) in batches.iter_mut().enumerate() {
-                if d != s {
-                    batch.push((
-                        s as u32,
-                        seq,
-                        BoundaryEvent {
-                            at: ev.at,
-                            lid: ev.lid,
-                            dst: u32::MAX,
-                            payload: BoundaryPayload::Board {
-                                group,
-                                local,
-                                port,
-                                class,
-                                sat,
-                            },
-                        },
-                    ));
-                }
-            }
-        } else {
-            let d = owner[ev.dst as usize] as usize;
-            debug_assert_ne!(d, s, "boundary event addressed to its own shard");
-            batches[d].push((s as u32, seq, ev));
-        }
-    }
-    net.put_outbox(out);
-    for (d, batch) in batches.iter_mut().enumerate() {
-        if !batch.is_empty() {
-            ex.inboxes[d].lock().expect("inbox poisoned").append(batch);
-        }
-    }
-}
-
-/// Sort this shard's inbox into the canonical (cycle, link, source, seq)
-/// order and apply it, then complete cycle `now` (the epoch's last) with
-/// the global reductions. Returns the globals so the next epoch's length
-/// can be computed identically on every shard.
-fn absorb_and_finish(net: &mut Network, s: usize, ex: &Exchange, now: u64) -> (i64, u64) {
-    let mut inbox = std::mem::take(&mut *ex.inboxes[s].lock().expect("inbox poisoned"));
-    inbox.sort_by_key(|&(src, seq, ref ev)| (ev.at, ev.lid, src, seq));
-    for (_, _, ev) in inbox.drain(..) {
-        net.apply_boundary(now, ev);
-    }
-    // Give the buffer back for reuse; only this shard touches its inbox
-    // between the two barriers.
-    *ex.inboxes[s].lock().expect("inbox poisoned") = inbox;
-    let g_if = ex.global_in_flight();
-    let g_prog = ex.global_progress();
-    net.finish_cycle_shard(now, g_if, g_prog);
-    (g_if, g_prog)
-}
-
-fn run_worker(net: &mut Network, s: usize, owner: &[u32], ex: &Exchange, end: u64, lambda: u64) {
-    let mut batches: Vec<Vec<(u32, u32, BoundaryEvent)>> =
-        (0..ex.inboxes.len()).map(|_| Vec::new()).collect();
-    let watchdog = net.config().watchdog;
-    let mut work = Duration::ZERO;
-    // Globals from the previous epoch's reduction — exact on entry (a
-    // fresh network has nothing in flight and no progress recorded), and
-    // identical on every shard, so all workers agree on every epoch
-    // length and barrier participation stays consistent.
-    let mut g_if: i64 = 0;
-    let mut g_prog: u64 = 0;
-    loop {
-        let now = net.cycle();
-        if now >= end || net.deadlocked() {
-            break;
-        }
-        let e = epoch_len(now, end, lambda, g_if, g_prog, watchdog);
-        let last = now + e - 1;
-        let t = Instant::now();
-        net.step_epoch_shard(now, e);
-        dispatch(net, s, owner, ex, &mut batches);
-        ex.in_flight[s].store(net.packets_in_flight(), Ordering::Relaxed);
-        ex.progress[s].store(net.last_progress(), Ordering::Relaxed);
-        work += t.elapsed();
-        ex.barrier.wait();
-        let t = Instant::now();
-        (g_if, g_prog) = absorb_and_finish(net, s, ex, last);
-        work += t.elapsed();
-        ex.barrier.wait();
-    }
-    ex.work_nanos[s].fetch_add(work.as_nanos() as u64, Ordering::Relaxed);
-}
-
-/// Drain loop: per-cycle epochs (the stop predicate is evaluated every
-/// cycle, mirroring [`Network::drain`]) plus the conservation check.
-/// Staged replies are only counted once the network itself is empty,
-/// using the *global* in-flight total from the previous cycle's reduction
-/// so every shard evaluates the same predicate.
-fn drain_worker(net: &mut Network, s: usize, owner: &[u32], ex: &Exchange, end: u64) -> i64 {
-    let mut batches: Vec<Vec<(u32, u32, BoundaryEvent)>> =
-        (0..ex.inboxes.len()).map(|_| Vec::new()).collect();
-    let mut work = Duration::ZERO;
-    ex.in_flight[s].store(net.packets_in_flight(), Ordering::Relaxed);
-    ex.barrier.wait();
-    let mut g_if = ex.global_in_flight();
-    let pending = loop {
-        let now = net.cycle();
-        let staged = if g_if > 0 { 0 } else { net.staged_pending() };
-        ex.staged[s].store(staged, Ordering::Relaxed);
-        ex.barrier.wait();
-        let staged_total: i64 = ex.staged.iter().map(|a| a.load(Ordering::Relaxed)).sum();
-        let pending = g_if + staged_total;
-        if pending == 0 || now >= end || net.deadlocked() {
-            break pending;
-        }
-        let t = Instant::now();
-        net.step_epoch_shard(now, 1);
-        dispatch(net, s, owner, ex, &mut batches);
-        ex.in_flight[s].store(net.packets_in_flight(), Ordering::Relaxed);
-        ex.progress[s].store(net.last_progress(), Ordering::Relaxed);
-        work += t.elapsed();
-        ex.barrier.wait();
-        let t = Instant::now();
-        (g_if, _) = absorb_and_finish(net, s, ex, now);
-        work += t.elapsed();
-        ex.barrier.wait();
-    };
-    ex.work_nanos[s].fetch_add(work.as_nanos() as u64, Ordering::Relaxed);
-    pending
 }
 
 #[cfg(test)]
@@ -796,10 +905,12 @@ mod tests {
         );
         cfg.shards = 2;
         let net = ShardedNetwork::new(cfg, 0.3, 1).unwrap();
-        let fabric = net.shards[0].fabric();
-        assert!(Arc::ptr_eq(fabric, net.shards[1].fabric()));
+        let blocks: Vec<&Network> = net.blocks().collect();
+        let fabric = blocks[0].fabric();
+        assert!(Arc::ptr_eq(fabric, blocks[1].fabric()));
         let (pp, n_in) = (fabric.pp, fabric.n_in);
-        for (s, shard) in net.shards.iter().enumerate() {
+        for (s, shard) in blocks.iter().enumerate() {
+            assert_eq!(net.stats[s].blocks, [net.stats[s].routers.clone()]);
             let owned = net.stats[s].routers.clone();
             // Links received across the cut: transmitter foreign, far end
             // owned.
@@ -823,6 +934,23 @@ mod tests {
                 "shard {s} tables: inputs, outputs + replicas, credit mirrors"
             );
         }
+    }
+
+    #[test]
+    fn blocks_are_cut_greedily_on_unit_multiples() {
+        // 2 units of 4 routers fit a 100-byte budget at 10 bytes/router.
+        assert_eq!(
+            partition_blocks(0..20, 4, 10, 100),
+            vec![0..8, 8..16, 16..20]
+        );
+        // A range that fits is one block; so is a lone oversized unit.
+        assert_eq!(partition_blocks(8..20, 4, 10, 120), vec![8..20]);
+        assert_eq!(partition_blocks(4..8, 4, 10, 0), vec![4..8]);
+        // No budget at all: one block per unit, partial units at the ends
+        // of an unaligned range included.
+        assert_eq!(partition_blocks(2..11, 4, 10, 0), vec![2..4, 4..8, 8..11]);
+        // No alignment offered: every router is a unit.
+        assert_eq!(partition_blocks(0..3, 1, 10, 20), vec![0..2, 2..3]);
     }
 
     #[test]

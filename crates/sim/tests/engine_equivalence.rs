@@ -622,21 +622,31 @@ fn hyperx_2d_is_bit_identical_to_flat_butterfly() {
     }
 }
 
-/// Sharded-engine matrix: partitioning the routers across worker shards
-/// must be invisible in the results. Every golden point runs through
-/// `ShardedNetwork` with shards ∈ {1, 2, 3, 4} and is compared bit-for-bit
-/// (serialized form, covering every field including the histogram) against
-/// the plain single-engine run — PB sensing, adaptive routing, DAMQ
-/// deadlock and reactive points included, so every cross-shard effect
+/// The reference of every driver test below: the single engine's own loop
+/// ([`Network::run`]), serialized — the form covers every result field
+/// including the histogram, so string equality is exact equality.
+fn single_engine(cfg: &SimConfig, load: f64, seed: u64) -> String {
+    flexvc_serde::to_json(&Network::new(cfg.clone(), load, seed).unwrap().run())
+}
+
+/// Driver matrix: partitioning the routers across worker threads must be
+/// invisible in the results. Every golden point runs through
+/// `ShardedNetwork` with workers ∈ {1, 2, 3, 4, 5} and is compared
+/// bit-for-bit against the single engine — PB sensing, adaptive routing,
+/// DAMQ deadlock and reactive points included, so every cross-shard effect
 /// class (link packets, credits, board publishes) is exercised under the
 /// epoch-batched exchange (and per-cycle exchange for the board users).
-/// The shard counts include a non-power-of-two so group-aligned and
-/// fallback partitions both see uneven splits.
+/// The counts include a non-power-of-two, so group-aligned and fallback
+/// partitions both see uneven splits, and five, which forces the
+/// partitioner off group alignment on the smaller goldens (fewer
+/// groups/planes than workers → count-balanced fallback with intra-group
+/// cuts, the λ = local-latency epoch regime) while the larger ones keep
+/// aligned global-only cuts.
 #[test]
 fn sharded_engine_is_bit_identical_to_single() {
     for (name, cfg, load, seed) in points() {
-        let single = flexvc_serde::to_json(&run_one(&cfg, load, seed).unwrap());
-        for shards in [1, 2, 3, 4] {
+        let single = single_engine(&cfg, load, seed);
+        for shards in [1, 2, 3, 4, 5] {
             let mut sharded_cfg = cfg.clone();
             sharded_cfg.shards = shards;
             let r = ShardedNetwork::new(sharded_cfg, load, seed)
@@ -651,25 +661,98 @@ fn sharded_engine_is_bit_identical_to_single() {
     }
 }
 
-/// Five shards force the partitioner off group alignment on the smaller
-/// goldens (fewer groups/planes than shards → count-balanced fallback
-/// with intra-group cuts, the λ = local-latency epoch regime) while the
-/// larger ones keep aligned global-only cuts — both epoch regimes at a
-/// shard count that divides nothing evenly.
+/// Blocks are unobservable: with the block budget forced to nothing every
+/// worker steps its range one partition unit (group / plane / row) at a
+/// time, so each golden exchanges across many more cuts than threads — and
+/// must still equal the single engine bit for bit at workers {1, 2, 3}.
+/// Wherever the worker count leaves the block partition unchanged (enough
+/// units for every worker), the exchange counters — epochs run, packets,
+/// credits and board publishes delivered — are a function of that
+/// partition alone and must not move with the thread count either.
 #[test]
-fn sharded_engine_is_bit_identical_at_five_shards() {
+fn one_unit_blocks_are_bit_identical_and_counted_alike() {
+    let mut counted = 0;
     for (name, cfg, load, seed) in points() {
-        let single = flexvc_serde::to_json(&run_one(&cfg, load, seed).unwrap());
+        let single = single_engine(&cfg, load, seed);
+        let mut reference = None;
+        for shards in [1, 2, 3] {
+            let mut sharded_cfg = cfg.clone();
+            sharded_cfg.shards = shards;
+            let mut net = ShardedNetwork::with_block_budget(sharded_cfg, load, seed, 0)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                single,
+                flexvc_serde::to_json(&net.run()),
+                "{name}: one-unit blocks on {shards} workers diverged from the single engine"
+            );
+            let blocks: Vec<_> = net
+                .shard_stats()
+                .iter()
+                .flat_map(|s| s.blocks.clone())
+                .collect();
+            let counters = (net.epochs(), net.boundary_events());
+            match &reference {
+                None => reference = Some((blocks, counters)),
+                Some((b, c)) if *b == blocks => {
+                    assert_eq!(*c, counters, "{name}: counters moved at {shards} workers");
+                    counted += 1;
+                }
+                Some(_) => {}
+            }
+        }
+    }
+    assert!(counted >= 20, "only {counted} same-partition comparisons");
+}
+
+/// Conservation through the blocked driver: the saturated golden, cut into
+/// one-unit blocks, drains to zero pending packets at every worker count.
+#[test]
+fn one_unit_blocks_drain_to_zero() {
+    let (name, cfg, load, seed) = points()
+        .into_iter()
+        .find(|p| p.0 == "fig5_un_val_flexvc32_sat")
+        .expect("the saturated golden");
+    for shards in [1, 2, 3] {
         let mut sharded_cfg = cfg.clone();
-        sharded_cfg.shards = 5;
-        let r = ShardedNetwork::new(sharded_cfg, load, seed)
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-            .run();
+        sharded_cfg.shards = shards;
+        let mut net = ShardedNetwork::with_block_budget(sharded_cfg, load, seed, 0).unwrap();
+        assert!(net.shard_stats()[0].blocks.len() > 1, "{name}: not blocked");
+        let result = net.run();
+        assert!(!result.deadlocked && net.packets_in_flight() > 0);
         assert_eq!(
-            single,
-            flexvc_serde::to_json(&r),
-            "{name}: shards=5 diverged from the single engine"
+            net.drain(20_000),
+            0,
+            "{name}: packets left at {shards} workers"
         );
+        assert_eq!(net.packets_in_flight(), 0);
+    }
+}
+
+/// A shape that sub-blocks on the *production* budget — an h = 6 Dragonfly
+/// (876 routers, 73 groups, several groups per block) on a short window —
+/// against the single engine, on the calling thread and on two workers.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "h = 6 is slow unoptimized; the release gate runs it"
+)]
+fn production_budget_blocks_are_bit_identical() {
+    let mut cfg =
+        SimConfig::dragonfly_baseline(6, RoutingMode::Min, Workload::oblivious(Pattern::Uniform))
+            .with_flexvc(Arrangement::dragonfly(4, 2));
+    cfg.warmup = 150;
+    cfg.measure = 250;
+    cfg.watchdog = 2_000;
+    let single = single_engine(&cfg, 0.3, 5);
+    for shards in [1, 2] {
+        let mut sharded_cfg = cfg.clone();
+        sharded_cfg.shards = shards;
+        let mut net = ShardedNetwork::new(sharded_cfg, 0.3, 5).unwrap();
+        for stat in net.shard_stats() {
+            assert!(stat.blocks.len() > 1, "h = 6 should sub-block: {stat:?}");
+        }
+        assert_eq!(net.epoch_cycles(), cfg.global_latency as u64);
+        assert_eq!(single, flexvc_serde::to_json(&net.run()), "shards={shards}");
     }
 }
 

@@ -1,4 +1,5 @@
-//! Property tests for the topology-aware shard partitioner.
+//! Property tests for the topology-aware shard partitioner and the block
+//! partitioner under it.
 //!
 //! Over random Dragonfly / Dragonfly+ / HyperX / flattened-butterfly
 //! shapes and shard counts, [`partition_topology`] must produce
@@ -12,9 +13,26 @@
 //! (c) **balance** — the heaviest shard (by [`Topology::router_weight`])
 //!     matches the exact min-max optimum over unit-aligned contiguous
 //!     splits, computed here by dynamic programming.
+//!
+//! and [`partition_blocks`] must cut every worker range into
+//!
+//! (d) **a tiling** — contiguous, non-empty blocks covering the range, cut
+//!     only on unit multiples;
+//! (e) **budgeted, no finer than needed** — a block exceeds the byte budget
+//!     only when it lies within a single unit, and no two neighbours would
+//!     have fitted together.
+//!
+//! The fixed-shape tests then pin what the production budget does to the
+//! shapes the repo benchmark runs: one block per worker (today's path) on
+//! every h = 2 / h = 3 workload point, whole-group blocks with λ = the
+//! global latency at h = 8, and no subdivision for board-using routings.
 
-use flexvc_sim::shard::{partition, partition_topology};
+use flexvc_core::{Arrangement, RoutingMode};
+use flexvc_serde::Value;
+use flexvc_sim::shard::{partition, partition_blocks, partition_topology};
+use flexvc_sim::{ShardedNetwork, SimConfig};
 use flexvc_topology::{Dragonfly, DragonflyPlus, FlatButterfly2D, HyperX, Topology};
+use flexvc_traffic::{Pattern, Workload};
 use proptest::prelude::*;
 
 /// A randomly shaped topology, kept small enough for per-case scans.
@@ -156,6 +174,132 @@ proptest! {
             // Fallback is count-balanced, not weight-balanced; it must at
             // least match the plain splitter exactly.
             prop_assert_eq!(ranges, partition(nr, shards));
+        }
+    }
+
+    #[test]
+    fn blocks_tile_align_and_respect_the_budget(
+        shape in arb_shape(),
+        shards in 1usize..=4,
+        router_bytes in 1usize..=64,
+        budget in 0usize..=2_000,
+    ) {
+        let topo = shape.build();
+        let shards = shards.min(topo.num_routers());
+        let unit = topo.partition_unit().max(1) as u32;
+        for range in partition_topology(topo.as_ref(), shards) {
+            let blocks = partition_blocks(range.clone(), unit as usize, router_bytes, budget);
+            // (d) A tiling of the range, cut on unit multiples only.
+            prop_assert_eq!(blocks[0].start, range.start);
+            prop_assert_eq!(blocks[blocks.len() - 1].end, range.end);
+            for (i, b) in blocks.iter().enumerate() {
+                prop_assert!(b.start < b.end, "empty block {i}");
+                if i > 0 {
+                    prop_assert_eq!(b.start, blocks[i - 1].end, "gap before block {i}");
+                    prop_assert_eq!(b.start % unit, 0, "block cut off the unit grid");
+                }
+            }
+            // (e) Over budget only within one unit; no needless cut.
+            let bytes = |b: &std::ops::Range<u32>| b.len() * router_bytes;
+            for (i, b) in blocks.iter().enumerate() {
+                prop_assert!(
+                    bytes(b) <= budget || b.start / unit == (b.end - 1) / unit,
+                    "block {b:?} is over budget and spans units"
+                );
+                if i > 0 {
+                    prop_assert!(
+                        bytes(&(blocks[i - 1].start..b.end)) > budget,
+                        "blocks {i}-1 and {i} would have fitted together"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every `[points.cfg]` of a workload file of the repo benchmark.
+fn workload_configs(name: &str) -> Vec<SimConfig> {
+    let path = format!(
+        "{}/../../benchmark/workloads/{name}.toml",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let root = flexvc_serde::toml::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let points: Vec<Value> = root.field("points").unwrap();
+    points
+        .iter()
+        .map(|p| p.as_map().unwrap().field("cfg").unwrap())
+        .collect()
+}
+
+fn blocks_per_worker(mut cfg: SimConfig, shards: usize) -> Vec<usize> {
+    cfg.shards = shards;
+    let net = ShardedNetwork::new(cfg, 0.3, 1).unwrap();
+    net.shard_stats().iter().map(|s| s.blocks.len()).collect()
+}
+
+/// The h = 2 workloads and `sweep_points` (h = 2 and h = 3) fit the budget
+/// whole: one block per worker on every point, so they run exactly as they
+/// did before blocks existed — on one worker, as one engine stepped a
+/// window at a time.
+#[test]
+fn small_workload_shapes_stay_one_block_per_worker() {
+    let mut points = 0;
+    for name in [
+        "h2_lowload",
+        "h2_saturated",
+        "h2_adaptive",
+        "flows_qos",
+        "sweep_points",
+    ] {
+        for cfg in workload_configs(name) {
+            for shards in [1, 2] {
+                assert_eq!(
+                    blocks_per_worker(cfg.clone(), shards),
+                    vec![1; shards],
+                    "{name}: {:?} on {shards} workers",
+                    cfg.topology
+                );
+            }
+            points += 1;
+        }
+    }
+    assert!(points >= 70, "only {points} workload points found");
+}
+
+/// At h = 8 the production budget cuts every worker range into blocks of
+/// whole groups, which sever global links only: λ stays the global latency.
+#[test]
+fn paper_scale_blocks_are_whole_groups() {
+    for name in ["paper_h8", "paper_h8_s2"] {
+        for mut cfg in workload_configs(name) {
+            let rpg = cfg.topology.build().routers_per_group() as u32;
+            for shards in [1, 2] {
+                cfg.shards = shards;
+                let net = ShardedNetwork::new(cfg.clone(), 0.3, 1).unwrap();
+                assert_eq!(net.epoch_cycles(), cfg.global_latency as u64);
+                for stat in net.shard_stats() {
+                    assert!(stat.blocks.len() > 1, "{name}: h = 8 must sub-block");
+                    for b in &stat.blocks {
+                        assert_eq!((b.start % rpg, b.end % rpg), (0, 0), "{b:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Board users exchange every cycle, so extra blocks would buy nothing:
+/// PB and UGAL-G stay one block per worker even at h = 8, where the same
+/// shape under MIN is cut into dozens.
+#[test]
+fn board_routings_are_never_subdivided() {
+    for routing in [RoutingMode::Piggyback, RoutingMode::UgalG] {
+        let cfg = SimConfig::dragonfly_baseline(8, routing, Workload::oblivious(Pattern::adv1()))
+            .with_flexvc(Arrangement::dragonfly(4, 2));
+        assert!(cfg.routing.uses_boards());
+        for shards in [1, 2] {
+            assert_eq!(blocks_per_worker(cfg.clone(), shards), vec![1; shards]);
         }
     }
 }
