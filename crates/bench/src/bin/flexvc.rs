@@ -27,28 +27,10 @@ USAGE:
     flexvc show <scenario> [options]  print a scenario as editable data
     flexvc run <scenario> [options]   run a built-in scenario
     flexvc run --file <path> [opts]   run a scenario from a TOML/JSON file
-    flexvc bench [--quick] [--out p]  run the engine-performance kernel
-                                      suite and write a report
     flexvc help                       this text
 
-BENCH OPTIONS:
-    --quick                shorter windows (the CI profile)
-    --group <name>         run a single kernel group (e.g. fig5_h2); see
-                           the group list in the crate docs
-    --shards <n>           engine threads per kernel (0 = auto-detect from
-                           the host's cores; default: each kernel's own
-                           setting — results are shard-count-invariant)
-    --out <path>           report path (default: BENCH_current.json; pass
-                           an explicit path when recording a new baseline)
-    --baseline <path>      compare against a recorded report: fail (exit 1)
-                           when any kernel group present in both reports
-                           regresses its geomean cycles/sec by >15%
-                           (>10% on the ratcheted fig5_h2/smoke_h8
-                           groups); cycles/sec are machine-dependent, so
-                           compare on like hardware
-    --quiet                suppress per-kernel progress on stderr
-
 SHOW OPTIONS:
+    --file <path>          load the scenario from a file instead of the registry
     --format toml|json     output format (default: toml)
 
 RUN OPTIONS:
@@ -64,7 +46,7 @@ RUN OPTIONS:
     --format json|csv      format for --out (default: by extension, else json)
     --quiet                suppress per-point progress on stderr
 
-SCALE OPTIONS (run/show; defaults may also come from FLEXVC_* env vars):
+SCALE OPTIONS (run/show):
     --paper                full Table V scale (h = 8, 5 seeds, 60k cycles)
     --h <n>                Dragonfly size parameter h
     --seeds <n>            repetitions per point (seeds 1..=n)
@@ -79,10 +61,7 @@ struct Options {
     shards: Option<usize>,
     out: Option<String>,
     format: Option<String>,
-    baseline: Option<String>,
-    group: Option<String>,
     quiet: bool,
-    quick: bool,
     scale: Scale,
 }
 
@@ -104,23 +83,47 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "list" => list(),
-        "show" => match parse_options(rest) {
+        "show" => match parse_options(command, SHOW_FLAGS, rest) {
             Ok(opts) => show(opts),
             Err(msg) => fail(&msg),
         },
-        "run" => match parse_options(rest) {
+        "run" => match parse_options(command, RUN_FLAGS, rest) {
             Ok(opts) => run(opts),
-            Err(msg) => fail(&msg),
-        },
-        "bench" => match parse_options(rest) {
-            Ok(opts) => bench(opts),
             Err(msg) => fail(&msg),
         },
         other => fail(&format!("unknown command `{other}`")),
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Flags `show` reads: the scenario source, the rendering and the scale.
+const SHOW_FLAGS: &[&str] = &[
+    "--file",
+    "--format",
+    "--paper",
+    "--h",
+    "--seeds",
+    "--warmup",
+    "--measure",
+];
+
+/// Flags `run` reads: every flag `parse_options` knows.
+const RUN_FLAGS: &[&str] = &[
+    "--file",
+    "--format",
+    "--paper",
+    "--h",
+    "--seeds",
+    "--warmup",
+    "--measure",
+    "--threads",
+    "--shards",
+    "--out",
+    "--quiet",
+];
+
+/// Parse the arguments of `command`, which reads only the `accepted`
+/// flags: any other flag is a usage error, never a silent no-op.
+fn parse_options(command: &str, accepted: &[&str], args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         names: Vec::new(),
         file: None,
@@ -128,11 +131,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         shards: None,
         out: None,
         format: None,
-        baseline: None,
-        group: None,
         quiet: false,
-        quick: false,
-        scale: Scale::from_env(),
+        scale: Scale::default(),
     };
     let mut it = args.iter();
     let value = |flag: &str, it: &mut std::slice::Iter<String>| -> Result<String, String> {
@@ -142,6 +142,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            flag if flag.starts_with("--") && !accepted.contains(&flag) => {
+                return Err(format!("unknown option `{flag}` for `{command}`"))
+            }
             "--file" => opts.file = Some(value("--file", &mut it)?),
             "--threads" => {
                 opts.threads = value("--threads", &mut it)?
@@ -158,10 +161,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--out" => opts.out = Some(value("--out", &mut it)?),
             "--format" => opts.format = Some(value("--format", &mut it)?),
-            "--baseline" => opts.baseline = Some(value("--baseline", &mut it)?),
-            "--group" => opts.group = Some(value("--group", &mut it)?),
             "--quiet" => opts.quiet = true,
-            "--quick" => opts.quick = true,
             "--paper" => opts.scale = Scale::paper(),
             "--h" => {
                 opts.scale.h = value("--h", &mut it)?
@@ -184,7 +184,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--measure needs an integer".to_string())?
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
             name => opts.names.push(name.to_string()),
         }
     }
@@ -271,165 +270,6 @@ fn write_output(report: &ScenarioReport, path: &str, format: &str) -> Result<(),
     };
     std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
     Ok(())
-}
-
-fn bench(opts: Options) -> ExitCode {
-    // Never default onto a recorded baseline (BENCH_pr10.json): a single
-    // local run is ±20% noisy and must not silently replace the
-    // several-run recording `--baseline` compares against.
-    let out_path = opts.out.as_deref().unwrap_or("BENCH_current.json");
-    // Read (and validate) the baseline before the suite runs, so a typo'd
-    // path cannot waste the run.
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match from_json::<flexvc_bench::perf::BenchReport>(&text) {
-                Ok(b) => Some((path.clone(), b)),
-                Err(e) => {
-                    eprintln!("error: cannot parse baseline {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-    if let Some(g) = &opts.group {
-        if !flexvc_bench::perf::group_names().contains(&g.as_str()) {
-            eprintln!(
-                "error: unknown kernel group `{g}` (available: {})",
-                flexvc_bench::perf::group_names().join(", ")
-            );
-            return ExitCode::from(2);
-        }
-    }
-    if !opts.quiet {
-        eprintln!(
-            "[bench] running the {} kernel suite ({} profile)…",
-            opts.group.as_deref().unwrap_or("fixed"),
-            if opts.quick { "quick" } else { "full" }
-        );
-    }
-    let report =
-        match flexvc_bench::perf::run_bench(opts.quick, opts.shards, opts.group.as_deref(), |k| {
-            if !opts.quiet {
-                let shard_note = if k.shards > 1 {
-                    format!(", {} shards imb {:.2}", k.shards, k.shard_imbalance)
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "[bench] {:<28} {:>10.0} cycles/sec (x{}, accepted {:.3}{}{})",
-                    k.name,
-                    k.cycles_per_sec,
-                    k.repeats,
-                    k.accepted,
-                    shard_note,
-                    if k.deadlocked { ", DEADLOCK" } else { "" }
-                );
-            }
-        }) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    println!("| group | kernels | cycles/sec | geomean | pre-refactor | speedup |");
-    println!("|---|---|---|---|---|---|");
-    for g in &report.groups {
-        println!(
-            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.2}x |",
-            g.group,
-            g.kernels,
-            g.cycles_per_sec,
-            g.geomean_cycles_per_sec,
-            g.baseline_cycles_per_sec,
-            g.speedup_vs_baseline
-        );
-    }
-    // The partition, per-worker work time and exchange volume behind every
-    // kernel that ran as more than one block (last timed repeat): where
-    // the router ranges landed, how many blocks each was stepped in, how
-    // the port+terminal weight split, and how uneven the actual work was.
-    let sharded: Vec<_> = report
-        .kernels
-        .iter()
-        .filter(|k| !k.shard_stats.is_empty())
-        .collect();
-    if !sharded.is_empty() {
-        println!(
-            "\n| sharded kernel | workers | partition routers@weight | blocks \
-             | events/epoch | work s | imbalance |"
-        );
-        println!("|---|---|---|---|---|---|---|");
-        for k in sharded {
-            let column = |cell: fn(&flexvc_bench::perf::KernelShardStat) -> String| {
-                let cells: Vec<String> = k.shard_stats.iter().map(cell).collect();
-                cells.join(" ")
-            };
-            println!(
-                "| {} | {} | {} | {} | {:.0} | {} | {:.2} |",
-                k.name,
-                k.shards,
-                column(|s| format!("{}@{}", s.routers, s.weight)),
-                column(|s| s.blocks.to_string()),
-                k.events_per_epoch,
-                column(|s| format!("{:.2}", s.work_seconds)),
-                k.shard_imbalance
-            );
-        }
-    }
-    if let Some(k) = report.kernels.iter().find(|k| k.deadlocked) {
-        eprintln!(
-            "error: kernel {} deadlocked — the suite must simulate cleanly",
-            k.name
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(out_path, to_json_pretty(&report)) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if !opts.quiet {
-        eprintln!("[bench] report written to {out_path}");
-    }
-    if let Some((path, mut baseline)) = baseline {
-        // Under `--group` only the selected group ran; gating the
-        // baseline's other groups would fail them all as missing.
-        if let Some(g) = &opts.group {
-            baseline.groups.retain(|b| b.group == *g);
-        }
-        let (rows, pass) = flexvc_bench::perf::compare_reports_with(
-            &report,
-            &baseline,
-            0.15,
-            &[("fig5_h2", 0.10), ("smoke_h8", 0.10)],
-        );
-        println!("\nbaseline compare vs {path} (geomean gate per recorded group):");
-        println!("| group | geomean c/s | recorded | ratio | gate |");
-        println!("|---|---|---|---|---|");
-        for r in &rows {
-            println!(
-                "| {} | {:.0} | {:.0} | {:.2}x | {} |",
-                r.group,
-                r.current,
-                r.baseline,
-                r.ratio,
-                if r.pass { "ok" } else { "FAIL" }
-            );
-        }
-        if !pass {
-            eprintln!("error: geomean cycles/sec regression beyond tolerance vs {path}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn run(opts: Options) -> ExitCode {

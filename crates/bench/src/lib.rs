@@ -19,36 +19,29 @@
 //!
 //! This crate also keeps the series builders shared by the scenario
 //! definitions ([`oblivious_series`], [`reactive_series`],
-//! [`adaptive_series`]) and the environment-driven [`Scale`] control.
+//! [`adaptive_series`]) and the [`Scale`] control.
 //!
 //! ## Scale control
 //!
 //! The paper simulates an `h = 8` Dragonfly (2,064 routers) for 5×60k
 //! cycles per point — far beyond a laptop budget. The harness defaults to
 //! a scaled `h = 2` network with shorter windows that preserves every
-//! mechanism and the comparative shape of all results (see `DESIGN.md` §6).
-//! Environment variables (overridable by `flexvc` CLI flags) set the
-//! defaults:
-//!
-//! | Variable         | Meaning                            | Default |
-//! |------------------|------------------------------------|---------|
-//! | `FLEXVC_H`       | Dragonfly size parameter `h`       | 2       |
-//! | `FLEXVC_SEEDS`   | Repetitions per point              | 2       |
-//! | `FLEXVC_WARMUP`  | Warm-up cycles                     | 8,000   |
-//! | `FLEXVC_MEASURE` | Measurement window                 | 15,000  |
-//! | `FLEXVC_PAPER`   | `1` = full Table-V scale (h=8, 5 seeds, 60k cycles) | off |
+//! mechanism and the comparative shape of all results (see `DESIGN.md` §6):
+//! [`Scale::default`] is `h = 2`, seeds 1–2, 8,000 warm-up and 15,000
+//! measured cycles, [`Scale::paper`] the full Table V scale, and the
+//! `flexvc` CLI's scale flags (`--paper`, `--h`, `--seeds`, `--warmup`,
+//! `--measure`) are the one way to move between them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod perf;
 pub mod scenario;
 
 use flexvc_core::{Arrangement, RoutingMode};
 use flexvc_sim::prelude::*;
 use flexvc_traffic::{Pattern, Workload};
 
-/// Experiment scale resolved from the environment.
+/// Experiment scale: network size, seeds and simulation windows.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Dragonfly `h` (balanced: `p = h`, `a = 2h`, `g = 2h² + 1`).
@@ -61,31 +54,19 @@ pub struct Scale {
     pub measure: u64,
 }
 
-impl Scale {
-    /// Read the scale from the environment (see crate docs).
-    pub fn from_env() -> Self {
-        let env_u = |k: &str, d: u64| -> u64 {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        if std::env::var("FLEXVC_PAPER")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            return Scale::paper();
-        }
-        let h = env_u("FLEXVC_H", 2) as usize;
-        let n_seeds = env_u("FLEXVC_SEEDS", 2).max(1);
+/// The laptop scale: `h = 2`, seeds 1–2, 8,000 / 15,000 cycles.
+impl Default for Scale {
+    fn default() -> Self {
         Scale {
-            h,
-            seeds: (1..=n_seeds).collect(),
-            warmup: env_u("FLEXVC_WARMUP", 8_000),
-            measure: env_u("FLEXVC_MEASURE", 15_000),
+            h: 2,
+            seeds: vec![1, 2],
+            warmup: 8_000,
+            measure: 15_000,
         }
     }
+}
 
+impl Scale {
     /// The paper's full Table V scale (h = 8, 5 seeds, 60k-cycle windows).
     pub fn paper() -> Self {
         Scale {
@@ -449,7 +430,6 @@ mod tests {
 
     #[test]
     fn scale_default() {
-        // Don't rely on ambient env in tests; just exercise config building.
         let scale = test_scale();
         let cfg = scale.config(RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
         assert_eq!(cfg.warmup, 100);

@@ -571,7 +571,7 @@ fn paper_points(pattern: Pattern, series: &[Series]) -> Vec<PointSpec> {
 /// `dragonfly-paper`: the full Table V `h = 8` balanced Dragonfly (2,064
 /// routers, 16,512 nodes) — the scale the paper actually simulates, parked
 /// on the roadmap until the sharded engine landed. Windows and seeds follow
-/// the ambient [`Scale`] (use `FLEXVC_PAPER=1` for the 5×60k-cycle paper
+/// the ambient [`Scale`] (use `--paper` for the 5×60k-cycle paper
 /// methodology); run with `--shards 0` to spread each point's event loop
 /// over the host's cores.
 pub(super) fn dragonfly_paper(scale: &Scale) -> Scenario {
@@ -860,7 +860,7 @@ pub(super) fn smoke(_scale: &Scale) -> Scenario {
         name: "smoke".into(),
         title: "Smoke: 30-second sanity run (h = 2, tiny windows)".into(),
         description: "Four tiny points (Baseline vs FlexVC 4/2 at loads 0.3/0.9) to check \
-                      the toolchain end-to-end; ignores FLEXVC_* scale overrides."
+                      the toolchain end-to-end; ignores the scale flags."
             .into(),
         seeds: vec![1],
         points,

@@ -652,4 +652,42 @@ fn bad_input_fails_with_usage_errors() {
 
     let out = flexvc().args(["run"]).output().unwrap();
     assert!(!out.status.success());
+
+    // There is no `bench` command, and a flag the subcommand does not
+    // read is a usage error before anything runs — not a silent no-op.
+    for (args, needle) in [
+        (&["bench"][..], "unknown command `bench`"),
+        (
+            &["run", "smoke", "--quick"],
+            "unknown option `--quick` for `run`",
+        ),
+        (
+            &["run", "smoke", "--baseline", "x"],
+            "unknown option `--baseline` for `run`",
+        ),
+        (
+            &["show", "smoke", "--out", "x.json"],
+            "unknown option `--out` for `show`",
+        ),
+    ] {
+        let out = flexvc().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+
+    // `help` lists exactly the commands that exist, and neither the old
+    // bench harness nor the environment overrides of the scale.
+    let (help, _) = run_ok(flexvc().arg("help"));
+    let mut commands: Vec<&str> = help
+        .lines()
+        .filter_map(|l| l.strip_prefix("    flexvc "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    commands.dedup();
+    assert_eq!(commands, ["list", "show", "run", "help"], "{help}");
+    for gone in ["flexvc bench", "BENCH OPTIONS", "FLEXVC_"] {
+        assert!(!help.contains(gone), "`{gone}` in:\n{help}");
+    }
 }

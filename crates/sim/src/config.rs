@@ -455,9 +455,8 @@ pub struct SimConfig {
     pub warmup: u64,
     /// Measurement window in cycles. The paper measures 60,000 cycles at
     /// its full `h = 8` scale; [`SimConfig::dragonfly_baseline`] defaults
-    /// to 20,000 to match the reduced default network (use
-    /// `FLEXVC_PAPER=1` with the harness, or set this field, for the full
-    /// window).
+    /// to 20,000 to match the reduced default network (use `--paper`
+    /// with the harness, or set this field, for the full window).
     pub measure: u64,
     /// Forward-progress watchdog: abort and flag deadlock after this many
     /// cycles without any packet movement while packets are in flight.

@@ -480,13 +480,6 @@ pub struct BoundaryCounts {
     pub boards: u64,
 }
 
-impl BoundaryCounts {
-    /// All events, whatever their kind.
-    pub fn total(&self) -> u64 {
-        self.packets + self.credits + self.boards
-    }
-}
-
 /// One worker thread's share of the simulation.
 struct Worker {
     /// Index of the worker's first block; it owns `first .. first +
@@ -741,11 +734,6 @@ impl ShardedNetwork {
 
     fn blocks(&self) -> impl Iterator<Item = &Network> {
         self.workers.iter().flat_map(|w| &w.blocks)
-    }
-
-    /// Number of worker threads.
-    pub fn num_shards(&self) -> usize {
-        self.workers.len()
     }
 
     /// Current cycle (all blocks advance in lockstep).

@@ -19,7 +19,7 @@
 //!   figure/table as serializable data
 //!   ([`bench::scenario::Scenario`]), the
 //!   [`bench::scenario::ScenarioRegistry`] catalogue, and the `flexvc`
-//!   CLI binary that fronts them (`flexvc list|show|run|bench`).
+//!   CLI binary that fronts them (`flexvc list|show|run`).
 //! * [`mod@serde`] — the self-contained serialization layer (JSON/TOML
 //!   value model) that moves whole experiments through data files.
 //!
