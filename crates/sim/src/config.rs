@@ -7,6 +7,7 @@
 
 use crate::bank::MAX_VCS;
 use crate::builder::SimConfigBuilder;
+use crate::engine::MAX_ROUTER_INPUTS;
 use crate::error::ConfigError;
 use flexvc_core::classify::{classify, NetworkFamily, Support};
 use flexvc_core::policy::supports_baseline;
@@ -154,6 +155,28 @@ impl TopologySpec {
                 groups,
                 ..
             } => leaves * hosts_per_leaf * groups,
+        }
+    }
+
+    /// Unified inputs of the widest router — network ports plus attached
+    /// terminals — computed from the shape parameters alone (the engine's
+    /// per-router input masks are 64 bits wide; see
+    /// [`ConfigError::TooManyInputs`]).
+    pub fn router_inputs(&self) -> usize {
+        match self {
+            TopologySpec::DragonflyBalanced { h, .. } => (2 * h - 1) + h + h,
+            TopologySpec::Dragonfly { p, a, h, .. } => (a - 1) + h + p,
+            TopologySpec::FlatButterfly { k, p } => 2 * (k - 1) + p,
+            TopologySpec::HyperX { dims, p } => {
+                dims.iter().map(|&(s, k)| (s - 1) * k).sum::<usize>() + p
+            }
+            TopologySpec::DragonflyPlus {
+                leaves,
+                spines,
+                hosts_per_leaf,
+                global_mult,
+                groups,
+            } => leaves.max(spines) + global_mult * (groups - 1) / spines + hosts_per_leaf,
         }
     }
 
@@ -758,6 +781,13 @@ impl SimConfig {
             return Err(ConfigError::SingleNodeTopology);
         }
         self.topology.check_shape()?;
+        let inputs = self.topology.router_inputs();
+        if inputs > MAX_ROUTER_INPUTS {
+            return Err(ConfigError::TooManyInputs {
+                inputs,
+                max: MAX_ROUTER_INPUTS,
+            });
+        }
         let routers = self.topology.num_routers();
         if self.shards > routers {
             return Err(ConfigError::ShardsExceedRouters {
@@ -1052,6 +1082,75 @@ mod tests {
         assert_eq!(cfg.vc_capacity(Local), 32);
         assert_eq!(cfg.vc_capacity(Global), 256);
         assert_eq!(cfg.port_capacity(Local), 64);
+    }
+
+    /// A balanced Dragonfly router has `4h − 1` inputs: h = 16 (63) fits
+    /// the allocator's 64-bit input masks, h = 17 (67) is rejected with a
+    /// typed error instead of silently losing inputs 64 and up.
+    #[test]
+    fn routers_wider_than_the_input_masks_are_rejected() {
+        let at = |h| {
+            SimConfig::dragonfly_baseline(
+                h,
+                RoutingMode::Min,
+                Workload::oblivious(Pattern::Uniform),
+            )
+        };
+        at(16).validate().unwrap();
+        assert_eq!(
+            at(17).validate(),
+            Err(ConfigError::TooManyInputs {
+                inputs: 67,
+                max: 64
+            })
+        );
+    }
+
+    /// `router_inputs` is computed from the shape alone; it must equal what
+    /// the built topology reports on every family.
+    #[test]
+    fn router_inputs_match_the_built_topology() {
+        let shapes = [
+            TopologySpec::DragonflyBalanced {
+                h: 3,
+                arrangement: GlobalArrangement::Palmtree,
+            },
+            TopologySpec::Dragonfly {
+                p: 3,
+                a: 5,
+                h: 2,
+                g: 7,
+                arrangement: GlobalArrangement::Palmtree,
+            },
+            TopologySpec::FlatButterfly { k: 4, p: 2 },
+            TopologySpec::HyperX {
+                dims: vec![(4, 1), (3, 2), (2, 3)],
+                p: 2,
+            },
+            TopologySpec::DragonflyPlus {
+                leaves: 3,
+                spines: 2,
+                hosts_per_leaf: 3,
+                global_mult: 2,
+                groups: 5,
+            },
+            TopologySpec::DragonflyPlus {
+                leaves: 2,
+                spines: 4,
+                hosts_per_leaf: 2,
+                global_mult: 4,
+                groups: 3,
+            },
+        ];
+        for spec in shapes {
+            spec.check_shape().unwrap();
+            let topo = spec.build();
+            assert_eq!(
+                spec.router_inputs(),
+                topo.num_ports() + topo.nodes_per_router(),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]

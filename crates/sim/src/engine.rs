@@ -31,30 +31,38 @@
 //!
 //! # Active-set scheduling
 //!
-//! The phases above define *what* happens each cycle; since the active-set
-//! rewrite they no longer sweep every router × port × VC to find it.
-//! Instead the engine maintains behavior-neutral worklists:
+//! The phases above define *what* happens each cycle; the engine neither
+//! sweeps every router × port × VC to find it nor polls state that cannot
+//! act yet. Work is woken, not searched for:
 //!
 //! * **timing wheels** for link events — packet heads and credits are
 //!   scheduled at their arrival cycle when they enter a link, so `deliver`
-//!   touches exactly the links with something due *now* — and scheduled
-//!   buffer releases, applied at their completion cycle;
-//! * **router worklists** for allocation (`queued > 0`) and route planning
-//!   (injection pushes/pops may expose an unplanned head);
-//! * **port worklists** for output serialization (non-empty output queue)
-//!   and Piggyback sensing (global-port credit state changed since the
-//!   last publish).
+//!   touches exactly the links with something due *now* — and a release
+//!   wheel for everything else that is due at a known cycle: buffer
+//!   releases, an output's next serialization (`max(ready_at, link
+//!   busy-until)`, or the same cycle when that is already now), a node's
+//!   next emission (each generator is drawn ahead on its own RNG, cycle by
+//!   cycle, up to the wheel horizon) and the deadline of a sleeping head;
+//! * **sleeping heads** — a head rejected at a gate that cannot pass
+//!   before a known cycle or a known port event leaves its input's
+//!   `awake` mask until that wake-up (see `EvalBlock`); routers stay on
+//!   the allocation worklist only while some input has an awake head and
+//!   a free feed (the router's `ready` mask);
+//! * **worklists** for route planning (injection pushes/pops may expose an
+//!   unplanned head), staged replies and Piggyback sensing (global-port
+//!   credit state changed since the last publish).
 //!
-//! Every worklist is conservative (a listed router may turn out to have no
-//! eligible work — identical to the old sweep visiting it) and complete
-//! (state only becomes eligible through events that mark the list), and
-//! iteration order across routers is independent by construction: routers
-//! only touch their own state, their own links, and credits of upstream
-//! links no other router writes in the same phase. The engine is therefore
-//! *bit-identical* to the full-sweep original — proven by
+//! Every wake-up is conservative (a woken head may still be rejected —
+//! identical to the old sweep evaluating it) and complete (a head sleeps
+//! only while its first failing gate provably keeps failing, and wakes at
+//! the cycle or on the event that can change it), and iteration order
+//! across routers, outputs and nodes is independent by construction:
+//! routers only touch their own state, their own links, and credits of
+//! upstream links no other router writes in the same phase. The engine is
+//! therefore *bit-identical* to the full-sweep original — proven by
 //! `tests/engine_equivalence.rs` against recorded pre-refactor snapshots —
-//! while skipping idle state entirely, which is what makes paper-scale
-//! (h = 8, 2,064 routers) Dragonfly runs tractable.
+//! while skipping idle and blocked state entirely, which is what makes
+//! paper-scale (h = 8, 2,064 routers) Dragonfly runs tractable.
 //!
 //! # Storage layout
 //!
@@ -63,8 +71,8 @@
 //! unified input (`r·n_in + i`: network ports, then injection queues), one
 //! `OutputRec` per output link (`r·pp + port`), one `NodeRec` per
 //! node, the credit mirrors `out_credit` (their own table because
-//! [`SenseView`] borrows a router's mirrors as a slice) and the per-VC
-//! skip memos. Everything immutable and topology-derived sits in the
+//! [`SenseView`] borrows a router's mirrors as a slice) and one wait-list
+//! link per input VC. Everything immutable and topology-derived sits in the
 //! shared `Fabric`. Packet queues (bank slabs, output queues, link
 //! pipelines) are demand-sized: empty at build, doubling under traffic,
 //! never past their worst-case bound — growth moves no packet and reads no
@@ -82,61 +90,26 @@ use crate::packet::{Packet, PlannedPath};
 use crate::plan::{min_plan, RoutePolicy, SenseView};
 use crate::sensing::{saturated_flags_into, GroupBoard};
 use crate::shard::{BoardEvent, CreditEvent, Outbox, PacketEvent};
+use crate::wheel::Wheel;
 use flexvc_core::policy::flexvc_options_lookahead;
 use flexvc_core::{CreditClass, HopKind, LinkClass, MessageClass, TrafficClass, VcPolicy};
 use flexvc_topology::Topology;
-use flexvc_traffic::NodeTraffic;
+use flexvc_traffic::{Emission, NodeTraffic};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-// The per-input VC bitmask is a `u16`.
+// The per-input VC bitmasks are `u16`s.
 const _: () = assert!(MAX_VCS <= u16::BITS as usize);
 
-/// A power-of-two timing wheel mapping future cycles to ids with an event
-/// due. Slots are reused (taken, drained, put back) so the steady state
-/// allocates nothing. Events may be scheduled at most `len` cycles ahead —
-/// the wheel is sized from the worst-case link event horizon
-/// (`max latency + packet size + slack`) at construction.
-#[derive(Debug)]
-struct Wheel<T> {
-    slots: Vec<Vec<T>>,
-    mask: u64,
-}
+/// Most unified inputs (network ports + terminals) a router may have: the
+/// width of the allocator's per-router input masks, enforced by
+/// [`SimConfig::validate`].
+pub(crate) const MAX_ROUTER_INPUTS: usize = u64::BITS as usize;
 
-impl<T> Wheel<T> {
-    fn new(horizon: u64) -> Self {
-        let n = horizon.max(4).next_power_of_two();
-        Wheel {
-            slots: (0..n).map(|_| Vec::new()).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Schedule an event for cycle `at` (clamped to `now + 1`: an event
-    /// created during cycle `now` is observable at the next matching phase
-    /// at the earliest, exactly like the original per-cycle sweep).
-    #[inline]
-    fn schedule(&mut self, now: u64, at: u64, ev: T) {
-        let at = at.max(now + 1);
-        debug_assert!(at - now <= self.mask + 1, "event beyond wheel horizon");
-        self.slots[(at & self.mask) as usize].push(ev);
-    }
-
-    /// Take the slot due at `now` (return it with [`Wheel::put_back`]).
-    #[inline]
-    fn take(&mut self, now: u64) -> Vec<T> {
-        std::mem::take(&mut self.slots[(now & self.mask) as usize])
-    }
-
-    /// Return a drained slot buffer, keeping its capacity.
-    #[inline]
-    fn put_back(&mut self, now: u64, mut slot: Vec<T>) {
-        slot.clear();
-        self.slots[(now & self.mask) as usize] = slot;
-    }
-}
+/// End of an intrusive wait list (see [`OutputRec::waiters`]).
+const NIL: u32 = u32::MAX;
 
 /// Append `id` to a worklist unless its membership flag is already set.
 #[inline]
@@ -157,10 +130,11 @@ struct OutPkt {
     vc: u8,
 }
 
-/// Scheduled buffer releases, addressed by record-table index.
+/// Timed events of the release wheel, addressed by record-table index.
 #[derive(Debug, Clone, Copy)]
 enum Pending {
-    /// Input VC occupancy release at transfer completion.
+    /// Input VC occupancy release at transfer completion — also the cycle
+    /// the input's feed frees up (`InputRec::busy`).
     Input {
         input: u32,
         vc: u8,
@@ -169,13 +143,17 @@ enum Pending {
     },
     /// Output buffer release when the tail leaves on the link.
     OutBuf { output: u32, phits: u32 },
+    /// The deadline of a head asleep on [`EvalBlock::Until`].
+    Wake { input: u32, vc: u8 },
+    /// The output's queue head can start on its link this cycle.
+    Serialize { output: u32 },
+    /// The node's drawn-ahead emission is due, or (none drawn) its
+    /// generator has been drawn up to this cycle and must be drawn on.
+    Generate { node: u32 },
 }
 
 /// Per-router record, indexed by owned-router offset.
 struct RouterRec {
-    /// Queued packets (network input + injection queues); non-zero keeps
-    /// the router on the allocation worklist.
-    queued: u32,
     /// Membership flags of the allocation / planning / sensing worklists.
     alloc_in: bool,
     plan_in: bool,
@@ -185,9 +163,11 @@ struct RouterRec {
     /// a round with zero nominations leaves every input unchanged, so the
     /// remaining `speedup` rounds of the same cycle are provable no-ops.
     settled: u64,
-    /// Bitmask of unified inputs with queued packets (valid when
-    /// `n_in <= 64`; stage 1 then visits only occupied ports).
-    in_mask: u64,
+    /// Bitmask of unified inputs (at most 64, see
+    /// [`SimConfig::validate`]) with an awake queued head and a free feed:
+    /// the inputs stage 1 visits. Non-zero keeps the router on the
+    /// allocation worklist.
+    ready: u64,
     /// Router-local RNG (Valiant picks, random VC selection).
     rng: SmallRng,
 }
@@ -201,8 +181,11 @@ struct InputRec {
     busy: u64,
     /// Stage-1 arbiter over the input's VCs.
     arb: RrArbiter,
-    /// Bitmask of VCs with queued packets — the allocator's VC-level skip.
+    /// Bitmask of VCs with queued packets.
     vc_mask: u16,
+    /// Bitmask of VCs whose head is not asleep (empty VCs are awake): the
+    /// allocator evaluates exactly `vc_mask & awake`.
+    awake: u16,
     /// Stage-1 QoS bypass counter (see `bypass_bound`).
     bypass: u32,
     /// Index in `outputs` of the link feeding this network input: where
@@ -210,21 +193,6 @@ struct InputRec {
     /// owned, where its credits return to (`u32::MAX` on injection queues
     /// and unwired ports).
     rx: u32,
-    /// Index of this input's VC 0 in the skip-memo table.
-    memo: u32,
-}
-
-/// Memoized head rejection of one input VC: provably still `None` while
-/// `until > now`, or while the epoch of output `port` still equals `epoch`
-/// (`u64::MAX` = no event key, deadline only). When an evaluation fails a
-/// gate, the same outcome is guaranteed until that gate can change — the
-/// gate precedes every policy/mutation path and a blocked head cannot be
-/// dequeued meanwhile.
-#[derive(Clone, Copy)]
-struct SkipMemo {
-    until: u64,
-    epoch: u64,
-    port: u16,
 }
 
 /// Per-output-link record (`router · pp + port`), followed in a shard by
@@ -232,12 +200,13 @@ struct SkipMemo {
 struct OutputRec {
     /// Crossbar feed busy-until.
     xbar: u64,
-    /// Event counter, bumped whenever a gate on this port can flip from
-    /// blocking to passing: a credit return (`deliver`) or an output-buffer
-    /// release (`process_pending`). An `EvalBlock::Event` rejection is
-    /// provably `None` while it is unchanged — credits and output
-    /// occupancy improve through these two events and nothing else.
-    epoch: u64,
+    /// Head of the intrusive list of input VCs asleep on
+    /// [`EvalBlock::Event`] for this port (`NIL` when empty; entries are
+    /// `input << wait_shift | vc`, linked through `Network::wait_next`).
+    /// Drained — every head woken — at the only two events that can flip
+    /// one of its gates from blocking to passing: a credit return
+    /// (`deliver`) and an output-buffer release (`process_pending`).
+    waiters: u32,
     /// Last credit-arrival cycle scheduled for this link: credit returns
     /// are batched per link per cycle, so a link already scheduled for
     /// cycle `at` skips the duplicate wheel push — `deliver` drains every
@@ -257,8 +226,6 @@ struct OutputRec {
     /// stays at least one packet; [`Network::repartition`] shifts them
     /// under occupancy pressure.
     cls_quota: [u32; 2],
-    /// Membership flag of the serialization worklist.
-    out_in: bool,
     /// Stage-2 arbiter over the router's unified inputs.
     arb: RrArbiter,
     /// Packets awaiting serialization (demand-sized up to `out_bound`).
@@ -270,10 +237,17 @@ struct OutputRec {
 /// Per-node record: the traffic side of an injection queue.
 struct NodeRec {
     gen: NodeTraffic,
+    /// First cycle `gen` has not been stepped for: it is drawn ahead of
+    /// the clock (see [`Network::draw_ahead`]).
+    drawn: u64,
+    /// The emission drawn for cycle `drawn - 1`, awaiting that cycle.
+    due: Option<Emission>,
     /// Index in `inputs` of the node's injection queue.
     input: u32,
     /// Staged replies: `(destination, ready_at)`.
     staging: VecDeque<(u32, u64)>,
+    /// Membership flag of the staged-reply worklist.
+    reply_in: bool,
     /// Consumption channel busy-until per message class.
     eject_busy: [u64; 2],
     /// Injection VC round-robin (non-reactive traffic).
@@ -297,19 +271,23 @@ enum Decision {
 /// Classification of a head-evaluation rejection by its *first failing
 /// gate* — the only gate whose state change can alter the outcome, since
 /// every gate behind it was never consulted and every gate moves
-/// monotonically against acceptance between events.
+/// monotonically against acceptance between events. A mutation-free
+/// rejection puts the head to sleep until that gate can change: the gate
+/// precedes every policy and mutation path, and a sleeping head cannot be
+/// dequeued, so re-evaluating it earlier would reject again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EvalBlock {
     /// Not classifiable (unexpected empty VC, or a gate with no tracked
-    /// improvement event): never memoized.
+    /// improvement event): the head stays awake.
     Never,
     /// Time-pure gate (crossbar or ejector busy-until, head phit not yet
     /// arrived, unplanned head awaiting next cycle's planning pass, reply
     /// queue full until next cycle's generation pass): `None` is
-    /// guaranteed strictly before the deadline.
+    /// guaranteed strictly before the deadline, when the head wakes.
     Until(u64),
     /// Event gate on an output port (credits exhausted or output buffer
-    /// full): `None` is guaranteed while the port's epoch is unchanged.
+    /// full): `None` is guaranteed until the port sees a credit return or
+    /// an output-buffer release, which wake the port's waiters.
     Event(u16),
 }
 
@@ -323,8 +301,8 @@ pub struct Network {
     /// through this one object — the engine has no mode special cases.
     policy: RoutePolicy,
     /// Cached [`RoutePolicy::decides_in_transit`] for the allocator's hot
-    /// path (also disables the evaluation-skip memo, whose soundness
-    /// argument assumes evaluations do not mutate state).
+    /// path (also keeps every head awake: the sleeping-head argument
+    /// assumes evaluations do not mutate state).
     transit_decisions: bool,
     /// Cached [`RoutePolicy::is_static_min`]: injection planning bypasses
     /// the policy object (no `SenseView` setup, no dispatch) and calls
@@ -337,8 +315,11 @@ pub struct Network {
     /// Credit mirrors of the downstream input banks, indexed like the
     /// owned part of `outputs`.
     out_credit: Vec<Occupancy>,
-    /// Per-(input, VC) rejection memos (see [`InputRec::memo`]).
-    memo: Vec<SkipMemo>,
+    /// Wait-list links, one per (input, VC) slot `input << wait_shift |
+    /// vc` (see [`OutputRec::waiters`]).
+    wait_next: Vec<u32>,
+    /// Bits of the VC part of a wait-list entry.
+    wait_shift: u32,
     nodes: Vec<NodeRec>,
     /// Growth bound of every output queue, in packets.
     out_bound: usize,
@@ -372,12 +353,19 @@ pub struct Network {
     /// (drained and routed to their owning block by the shard driver).
     outbox: Outbox,
     // --- active-set scheduling state (behavior-neutral bookkeeping) ---
-    /// Routers with queued packets: the allocation worklist.
+    /// Routers with a non-zero `ready` mask: the allocation worklist.
     alloc_list: Vec<u32>,
     /// Routers whose injection banks may hold an unplanned head.
     plan_list: Vec<u32>,
-    /// Outputs with queued output packets.
-    out_list: Vec<u32>,
+    /// Outputs whose queue head starts on its link this cycle.
+    ser_due: Vec<u32>,
+    /// Nodes whose [`Pending::Generate`] fired this cycle.
+    gen_due: Vec<u32>,
+    /// Nodes with staged replies.
+    reply_list: Vec<u32>,
+    /// Router visits of the allocator (tests: nothing is polled when idle).
+    #[cfg(test)]
+    router_visits: u64,
     /// Routers whose global-port credit state changed since the last
     /// Piggyback publish (empty unless PB routing).
     sense_list: Vec<u32>,
@@ -391,9 +379,10 @@ pub struct Network {
     /// have, cycle by cycle.
     #[cfg(debug_assertions)]
     shadow_cred: Wheel<u32>,
-    /// Timing wheel of scheduled buffer releases — releases are
-    /// commutative occupancy arithmetic, so wheel order is interchangeable
-    /// with the old per-router scan order.
+    /// Timing wheel of every other timed event (see [`Pending`]) —
+    /// releases are commutative occupancy arithmetic and wake-ups only set
+    /// bits or queue work for a later phase, so wheel order is
+    /// interchangeable with the old per-router scan order.
     rel_wheel: Wheel<Pending>,
     /// Allocation candidate scratch (one entry per unified input).
     cand: Vec<Option<(u8, Decision)>>,
@@ -414,8 +403,8 @@ pub struct Network {
     /// being re-evaluated — patience advances per visit.
     eval_mutated_here: bool,
     /// Why the last `evaluate_head` call rejected (see [`EvalBlock`]):
-    /// classifies the first failing gate so the rejection can be
-    /// memoized until that gate can actually change.
+    /// classifies the first failing gate so the head can sleep until that
+    /// gate can actually change.
     eval_block: EvalBlock,
     /// Whether the workload emits flows (`flow_tags` stays untouched —
     /// and flow tagging costs nothing — otherwise).
@@ -558,9 +547,9 @@ impl Network {
                     busy: 0,
                     arb: RrArbiter::new(fab.vcs_by_in[i] as usize),
                     vc_mask: 0,
+                    awake: u16::MAX,
                     bypass: 0,
                     rx,
-                    memo: ri as u32 * fab.memo_off[n_in] + fab.memo_off[i],
                 });
             }
         }
@@ -593,13 +582,12 @@ impl Network {
             .chain(replicas)
             .map(|port| OutputRec {
                 xbar: 0,
-                epoch: 0,
+                waiters: NIL,
                 cred_sched: 0,
                 occ: 0,
                 bypass: 0,
                 cls_occ: [0; 2],
                 cls_quota: quota(port),
-                out_in: false,
                 arb: RrArbiter::new(n_in),
                 queue: VecDeque::new(),
                 link: LinkState::with_capacity(window(port)),
@@ -619,12 +607,11 @@ impl Network {
         let routers = owned_r
             .clone()
             .map(|r| RouterRec {
-                queued: 0,
                 alloc_in: false,
                 plan_in: false,
                 sense_in: false,
                 settled: u64::MAX,
-                in_mask: 0,
+                ready: 0,
                 rng: SmallRng::seed_from_u64(
                     seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(r as u64 + 1),
                 ),
@@ -653,8 +640,11 @@ impl Network {
                         seed,
                         fab.perm.as_ref().map(|p| p[n]),
                     ),
+                    drawn: 0,
+                    due: None,
                     input: ((r - r0) * n_in + pp + n - fab.node_base[r] as usize) as u32,
                     staging: VecDeque::new(),
+                    reply_in: false,
                     eject_busy: [0; 2],
                     inj_rr: 0,
                 }
@@ -674,6 +664,10 @@ impl Network {
         // `packet_size` cycles after its grant and arrives one link latency
         // later; packet heads arrive one latency after transmit.
         let horizon = cfg.local_latency.max(cfg.global_latency) as u64 + size as u64 + 2;
+        // Release-wheel events fall at most one transfer (`packet_size`) or
+        // one router pipeline ahead; generators re-arm at its reach.
+        let rel_horizon = cfg.pipeline_latency as u64 + size as u64 + 2;
+        let wait_shift = Self::wait_shift(fab);
         let policy = RoutePolicy::new(&cfg);
         // In-transit decisions (PAR's divert mark, DAL's per-dimension
         // evaluation, adaptive copy re-selection) mutate packets during
@@ -695,14 +689,8 @@ impl Network {
             inputs,
             outputs,
             out_credit,
-            memo: vec![
-                SkipMemo {
-                    until: 0,
-                    epoch: u64::MAX,
-                    port: 0,
-                };
-                n_own * fab.memo_off[n_in] as usize
-            ],
+            wait_next: vec![NIL; (n_own * n_in) << wait_shift],
+            wait_shift,
             nodes,
             out_bound,
             boards,
@@ -719,13 +707,17 @@ impl Network {
             outbox: Outbox::default(),
             alloc_list: Vec::new(),
             plan_list: Vec::new(),
-            out_list: Vec::new(),
+            ser_due: Vec::new(),
+            gen_due: Vec::new(),
+            reply_list: Vec::new(),
+            #[cfg(test)]
+            router_visits: 0,
             sense_list: Vec::new(),
             pkt_wheel: Wheel::new(horizon),
             cred_wheel: Wheel::new(horizon),
             #[cfg(debug_assertions)]
             shadow_cred: Wheel::new(horizon),
-            rel_wheel: Wheel::new(horizon),
+            rel_wheel: Wheel::new(rel_horizon),
             cand: vec![None; n_in],
             cand_set: Vec::with_capacity(n_in),
             ports_scratch: Vec::with_capacity(pp),
@@ -746,16 +738,22 @@ impl Network {
         }
     }
 
-    /// Bytes of record tables (inputs, outputs, credit mirrors, skip memos)
-    /// one owned router adds to an engine instance: what every phase sweep
-    /// of a cycle touches, and so what the shard driver sizes its blocks
-    /// by. Queue contents are excluded — they follow the traffic.
+    /// Bytes of record tables (inputs, outputs, credit mirrors, wait-list
+    /// links) one owned router adds to an engine instance: what the phases
+    /// of a cycle touch, and so what the shard driver sizes its blocks by.
+    /// Queue contents are excluded — they follow the traffic.
     pub(crate) fn router_table_bytes(fab: &Fabric) -> usize {
         use std::mem::size_of;
         size_of::<RouterRec>()
             + fab.n_in * size_of::<InputRec>()
             + fab.pp * (size_of::<OutputRec>() + size_of::<Occupancy>())
-            + fab.memo_off[fab.n_in] as usize * size_of::<SkipMemo>()
+            + (fab.n_in << Self::wait_shift(fab)) * size_of::<u32>()
+    }
+
+    /// Bits of a wait-list entry's VC part: enough for the widest input.
+    fn wait_shift(fab: &Fabric) -> u32 {
+        let widest = fab.vcs_by_in.iter().copied().max().unwrap_or(1);
+        (widest as u32).next_power_of_two().trailing_zeros()
     }
 
     /// Whether this instance owns (steps) router `r`.
@@ -1069,6 +1067,18 @@ impl Network {
         (self.inputs.len(), self.outputs.len(), self.out_credit.len())
     }
 
+    /// Outstanding wake-up bookkeeping — non-empty wait lists, worklist
+    /// entries and wheel events — and the allocator's router visits so far
+    /// (tests: an idle network holds none and polls nothing).
+    #[cfg(test)]
+    fn scheduled(&self) -> (usize, u64) {
+        let waiting = self.outputs.iter().filter(|o| o.waiters != NIL).count();
+        let routers = self.alloc_list.len() + self.plan_list.len() + self.sense_list.len();
+        let due = self.ser_due.len() + self.gen_due.len() + self.reply_list.len();
+        let wheels = self.pkt_wheel.len() + self.cred_wheel.len() + self.rel_wheel.len();
+        (waiting + routers + due + wheels, self.router_visits)
+    }
+
     /// Replies staged at owned nodes but not yet injected (the drain
     /// conservation check counts them as pending).
     pub(crate) fn staged_pending(&self) -> i64 {
@@ -1148,19 +1158,80 @@ impl Network {
     // ------------------------------------------------------------------
 
     /// Queue `pkt` on VC `vc` of unified input `in_idx` of router offset
-    /// `ri` and put the router on the allocation worklist.
+    /// `ri`; a new head is awake (empty VCs always are).
     fn enqueue(&mut self, ri: usize, in_idx: usize, vc: usize, pkt: Packet, now: u64) {
         debug_assert!(vc < MAX_VCS);
-        let input = &mut self.inputs[ri * self.fabric.n_in + in_idx];
-        input.bank.push(vc, pkt);
-        input.vc_mask |= 1 << vc;
-        let router = &mut self.routers[ri];
-        router.queued += 1;
-        if in_idx < 64 {
-            router.in_mask |= 1 << in_idx;
-        }
-        mark(&mut self.alloc_list, &mut router.alloc_in, ri);
+        let input = ri * self.fabric.n_in + in_idx;
+        let rec = &mut self.inputs[input];
+        rec.bank.push(vc, pkt);
+        rec.vc_mask |= 1 << vc;
+        self.refresh_ready(input, now);
         self.last_progress = now;
+    }
+
+    /// Put `input` in its router's `ready` mask — and the router on the
+    /// allocation worklist — if the input has an awake head and a free
+    /// feed. Called wherever one of the two may have become true: a push,
+    /// a wake-up, the feed's release.
+    #[inline]
+    fn refresh_ready(&mut self, input: usize, now: u64) {
+        let rec = &self.inputs[input];
+        if rec.busy <= now && rec.vc_mask & rec.awake != 0 {
+            let n_in = self.fabric.n_in;
+            let ri = input / n_in;
+            let router = &mut self.routers[ri];
+            router.ready |= 1 << (input % n_in);
+            mark(&mut self.alloc_list, &mut router.alloc_in, ri);
+        }
+    }
+
+    /// Put the head of VC `vc` of `input` (router offset `ri`) to sleep
+    /// until the wake-up its rejection `block` names (see [`EvalBlock`]).
+    fn sleep(&mut self, ri: usize, input: usize, vc: usize, block: EvalBlock, now: u64) {
+        let (input32, vc8) = (input as u32, vc as u8);
+        match block {
+            EvalBlock::Never => return,
+            EvalBlock::Until(t) => {
+                let wake = Pending::Wake {
+                    input: input32,
+                    vc: vc8,
+                };
+                self.rel_wheel.schedule(now, t, wake);
+            }
+            EvalBlock::Event(port) => {
+                let out = &mut self.outputs[ri * self.fabric.pp + port as usize];
+                let id = (input << self.wait_shift | vc) as u32;
+                self.wait_next[id as usize] = out.waiters;
+                out.waiters = id;
+            }
+        }
+        let rec = &mut self.inputs[input];
+        debug_assert!(rec.awake & (1 << vc) != 0, "a sleeping head was evaluated");
+        rec.awake &= !(1 << vc);
+        if rec.vc_mask & rec.awake == 0 {
+            self.routers[ri].ready &= !(1 << (input % self.fabric.n_in));
+        }
+    }
+
+    /// Wake the head of VC `vc` of `input`: it is evaluated again at its
+    /// router's next allocation round with the input's feed free.
+    fn wake(&mut self, input: usize, vc: usize, now: u64) {
+        let rec = &mut self.inputs[input];
+        debug_assert!(rec.awake & (1 << vc) == 0 && rec.vc_mask & (1 << vc) != 0);
+        rec.awake |= 1 << vc;
+        self.refresh_ready(input, now);
+    }
+
+    /// Wake every head asleep on an event of output `o` (a credit return
+    /// or an output-buffer release just fired there).
+    fn wake_waiters(&mut self, o: usize, now: u64) {
+        let mut id = std::mem::replace(&mut self.outputs[o].waiters, NIL);
+        let vc_bits = (1 << self.wait_shift) - 1;
+        while id != NIL {
+            let next = self.wait_next[id as usize];
+            self.wake(id as usize >> self.wait_shift, id as usize & vc_bits, now);
+            id = next;
+        }
     }
 
     fn deliver(&mut self, now: u64) {
@@ -1211,9 +1282,9 @@ impl Network {
                 }
             }
             if any {
-                // Credits restore acceptance on this output port: wake its
-                // memoized rejections (see `OutputRec::epoch`).
-                out.epoch += 1;
+                // Credits restore acceptance on this output port: wake the
+                // heads asleep on it (see `OutputRec::waiters`).
+                self.wake_waiters(o, now);
                 if !self.boards.is_empty()
                     && (self.fabric.sense_all
                         || self.fabric.port_class[o % pp] == LinkClass::Global)
@@ -1260,16 +1331,25 @@ impl Network {
                     vc,
                     phits,
                     class,
-                } => self.inputs[input as usize]
-                    .bank
-                    .release(vc as usize, phits, class),
-                Pending::OutBuf { output, phits } => {
-                    let out = &mut self.outputs[output as usize];
-                    out.occ -= phits;
-                    // Output space restored: wake the port's memoized
-                    // rejections (see `OutputRec::epoch`).
-                    out.epoch += 1;
+                } => {
+                    let rec = &mut self.inputs[input as usize];
+                    rec.bank.release(vc as usize, phits, class);
+                    // The transfer that set `busy` is done: the feed is
+                    // free again.
+                    debug_assert_eq!(rec.busy, now);
+                    self.refresh_ready(input as usize, now);
                 }
+                Pending::OutBuf { output, phits } => {
+                    self.outputs[output as usize].occ -= phits;
+                    // Output space restored: wake the heads asleep on the
+                    // port (see `OutputRec::waiters`).
+                    self.wake_waiters(output as usize, now);
+                }
+                Pending::Wake { input, vc } => self.wake(input as usize, vc as usize, now),
+                // Generation and serialization run in their own phases,
+                // after every release of the cycle has been applied.
+                Pending::Serialize { output } => self.ser_due.push(output),
+                Pending::Generate { node } => self.gen_due.push(node),
             }
         }
         self.rel_wheel.put_back(now, due);
@@ -1280,64 +1360,41 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn generate(&mut self, now: u64) {
-        let size = self.cfg.packet_size;
-        let reactive = self.cfg.workload.is_reactive();
-        let in_window = self.in_window(now);
-        let n_in = self.fabric.n_in;
-        for nl in 0..self.nodes.len() {
-            let n = self.owned_n.start as usize + nl;
-            let input = self.nodes[nl].input as usize;
-            let (ri, in_idx) = (input / n_in, input % n_in);
-            // New requests from the pattern generator (muted while
-            // draining; staged replies below still flush).
-            if let Some(em) = (!self.draining)
-                .then(|| self.nodes[nl].gen.next(now))
-                .flatten()
-            {
-                if in_window {
-                    self.metrics.generated_packets += 1;
-                    self.metrics.generated_phits += size as u64;
-                }
-                let tclass = em.tclass;
-                let node = &mut self.nodes[nl];
-                let vc = if reactive {
-                    0
-                } else if self.qos_active && self.cfg.injection_vcs > 1 {
-                    // Injection-lane dedication: control owns injection
-                    // VC 0 and bulk round-robins over the remaining lanes,
-                    // so a saturated bulk queue cannot head-block control
-                    // at the NIC.
-                    match tclass {
-                        TrafficClass::Control => 0,
-                        TrafficClass::Bulk => {
-                            let lanes = self.cfg.injection_vcs as u8 - 1;
-                            let v = node.inj_rr % lanes;
-                            node.inj_rr = (v + 1) % lanes;
-                            v + 1
-                        }
-                    }
-                } else {
-                    let v = node.inj_rr;
-                    node.inj_rr = (v + 1) % self.cfg.injection_vcs as u8;
-                    v
-                } as usize;
-                if self.inputs[input].bank.occ.can_accept(vc, size) {
-                    let pkt = self.new_packet(
-                        n as u32,
-                        em.dest as u32,
-                        MessageClass::Request,
-                        tclass,
-                        now,
-                    );
-                    if let Some(tag) = em.flow {
-                        self.flow_tags.insert((pkt.src, pkt.id), tag);
-                    }
-                    self.inject(ri, in_idx, vc, pkt, now);
-                } else if in_window {
-                    self.metrics.dropped_packets += 1;
-                }
+        // New requests from the pattern generators, muted while draining
+        // (staged replies below still flush). Generators are armed in the
+        // first cycle, not at build, and from then on each node is visited
+        // only when its next emission — or its draw-ahead limit — is due.
+        if now == 0 && !self.draining {
+            for nl in 0..self.nodes.len() {
+                self.draw_ahead(nl, now);
             }
-            // Staged replies enter the reply injection VC when it has room.
+        }
+        let mut due = std::mem::take(&mut self.gen_due);
+        for &nl in &due {
+            let nl = nl as usize;
+            let em = self.nodes[nl].due.take();
+            // Drawn past the start of a drain: the per-cycle generator
+            // would never have been stepped for it.
+            if self.draining {
+                continue;
+            }
+            if let Some(em) = em {
+                self.emit(nl, em, now);
+            }
+            self.draw_ahead(nl, now);
+        }
+        due.clear();
+        self.gen_due = due;
+
+        // Staged replies enter the reply injection VC when it has room.
+        let size = self.cfg.packet_size;
+        let in_window = self.in_window(now);
+        let mut list = std::mem::take(&mut self.reply_list);
+        let mut li = 0;
+        while li < list.len() {
+            let nl = list[li] as usize;
+            let input = self.nodes[nl].input as usize;
+            let (ri, in_idx) = (input / self.fabric.n_in, input % self.fabric.n_in);
             while let Some(&(dst, ready)) = self.nodes[nl].staging.front() {
                 if ready > now || !self.inputs[input].bank.occ.can_accept(1, size) {
                     break;
@@ -1349,10 +1406,92 @@ impl Network {
                 }
                 // Replies exist only on reactive workloads, which QoS
                 // validation rejects: they are always bulk.
-                let pkt =
-                    self.new_packet(n as u32, dst, MessageClass::Reply, TrafficClass::Bulk, now);
+                let n = self.owned_n.start + nl as u32;
+                let pkt = self.new_packet(n, dst, MessageClass::Reply, TrafficClass::Bulk, now);
                 self.inject(ri, in_idx, 1, pkt, now);
             }
+            if self.nodes[nl].staging.is_empty() {
+                self.nodes[nl].reply_in = false;
+                list.swap_remove(li);
+            } else {
+                li += 1;
+            }
+        }
+        self.reply_list = list;
+    }
+
+    /// Step node `nl`'s generator from its first undrawn cycle on, exactly
+    /// as the per-cycle loop would — one [`NodeTraffic::next`] per cycle,
+    /// in cycle order, on the node's own RNG — emitting what falls on
+    /// `now` itself, until it yields an emission for a later cycle, which
+    /// is kept and scheduled. With none within the wheel's reach, a
+    /// re-arm is scheduled at that limit instead.
+    fn draw_ahead(&mut self, nl: usize, now: u64) {
+        let limit = now + self.rel_wheel.reach();
+        let node = Pending::Generate { node: nl as u32 };
+        loop {
+            let rec = &mut self.nodes[nl];
+            let c = rec.drawn;
+            if c > limit {
+                self.rel_wheel.schedule(now, limit, node);
+                return;
+            }
+            rec.drawn += 1;
+            let Some(em) = rec.gen.next(c) else {
+                continue;
+            };
+            if c == now {
+                self.emit(nl, em, now);
+            } else {
+                rec.due = Some(em);
+                self.rel_wheel.schedule(now, c, node);
+                return;
+            }
+        }
+    }
+
+    /// Inject node `nl`'s emission of cycle `now` into its injection queue
+    /// (dropped when the chosen VC is full).
+    fn emit(&mut self, nl: usize, em: Emission, now: u64) {
+        let size = self.cfg.packet_size;
+        let in_window = self.in_window(now);
+        if in_window {
+            self.metrics.generated_packets += 1;
+            self.metrics.generated_phits += size as u64;
+        }
+        let tclass = em.tclass;
+        let node = &mut self.nodes[nl];
+        let input = node.input as usize;
+        let vc = if self.cfg.workload.is_reactive() {
+            0
+        } else if self.qos_active && self.cfg.injection_vcs > 1 {
+            // Injection-lane dedication: control owns injection VC 0 and
+            // bulk round-robins over the remaining lanes, so a saturated
+            // bulk queue cannot head-block control at the NIC.
+            match tclass {
+                TrafficClass::Control => 0,
+                TrafficClass::Bulk => {
+                    let lanes = self.cfg.injection_vcs as u8 - 1;
+                    let v = node.inj_rr % lanes;
+                    node.inj_rr = (v + 1) % lanes;
+                    v + 1
+                }
+            }
+        } else {
+            let v = node.inj_rr;
+            node.inj_rr = (v + 1) % self.cfg.injection_vcs as u8;
+            v
+        } as usize;
+        if self.inputs[input].bank.occ.can_accept(vc, size) {
+            let n = self.owned_n.start + nl as u32;
+            let pkt = self.new_packet(n, em.dest as u32, MessageClass::Request, tclass, now);
+            if let Some(tag) = em.flow {
+                self.flow_tags.insert((pkt.src, pkt.id), tag);
+            }
+            let n_in = self.fabric.n_in;
+            self.inject(input / n_in, input % n_in, vc, pkt, now);
+        } else if in_window {
+            self.metrics.dropped_packets += 1;
         }
     }
 
@@ -1482,10 +1621,11 @@ impl Network {
         let mut ports_scratch = std::mem::take(&mut self.ports_scratch);
         debug_assert_eq!(cand.len(), n_in);
 
-        // Only routers with queued packets can produce decisions: arbiters
-        // do not advance and RNGs are not drawn on request-free visits, so
-        // skipping idle routers is exactly the full sweep minus no-ops.
-        // Routers are dropped from the worklist lazily once they drain.
+        // Only routers with an awake head on a free input can produce
+        // decisions: arbiters do not advance and RNGs are not drawn on
+        // request-free visits, so skipping the rest is exactly the full
+        // sweep minus no-ops. Routers are dropped from the worklist lazily
+        // once their `ready` mask empties.
         let mut list = std::mem::take(&mut self.alloc_list);
         let mut li = 0;
         // Request slots are mask-tracked (`req_mask` is rebuilt per port
@@ -1495,8 +1635,12 @@ impl Network {
         let mut reqs: [Option<Decision>; MAX_VCS] = [None; MAX_VCS];
         while li < list.len() {
             let ri = list[li] as usize;
+            #[cfg(test)]
+            {
+                self.router_visits += 1;
+            }
             let router = &mut self.routers[ri];
-            if router.queued == 0 {
+            if router.ready == 0 {
                 router.alloc_in = false;
                 list.swap_remove(li);
                 continue;
@@ -1507,69 +1651,45 @@ impl Network {
             if router.settled == now {
                 continue;
             }
+            let ready = router.ready;
+            // Every sleeping head of the router must still be rejected: it
+            // sleeps only while its first failing gate provably fails.
+            #[cfg(debug_assertions)]
+            for in_idx in 0..n_in {
+                let rec = &self.inputs[ri * n_in + in_idx];
+                let mut asleep = rec.vc_mask & !rec.awake;
+                while asleep != 0 {
+                    let vc = asleep.trailing_zeros() as usize;
+                    asleep &= asleep - 1;
+                    debug_assert!(
+                        self.evaluate_head(ri, in_idx, vc, now).is_none(),
+                        "sleeping head accepted at cycle {now}"
+                    );
+                }
+            }
             // Candidate scratch is cleared *selectively* (only slots set
             // this round, tracked in `cand_set`) — per-router memsets of
             // the whole array dominated the allocator at scale.
             debug_assert!(cand.iter().all(|c| c.is_none()));
             cand_set.clear();
             self.eval_mutated = false;
-            // Stage 1: each input port nominates one VC. Ports without a
-            // queued packet cannot request anything; when the unified input
-            // space fits a 64-bit mask (always, for our topologies) only
-            // occupied ports are visited at all.
-            let use_mask = n_in <= 64;
-            let mut occupied = if use_mask { router.in_mask } else { 0 };
-            // Fallback cursor for (hypothetical) routers wider than 64
-            // unified inputs: visit everything; the per-port queued check
-            // below still skips empty banks.
-            let mut lin_idx = 0usize;
-            loop {
-                let in_idx = if use_mask {
-                    if occupied == 0 {
-                        break;
-                    }
-                    let i = occupied.trailing_zeros() as usize;
-                    occupied &= occupied - 1;
-                    debug_assert!(i < n_in, "stale occupied-port bit");
-                    i
-                } else {
-                    if lin_idx >= n_in {
-                        break;
-                    }
-                    lin_idx += 1;
-                    lin_idx - 1
-                };
+            // Stage 1: each ready input nominates one of its awake VCs.
+            let mut inputs = ready;
+            while inputs != 0 {
+                let in_idx = inputs.trailing_zeros() as usize;
+                inputs &= inputs - 1;
                 let input = ri * n_in + in_idx;
-                if self.inputs[input].busy > now {
-                    continue;
-                }
+                debug_assert!(self.inputs[input].busy <= now, "busy input marked ready");
                 let mut req_mask: u32 = 0;
                 // Requesting VCs whose head is control-class (QoS stage-1
                 // priority; stays 0 when QoS is off).
                 let mut ctrl_mask: u32 = 0;
-                // VC-level skip: only VCs with queued packets (tracked in
-                // `vc_mask`, bank untouched) are evaluated.
-                let mut vc_bits = self.inputs[input].vc_mask;
+                let mut vc_bits = self.inputs[input].vc_mask & self.inputs[input].awake;
+                debug_assert!(vc_bits != 0, "ready input without an awake head");
                 while vc_bits != 0 {
                     let vc = vc_bits.trailing_zeros() as usize;
                     vc_bits &= vc_bits - 1;
                     debug_assert!(vc < self.fabric.vcs_by_in[in_idx] as usize);
-                    let sl = self.inputs[input].memo as usize + vc;
-                    let memo = self.memo[sl];
-                    if memo.until > now
-                        || memo.epoch == self.outputs[ri * pp + memo.port as usize].epoch
-                    {
-                        // Memoized rejection: provably still `None` — the
-                        // recorded deadline has not passed, or no event
-                        // fired on the blocking port since it was
-                        // recorded. A stale record can never match: the
-                        // head below it cannot leave without a grant, a
-                        // grant requires an acceptance, and an acceptance
-                        // requires the deadline to expire or the epoch to
-                        // move past the recorded value first.
-                        debug_assert!(self.evaluate_head(ri, in_idx, vc, now).is_none());
-                        continue;
-                    }
                     self.eval_mutated_here = false;
                     if let Some(d) = self.evaluate_head(ri, in_idx, vc, now) {
                         reqs[vc] = Some(d);
@@ -1579,32 +1699,12 @@ impl Network {
                         }
                     } else if !self.transit_decisions && !self.eval_mutated_here && !self.qos_active
                     {
-                        // Memoize the rejection by its first failing gate
-                        // (see `EvalBlock`). Heads that mutated (patience
-                        // ticks, reversions) must keep being visited, as
-                        // must in-transit deciders whose visit schedule is
-                        // part of the policy — neither records anything.
-                        match self.eval_block {
-                            EvalBlock::Never => {}
-                            // Deadline only; epoch key disabled.
-                            EvalBlock::Until(t) => {
-                                self.memo[sl] = SkipMemo {
-                                    until: t.max(now + 1),
-                                    epoch: u64::MAX,
-                                    port: memo.port,
-                                }
-                            }
-                            // Holds for the rest of this cycle (no events
-                            // fire during allocation) and beyond, until the
-                            // port sees an event.
-                            EvalBlock::Event(port) => {
-                                self.memo[sl] = SkipMemo {
-                                    until: now + 1,
-                                    epoch: self.outputs[ri * pp + port as usize].epoch,
-                                    port,
-                                }
-                            }
-                        }
+                        // Sleep on the first failing gate (see
+                        // `EvalBlock`). Heads that mutated (patience ticks,
+                        // reversions) must keep being visited, as must
+                        // in-transit deciders whose visit schedule is part
+                        // of the policy — neither sleeps.
+                        self.sleep(ri, input, vc, self.eval_block, now);
                     }
                 }
                 if req_mask == 0 {
@@ -1669,19 +1769,14 @@ impl Network {
             ports_scratch.sort_unstable();
             ports_scratch.dedup();
             // QoS stage-2: bitmask over unified inputs whose surviving
-            // forwarding candidate carries a control-class head (inputs are
-            // <= 64 on all our topologies; wider inputs read as bulk).
+            // forwarding candidate carries a control-class head.
             let mut ctrl_in: u64 = 0;
             if self.qos_active {
                 for &in_idx16 in cand_set.iter() {
                     let ii = in_idx16 as usize;
-                    if ii < 64 {
-                        if let Some((vc, Decision::Forward { .. })) = cand[ii] {
-                            if self.head_tclass(ri * n_in + ii, vc as usize)
-                                == TrafficClass::Control
-                            {
-                                ctrl_in |= 1 << ii;
-                            }
+                    if let Some((vc, Decision::Forward { .. })) = cand[ii] {
+                        if self.head_tclass(ri * n_in + ii, vc as usize) == TrafficClass::Control {
+                            ctrl_in |= 1 << ii;
                         }
                     }
                 }
@@ -1698,7 +1793,7 @@ impl Network {
                         let ii = in_idx16 as usize;
                         if matches!(cand[ii], Some((_, Decision::Forward { port: p, .. })) if p as usize == port)
                         {
-                            if ii < 64 && (ctrl_in >> ii) & 1 == 1 {
+                            if (ctrl_in >> ii) & 1 == 1 {
                                 has_ctrl = true;
                             } else {
                                 has_bulk = true;
@@ -1717,8 +1812,7 @@ impl Network {
                 }
                 let winner = out.arb.grant(|in_idx| {
                     matches!(cand[in_idx], Some((_, Decision::Forward { port: p, .. })) if p as usize == port)
-                        && want_ctrl
-                            .is_none_or(|w| (in_idx < 64 && (ctrl_in >> in_idx) & 1 == 1) == w)
+                        && want_ctrl.is_none_or(|w| ((ctrl_in >> in_idx) & 1 == 1) == w)
                 });
                 if let Some(in_idx) = winner {
                     let (vc, d) = cand[in_idx].take().expect("winner has candidate");
@@ -1839,8 +1933,8 @@ impl Network {
             // Output-side structural checks.
             if out.xbar > now {
                 // Time-pure: the crossbar frees at a known cycle (the
-                // caller memoizes the deadline; reverted heads never
-                // memoize — `eval_mutated_here` is already set).
+                // head sleeps until then; reverted heads never sleep —
+                // `eval_mutated_here` is already set).
                 self.eval_block = EvalBlock::Until(out.xbar);
                 return None;
             }
@@ -1852,7 +1946,7 @@ impl Network {
             // Dynamic-repartition admission gate: the head's class must
             // fit inside its phit quota of the downstream buffer.
             // Improves on a same-port credit return or a repartition in
-            // this class's favor (memoization is disabled under QoS).
+            // this class's favor (no head sleeps under QoS).
             if self.repart
                 && out.cls_occ[head.tclass.index()] + size > out.cls_quota[head.tclass.index()]
             {
@@ -2159,11 +2253,10 @@ impl Network {
         if rec.bank.vc_is_empty(vc_in) {
             rec.vc_mask &= !(1 << vc_in);
         }
+        // The feed is busy until `t_c`, when the input release below makes
+        // the input ready again.
         let router = &mut self.routers[ri];
-        router.queued -= 1;
-        if rec.bank.queued_packets() == 0 && in_idx < 64 {
-            router.in_mask &= !(1 << in_idx);
-        }
+        router.ready &= !(1 << in_idx);
         if in_idx >= self.fabric.pp {
             // The next injection-queue packet (if any) becomes an
             // unplanned head.
@@ -2240,7 +2333,16 @@ impl Network {
                 vc: out_vc,
             },
         );
-        mark(&mut self.out_list, &mut out.out_in, o);
+        if out.queue.len() == 1 {
+            // Zero pipeline latency on a free link: serialized this cycle.
+            let at = (now + self.cfg.pipeline_latency as u64).max(out.link.busy_until());
+            if at <= now {
+                self.ser_due.push(o as u32);
+            } else {
+                let ser = Pending::Serialize { output: o as u32 };
+                self.rel_wheel.schedule(now, at, ser);
+            }
+        }
         if !self.boards.is_empty()
             && (self.fabric.sense_all || self.fabric.port_class[port as usize] == LinkClass::Global)
         {
@@ -2280,9 +2382,10 @@ impl Network {
         // Reactive: the destination answers with a reply once the request
         // has fully arrived.
         if self.cfg.workload.is_reactive() && pkt.class == MessageClass::Request {
-            self.nodes[(pkt.dst - self.owned_n.start) as usize]
-                .staging
-                .push_back((pkt.src, done));
+            let nl = (pkt.dst - self.owned_n.start) as usize;
+            let node = &mut self.nodes[nl];
+            node.staging.push_back((pkt.src, done));
+            mark(&mut self.reply_list, &mut node.reply_in, nl);
         }
     }
 
@@ -2293,23 +2396,20 @@ impl Network {
     fn serialize_outputs(&mut self, now: u64) {
         let fab = &*self.fabric;
         let lid0 = self.r0() * fab.pp;
-        // Only output ports with queued packets can start a serialization;
-        // drained ports are dropped from the worklist lazily.
-        let mut list = std::mem::take(&mut self.out_list);
-        let mut li = 0;
-        while li < list.len() {
-            let o = list[li] as usize;
+        // Exactly the outputs whose head can start now: every output with
+        // a queued packet has one event outstanding, for the first cycle
+        // its head has cleared the router pipeline and the link has
+        // finished the previous packet (scheduled by `grant_forward` for a
+        // head entering an empty queue, below for its successors).
+        let mut due = std::mem::take(&mut self.ser_due);
+        for &o32 in &due {
+            let o = o32 as usize;
             let out = &mut self.outputs[o];
-            let Some(front) = out.queue.front() else {
-                out.out_in = false;
-                list.swap_remove(li);
-                continue;
-            };
-            li += 1;
-            if !out.link.is_free(now) || front.ready_at > now {
-                continue;
-            }
-            let OutPkt { pkt, vc, .. } = out.queue.pop_front().expect("front exists");
+            let OutPkt { pkt, vc, ready_at } = out.queue.pop_front().expect("scheduled head");
+            debug_assert!(
+                out.link.is_free(now) && ready_at <= now,
+                "early serialization"
+            );
             let size = pkt.size;
             let lat = fab.port_latency[o % fab.pp];
             let (dr, dp) = fab.adj[lid0 + o].expect("transmitting link is wired");
@@ -2346,10 +2446,17 @@ impl Network {
                     phits: size,
                 },
             );
+            // The link is now busy for this packet's `size` cycles.
+            if let Some(next) = self.outputs[o].queue.front() {
+                let at = next.ready_at.max(now + size as u64);
+                self.rel_wheel
+                    .schedule(now, at, Pending::Serialize { output: o as u32 });
+            }
             // Phits starting to move on a link count as progress.
             self.last_progress = now;
         }
-        self.out_list = list;
+        due.clear();
+        self.ser_due = due;
     }
 
     // ------------------------------------------------------------------
@@ -2447,5 +2554,43 @@ impl Network {
         if self.in_flight > 0 && now.saturating_sub(self.last_progress) > self.cfg.watchdog {
             self.metrics.deadlocked = true;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexvc_core::{Arrangement, RoutingMode};
+    use flexvc_traffic::{Pattern, Workload};
+
+    /// Nothing sleeps, waits or stays scheduled past the traffic: once a
+    /// drained network has been quiet for 1,000 cycles, every wait list,
+    /// worklist and wheel is empty, and 1,000 more cycles visit no router.
+    /// Saturated request–reply bursts with a zero-cycle pipeline cover
+    /// staged replies, sleeping heads, same-cycle serialization and the
+    /// generators' re-arms.
+    #[test]
+    fn a_drained_network_leaks_no_wake_ups() {
+        let mut cfg = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::reactive(Pattern::bursty()),
+        )
+        .with_flexvc(Arrangement::dragonfly_rr((3, 2), (2, 1)));
+        (cfg.pipeline_latency, cfg.warmup, cfg.measure) = (0, 300, 1_200);
+        let mut net = Network::new(cfg, 1.0, 3).unwrap();
+        let result = net.run();
+        assert!(
+            !result.deadlocked && result.accepted > 0.3,
+            "{}",
+            result.accepted
+        );
+        assert_eq!(net.drain(20_000), 0, "packets left");
+        let idle = |net: &mut Network| (0..1_000).for_each(|_| net.step());
+        idle(&mut net);
+        let (scheduled, visits) = net.scheduled();
+        assert_eq!(scheduled, 0, "wake-ups outstanding");
+        idle(&mut net);
+        assert_eq!(net.scheduled(), (0, visits), "idle routers polled");
     }
 }

@@ -357,6 +357,36 @@ pub fn points() -> Vec<EquivalencePoint> {
         30,
     );
 
+    // Scheduling corners: the timing cases the points above never reach.
+    // A zero-cycle router pipeline serializes a packet in the cycle it is
+    // granted; speedups of 1 and 3 change the crossbar transfer time and
+    // the number of allocation rounds per cycle; at load 0.02 a node's
+    // emission gaps are longer than the wheel horizon, and at load 0 a
+    // node never emits at all.
+    let mut pipe0 =
+        oblivious(RoutingMode::Min, Pattern::Uniform).with_flexvc(Arrangement::dragonfly(4, 2));
+    pipe0.pipeline_latency = 0;
+    add("corner_pipeline0_un_min_flexvc42", pipe0, 0.7, 31);
+    let mut speedup1 = oblivious(RoutingMode::Min, Pattern::Uniform);
+    speedup1.speedup = 1;
+    add("corner_speedup1_un_min_baseline", speedup1, 0.6, 32);
+    let mut speedup3 = oblivious(RoutingMode::Valiant, Pattern::bursty())
+        .with_flexvc(Arrangement::dragonfly(3, 2));
+    speedup3.speedup = 3;
+    add("corner_speedup3_bursty_val_flexvc32", speedup3, 0.8, 33);
+    add(
+        "corner_load002_rr_min_baseline",
+        reactive(RoutingMode::Min, Pattern::Uniform),
+        0.02,
+        34,
+    );
+    add(
+        "corner_load0_un_min_baseline",
+        oblivious(RoutingMode::Min, Pattern::Uniform),
+        0.0,
+        35,
+    );
+
     points
 }
 

@@ -75,6 +75,15 @@ pub enum ConfigError {
         /// The supported maximum.
         max: usize,
     },
+    /// A router has more unified inputs (network ports plus attached
+    /// terminals) than the width of the allocator's per-router input
+    /// masks.
+    TooManyInputs {
+        /// Unified inputs of the widest router.
+        inputs: usize,
+        /// The supported maximum.
+        max: usize,
+    },
     /// The topology parameters describe a shape the simulator cannot build
     /// (e.g. a HyperX with more than 3 dimensions or a degenerate axis).
     InvalidTopology {
@@ -176,6 +185,11 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyVcs { what, vcs, max } => {
                 write!(f, "{vcs} {what} VCs exceed the supported maximum of {max}")
             }
+            ConfigError::TooManyInputs { inputs, max } => write!(
+                f,
+                "routers with {inputs} inputs (network ports + terminals) exceed \
+                 the supported maximum of {max}"
+            ),
             ConfigError::InvalidTopology { why } => {
                 write!(f, "invalid topology: {why}")
             }
@@ -301,6 +315,19 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "18 local VCs exceed the supported maximum of 16"
+        );
+    }
+
+    #[test]
+    fn too_many_inputs_names_the_count_and_the_limit() {
+        let e = ConfigError::TooManyInputs {
+            inputs: 67,
+            max: 64,
+        };
+        assert_eq!(
+            e.to_string(),
+            "routers with 67 inputs (network ports + terminals) exceed the \
+             supported maximum of 64"
         );
     }
 

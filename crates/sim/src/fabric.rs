@@ -42,9 +42,6 @@ pub(crate) struct Fabric {
     pub port_total: Vec<u32>,
     /// VC count per unified input index.
     pub vcs_by_in: Vec<u8>,
-    /// Offset of each unified input's first VC in a router's run of the
-    /// per-VC skip-memo table; the last entry is the run length.
-    pub memo_off: Vec<u32>,
     /// Ports whose occupancy Piggyback sensing publishes: the global ports
     /// of a Dragonfly, or *every* network port on single-class topologies
     /// (flattened butterfly, HyperX — there is no global/local split to
@@ -108,10 +105,6 @@ impl Fabric {
                 None => cfg.injection_vcs,
             } as u8)
             .collect();
-        let mut memo_off = vec![0u32; pp + pn + 1];
-        for i in 0..pp + pn {
-            memo_off[i + 1] = memo_off[i] + vcs_by_in[i] as u32;
-        }
 
         // Precompute the baseline policy's pure (class, slot) -> (vc, pos)
         // mapping so the allocator's hottest path is a table lookup.
@@ -157,7 +150,6 @@ impl Fabric {
             port_total: port_class.iter().map(|&c| cfg.port_capacity(c)).collect(),
             port_class,
             vcs_by_in,
-            memo_off,
             sense_ports,
             sense_all,
             baseline_table,

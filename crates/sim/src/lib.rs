@@ -46,6 +46,7 @@ pub mod runner;
 pub mod sensing;
 pub mod serde_impls;
 pub mod shard;
+mod wheel;
 
 pub use bank::MAX_VCS;
 pub use builder::SimConfigBuilder;

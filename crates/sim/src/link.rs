@@ -203,6 +203,11 @@ impl LinkState {
         self.busy_until <= now
     }
 
+    /// First cycle the link can start a new serialization.
+    pub(crate) fn busy_until(&self) -> u64 {
+        self.busy_until
+    }
+
     /// Larger of the two pipelines' allocated capacities (never more than
     /// [`Self::window`]).
     pub(crate) fn capacity(&self) -> usize {

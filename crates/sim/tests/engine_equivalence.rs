@@ -590,6 +590,125 @@ const GOLDENS: &[Golden] = &[
         fct_p99: 0.0,
         slowdown_mean: 0.0,
     },
+    // Scheduling corners, recorded on the polling engine (every output and
+    // node visited each cycle, rejected heads re-checked against a memo)
+    // before heads, outputs and generators moved to timed wake-ups
+    // (`cargo run --release -p flexvc-sim --example record_goldens
+    // corner_pipeline0_un_min_flexvc42 corner_speedup1_un_min_baseline
+    // corner_speedup3_bursty_val_flexvc32 corner_load002_rr_min_baseline
+    // corner_load0_un_min_baseline`): same-cycle serialization, one and
+    // three allocation rounds per cycle, emission gaps beyond the wheel
+    // horizon, and a node that never emits.
+    Golden {
+        name: "corner_pipeline0_un_min_flexvc42",
+        accepted: 0.6934444444444444,
+        latency: 161.63344549484592,
+        latency_req: 161.63344549484592,
+        latency_rep: 0.0,
+        misroute_fraction: 0.0,
+        avg_hops: 2.332265128451637,
+        reverts_per_packet: 0.0,
+        drop_fraction: 0.0,
+        deadlocked: false,
+        latency_p99: 256.0,
+        hist_count: 18723,
+        local_vc_occupancy: &[
+            1.6049382716049383,
+            2.1790123456790123,
+            2.830246913580247,
+            2.675925925925926,
+        ],
+        global_vc_occupancy: &[6.685185185185185, 7.819444444444445],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
+    Golden {
+        name: "corner_speedup1_un_min_baseline",
+        accepted: 0.5915555555555555,
+        latency: 194.23046581517656,
+        latency_req: 194.23046581517656,
+        latency_rep: 0.0,
+        misroute_fraction: 0.0,
+        avg_hops: 2.339594290007513,
+        reverts_per_packet: 0.0,
+        drop_fraction: 0.0,
+        deadlocked: false,
+        latency_p99: 256.0,
+        hist_count: 15972,
+        local_vc_occupancy: &[5.361111111111111, 3.9444444444444446],
+        global_vc_occupancy: &[26.62037037037037],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
+    Golden {
+        name: "corner_speedup3_bursty_val_flexvc32",
+        accepted: 0.574962962962963,
+        latency: 950.6039680494717,
+        latency_req: 950.6039680494717,
+        latency_rep: 0.0,
+        misroute_fraction: 0.9855063128059779,
+        avg_hops: 3.187773769646998,
+        reverts_per_packet: 0.4310744653439835,
+        drop_fraction: 0.1232328869047619,
+        deadlocked: false,
+        latency_p99: 2048.0,
+        hist_count: 15524,
+        local_vc_occupancy: &[9.512345679012345, 8.12037037037037, 3.478395061728395],
+        global_vc_occupancy: &[46.85648148148148, 29.72222222222222],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
+    Golden {
+        name: "corner_load002_rr_min_baseline",
+        accepted: 0.019962962962962964,
+        latency: 127.19109461966605,
+        latency_req: 127.27838827838828,
+        latency_rep: 127.1015037593985,
+        misroute_fraction: 0.0,
+        avg_hops: 2.3376623376623376,
+        reverts_per_packet: 0.0,
+        drop_fraction: 0.0,
+        deadlocked: false,
+        latency_p99: 128.0,
+        hist_count: 539,
+        local_vc_occupancy: &[
+            0.033950617283950615,
+            0.018518518518518517,
+            0.040123456790123455,
+            0.040123456790123455,
+        ],
+        global_vc_occupancy: &[0.07407407407407407, 0.05555555555555555],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
+    Golden {
+        name: "corner_load0_un_min_baseline",
+        accepted: 0.0,
+        latency: 0.0,
+        latency_req: 0.0,
+        latency_rep: 0.0,
+        misroute_fraction: 0.0,
+        avg_hops: 0.0,
+        reverts_per_packet: 0.0,
+        drop_fraction: 0.0,
+        deadlocked: false,
+        latency_p99: 0.0,
+        hist_count: 0,
+        local_vc_occupancy: &[0.0, 0.0],
+        global_vc_occupancy: &[0.0],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
 ];
 
 /// Differential check: a 2-D unit-multiplicity HyperX is the same machine
