@@ -75,7 +75,7 @@ pub struct ScenarioReport {
 }
 
 /// Errors from [`run_scenario`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioRunError {
     /// The scenario failed validation before any simulation started.
     Invalid(ScenarioError),

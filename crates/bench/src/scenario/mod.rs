@@ -95,7 +95,7 @@ pub struct Scenario {
 }
 
 /// Why a scenario cannot run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// The scenario name is empty.
     UnnamedScenario,
@@ -147,8 +147,8 @@ impl std::error::Error for ScenarioError {
 }
 
 impl Scenario {
-    /// Validate the scenario: shape sanity plus `SimConfig::validate` on
-    /// every point.
+    /// Validate the scenario: shape sanity plus
+    /// `SimConfig::validate_point` on every point.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.name.trim().is_empty() {
             return Err(ScenarioError::UnnamedScenario);
@@ -161,7 +161,7 @@ impl Scenario {
         }
         for p in &self.points {
             p.cfg
-                .validate()
+                .validate_point(p.load)
                 .map_err(|source| ScenarioError::InvalidPoint {
                     series: p.series.clone(),
                     x: p.x.clone(),

@@ -677,6 +677,39 @@ fn bad_input_fails_with_usage_errors() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     }
 
+    // A scenario file the engine cannot run is rejected with its error,
+    // not a panic: an offered load outside [0, 1] and zero injection VCs
+    // once reached the generators' assertion and a division by zero.
+    for (i, (load, cfg, needle)) in [
+        ("1.5", "", "offered load 1.5 is outside [0, 1]"),
+        ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
+        ("0.3", "injection_vcs = 0", "injection_vcs must be positive"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let scenario = format!(
+            "name = \"bad\"\nseeds = [1]\n\n[[points]]\nload = {load}\n\n\
+             [points.cfg]\nwarmup = 10\nmeasure = 10\n{cfg}\n"
+        );
+        let path = std::env::temp_dir().join(format!("flexvc-bad-{}-{i}.toml", std::process::id()));
+        std::fs::write(&path, scenario).expect("write scenario");
+        let out = flexvc()
+            .args(["run", "--quiet", "--file"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        let output = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!out.status.success(), "load {load} {cfg}: {output}");
+        assert!(output.contains(needle), "{output}");
+        assert!(!output.contains("panicked"), "{output}");
+    }
+
     // `help` lists exactly the commands that exist, and neither the old
     // bench harness nor the environment overrides of the scale.
     let (help, _) = run_ok(flexvc().arg("help"));

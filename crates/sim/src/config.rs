@@ -824,6 +824,11 @@ impl SimConfig {
         if self.speedup == 0 {
             return Err(ConfigError::NonPositive { what: "speedup" });
         }
+        if self.injection_vcs == 0 {
+            return Err(ConfigError::NonPositive {
+                what: "injection_vcs",
+            });
+        }
         for (what, vcs) in [
             ("local", self.vcs_for_class(LinkClass::Local)),
             ("global", self.vcs_for_class(LinkClass::Global)),
@@ -919,6 +924,18 @@ impl SimConfig {
             return Err(ConfigError::PortBuffersBelowPacket);
         }
         Ok(())
+    }
+
+    /// [`SimConfig::validate`] plus the offered load a run pairs with the
+    /// configuration, which must lie in `[0, 1]` phits/node/cycle (NaN
+    /// does not): every engine constructor and batch runner checks both.
+    pub fn validate_point(&self, load: f64) -> Result<(), ConfigError> {
+        self.validate()?;
+        if (0.0..=1.0).contains(&load) {
+            Ok(())
+        } else {
+            Err(ConfigError::InvalidLoad { load })
+        }
     }
 
     /// QoS sanity and deadlock-safety checks (part of

@@ -43,11 +43,13 @@
 //!   busy-until)`, or the same cycle when that is already now), a node's
 //!   next emission (each generator is drawn ahead on its own RNG, cycle by
 //!   cycle, up to the wheel horizon) and the deadline of a sleeping head;
-//! * **sleeping heads** — a head rejected at a gate that cannot pass
-//!   before a known cycle or a known port event leaves its input's
-//!   `awake` mask until that wake-up (see `EvalBlock`); routers stay on
-//!   the allocation worklist only while some input has an awake head and
-//!   a free feed (the router's `ready` mask);
+//! * **sleeping heads** — every head rejected without being mutated
+//!   leaves its input's `awake` mask until the cycle or the port event
+//!   that can open its first failing gate (see `EvalBlock`); routers stay
+//!   on the allocation worklist only while some input has an awake head
+//!   and a free feed (the router's `ready` mask). In-transit deciders
+//!   sleep once their decision is latched, QoS heads like any other: the
+//!   priority and bypass state reads only heads that nominate;
 //! * **worklists** for route planning (injection pushes/pops may expose an
 //!   unplanned head), staged replies and Piggyback sensing (global-port
 //!   credit state changed since the last publish).
@@ -63,6 +65,12 @@
 //! `tests/engine_equivalence.rs` against recorded pre-refactor snapshots —
 //! while skipping idle and blocked state entirely, which is what makes
 //! paper-scale (h = 8, 2,064 routers) Dragonfly runs tractable.
+//!
+//! Arbitration works on words: stage 1 passes an input's requesting-VC
+//! mask, stage 2 one request vector per output over the router's inputs
+//! (built while the nominations are collected, visited in ascending port
+//! order), and every round-robin grant is a priority encoder over that
+//! vector ([`RrArbiter::grant_mask`]).
 //!
 //! # Storage layout
 //!
@@ -158,11 +166,6 @@ struct RouterRec {
     alloc_in: bool,
     plan_in: bool,
     sense_in: bool,
-    /// Cycle at which the router was proven allocation-settled: under the
-    /// baseline policy (no per-evaluation packet mutation, no PAR divert),
-    /// a round with zero nominations leaves every input unchanged, so the
-    /// remaining `speedup` rounds of the same cycle are provable no-ops.
-    settled: u64,
     /// Bitmask of unified inputs (at most 64, see
     /// [`SimConfig::validate`]) with an awake queued head and a free feed:
     /// the inputs stage 1 visits. Non-zero keeps the router on the
@@ -203,9 +206,10 @@ struct OutputRec {
     /// Head of the intrusive list of input VCs asleep on
     /// [`EvalBlock::Event`] for this port (`NIL` when empty; entries are
     /// `input << wait_shift | vc`, linked through `Network::wait_next`).
-    /// Drained — every head woken — at the only two events that can flip
-    /// one of its gates from blocking to passing: a credit return
-    /// (`deliver`) and an output-buffer release (`process_pending`).
+    /// Drained — every head woken — at the only events that can flip one
+    /// of its gates from blocking to passing: a credit return (`deliver`),
+    /// an output-buffer release (`process_pending`) and a per-class quota
+    /// shift (`repartition`).
     waiters: u32,
     /// Last credit-arrival cycle scheduled for this link: credit returns
     /// are batched per link per cycle, so a link already scheduled for
@@ -285,9 +289,10 @@ enum EvalBlock {
     /// queue full until next cycle's generation pass): `None` is
     /// guaranteed strictly before the deadline, when the head wakes.
     Until(u64),
-    /// Event gate on an output port (credits exhausted or output buffer
-    /// full): `None` is guaranteed until the port sees a credit return or
-    /// an output-buffer release, which wake the port's waiters.
+    /// Event gate on an output port (credits exhausted, output buffer
+    /// full, class quota full): `None` is guaranteed until the port sees a
+    /// credit return, an output-buffer release or a quota shift, which
+    /// wake the port's waiters.
     Event(u16),
 }
 
@@ -301,8 +306,7 @@ pub struct Network {
     /// through this one object — the engine has no mode special cases.
     policy: RoutePolicy,
     /// Cached [`RoutePolicy::decides_in_transit`] for the allocator's hot
-    /// path (also keeps every head awake: the sleeping-head argument
-    /// assumes evaluations do not mutate state).
+    /// path.
     transit_decisions: bool,
     /// Cached [`RoutePolicy::is_static_min`]: injection planning bypasses
     /// the policy object (no `SenseView` setup, no dispatch) and calls
@@ -384,23 +388,14 @@ pub struct Network {
     /// bits or queue work for a later phase, so wheel order is
     /// interchangeable with the old per-router scan order.
     rel_wheel: Wheel<Pending>,
-    /// Allocation candidate scratch (one entry per unified input).
+    /// Allocation candidate scratch (one entry per unified input). A heap
+    /// `Vec` on purpose: it pins the heap, so warm rebuilds do not
+    /// re-fault the engine's tables (ROADMAP 1(c)).
     cand: Vec<Option<(u8, Decision)>>,
-    /// Input indices holding a candidate this round (selective clearing).
-    cand_set: Vec<u16>,
-    /// Output ports with a forwarding candidate this round.
-    ports_scratch: Vec<u16>,
-    /// Whether the settle shortcut is sound for this configuration.
-    can_settle: bool,
-    /// Set by `evaluate_head` when an evaluation semantically mutated a
-    /// packet this round (opportunistic patience counting, reversion) —
-    /// such a round is not provably repeatable and must not settle.
-    eval_mutated: bool,
-    /// Like `eval_mutated` but reset before every `evaluate_head` call:
-    /// tells the caller whether *this* evaluation mutated its head
-    /// (`eval_mutated` is sticky across a router visit, so it cannot
-    /// distinguish which call mutated). A mutating rejection must keep
-    /// being re-evaluated — patience advances per visit.
+    /// Set by `evaluate_head` when *this* evaluation mutated its head
+    /// (opportunistic patience tick, reversion, in-transit latch; reset by
+    /// the caller before each call). A mutating rejection keeps its head
+    /// awake: its next evaluation may differ.
     eval_mutated_here: bool,
     /// Why the last `evaluate_head` call rejected (see [`EvalBlock`]):
     /// classifies the first failing gate so the head can sleep until that
@@ -444,9 +439,10 @@ impl Network {
     /// Build a network for `cfg` at offered load `load` (phits/node/cycle)
     /// with deterministic `seed`. Fails with a typed
     /// [`ConfigError`](crate::error::ConfigError) when
-    /// the configuration does not pass [`SimConfig::validate`].
+    /// the configuration or the load does not pass
+    /// [`SimConfig::validate_point`].
     pub fn new(cfg: SimConfig, load: f64, seed: u64) -> Result<Self, crate::error::ConfigError> {
-        cfg.validate()?;
+        cfg.validate_point(load)?;
         let fabric = Arc::new(Fabric::new(&cfg, cfg.topology.build(), seed));
         Ok(Self::new_shard(cfg, load, seed, fabric, None))
     }
@@ -461,7 +457,7 @@ impl Network {
         seed: u64,
         topo: Arc<dyn Topology>,
     ) -> Result<Self, crate::error::ConfigError> {
-        cfg.validate()?;
+        cfg.validate_point(load)?;
         debug_assert_eq!(
             topo.num_routers(),
             cfg.topology.num_routers(),
@@ -610,7 +606,6 @@ impl Network {
                 alloc_in: false,
                 plan_in: false,
                 sense_in: false,
-                settled: u64::MAX,
                 ready: 0,
                 rng: SmallRng::seed_from_u64(
                     seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(r as u64 + 1),
@@ -669,12 +664,6 @@ impl Network {
         let rel_horizon = cfg.pipeline_latency as u64 + size as u64 + 2;
         let wait_shift = Self::wait_shift(fab);
         let policy = RoutePolicy::new(&cfg);
-        // In-transit decisions (PAR's divert mark, DAL's per-dimension
-        // evaluation, adaptive copy re-selection) mutate packets during
-        // evaluation, so such configurations never settle; FlexVC
-        // mutations (patience, reversion) are tracked per round via
-        // `eval_mutated`.
-        let transit_decisions = policy.decides_in_transit();
         let masks = |class| {
             [
                 cfg.qos_vc_mask(class, TrafficClass::Control),
@@ -683,7 +672,7 @@ impl Network {
         };
         Network {
             fast_min: policy.is_static_min(),
-            transit_decisions,
+            transit_decisions: policy.decides_in_transit(),
             policy,
             routers,
             inputs,
@@ -719,10 +708,6 @@ impl Network {
             shadow_cred: Wheel::new(horizon),
             rel_wheel: Wheel::new(rel_horizon),
             cand: vec![None; n_in],
-            cand_set: Vec::with_capacity(n_in),
-            ports_scratch: Vec::with_capacity(pp),
-            can_settle: !transit_decisions,
-            eval_mutated: false,
             eval_mutated_here: false,
             eval_block: EvalBlock::Never,
             has_flows: cfg.workload.flow_spec().is_some(),
@@ -919,7 +904,7 @@ impl Network {
         self.deliver(now);
         self.process_pending(now);
         if self.repart {
-            self.repartition();
+            self.repartition(now);
         }
         self.generate(now);
         self.plan_heads(now);
@@ -1126,13 +1111,12 @@ impl Network {
     /// already granted stay honored. The decision reads only router-local
     /// state and runs in the same phase slot on every shard, so sharded
     /// runs stay bit-identical.
-    fn repartition(&mut self) {
-        let fab = &*self.fabric;
-        let size = self.cfg.packet_size;
-        let owned = self.out_credit.len();
-        for (o, out) in self.outputs[..owned].iter_mut().enumerate() {
+    fn repartition(&mut self, now: u64) {
+        let (pp, size) = (self.fabric.pp, self.cfg.packet_size);
+        for o in 0..self.out_credit.len() {
+            let out = &mut self.outputs[o];
             let [cq, bq] = out.cls_quota;
-            if cq + bq != fab.port_total[o % fab.pp] {
+            if cq + bq != self.fabric.port_total[o % pp] {
                 continue; // port too small to split (inert quotas)
             }
             let [co, bo] = out.cls_occ;
@@ -1149,6 +1133,9 @@ impl Network {
             if out.cls_quota[donor] >= floor + size {
                 out.cls_quota[donor] -= size;
                 out.cls_quota[taker] += size;
+                // The taker's quota gate may pass now: wake the heads
+                // asleep on the port (see `OutputRec::waiters`).
+                self.wake_waiters(o, now);
             }
         }
     }
@@ -1222,8 +1209,9 @@ impl Network {
         self.refresh_ready(input, now);
     }
 
-    /// Wake every head asleep on an event of output `o` (a credit return
-    /// or an output-buffer release just fired there).
+    /// Wake every head asleep on an event of output `o` (a credit return,
+    /// an output-buffer release or a per-class quota shift just fired
+    /// there).
     fn wake_waiters(&mut self, o: usize, now: u64) {
         let mut id = std::mem::replace(&mut self.outputs[o].waiters, NIL);
         let vc_bits = (1 << self.wait_shift) - 1;
@@ -1617,8 +1605,6 @@ impl Network {
     fn allocate(&mut self, now: u64) {
         let (pp, n_in) = (self.fabric.pp, self.fabric.n_in);
         let mut cand = std::mem::take(&mut self.cand);
-        let mut cand_set = std::mem::take(&mut self.cand_set);
-        let mut ports_scratch = std::mem::take(&mut self.ports_scratch);
         debug_assert_eq!(cand.len(), n_in);
 
         // Only routers with an awake head on a free input can produce
@@ -1628,11 +1614,12 @@ impl Network {
         // once their `ready` mask empties.
         let mut list = std::mem::take(&mut self.alloc_list);
         let mut li = 0;
-        // Request slots are mask-tracked (`req_mask` is rebuilt per port
-        // visit and stale entries are never read), so one initialization
-        // serves the whole sweep — the per-visit re-init showed up at
-        // scale.
+        // Scratch slots are mask-tracked — `reqs` by the VC mask rebuilt
+        // per input, `cand` by the nomination mask (cleared selectively),
+        // `port_req` consumed (zeroed) by stage 2 — so nothing is
+        // re-initialized per router.
         let mut reqs: [Option<Decision>; MAX_VCS] = [None; MAX_VCS];
+        let mut port_req = [0u64; MAX_ROUTER_INPUTS];
         while li < list.len() {
             let ri = list[li] as usize;
             #[cfg(test)]
@@ -1646,11 +1633,6 @@ impl Network {
                 continue;
             }
             li += 1;
-            // Settled this cycle: an earlier round proved zero nominations
-            // under a mutation-free policy, so this round is a no-op too.
-            if router.settled == now {
-                continue;
-            }
             let ready = router.ready;
             // Every sleeping head of the router must still be rejected: it
             // sleeps only while its first failing gate provably fails.
@@ -1667,23 +1649,22 @@ impl Network {
                     );
                 }
             }
-            // Candidate scratch is cleared *selectively* (only slots set
-            // this round, tracked in `cand_set`) — per-router memsets of
-            // the whole array dominated the allocator at scale.
             debug_assert!(cand.iter().all(|c| c.is_none()));
-            cand_set.clear();
-            self.eval_mutated = false;
             // Stage 1: each ready input nominates one of its awake VCs.
+            let mut nominated: u64 = 0;
+            // Inputs whose nomination is a control-class head (QoS stage-2
+            // priority; stays 0 when QoS is off).
+            let mut ctrl_in: u64 = 0;
             let mut inputs = ready;
             while inputs != 0 {
                 let in_idx = inputs.trailing_zeros() as usize;
                 inputs &= inputs - 1;
                 let input = ri * n_in + in_idx;
                 debug_assert!(self.inputs[input].busy <= now, "busy input marked ready");
-                let mut req_mask: u32 = 0;
+                let mut req_mask: u64 = 0;
                 // Requesting VCs whose head is control-class (QoS stage-1
                 // priority; stays 0 when QoS is off).
-                let mut ctrl_mask: u32 = 0;
+                let mut ctrl_mask: u64 = 0;
                 let mut vc_bits = self.inputs[input].vc_mask & self.inputs[input].awake;
                 debug_assert!(vc_bits != 0, "ready input without an awake head");
                 while vc_bits != 0 {
@@ -1697,18 +1678,13 @@ impl Network {
                         if self.qos_active && self.head_tclass(input, vc) == TrafficClass::Control {
                             ctrl_mask |= 1 << vc;
                         }
-                    } else if !self.transit_decisions && !self.eval_mutated_here && !self.qos_active
-                    {
-                        // Sleep on the first failing gate (see
-                        // `EvalBlock`). Heads that mutated (patience ticks,
-                        // reversions) must keep being visited, as must
-                        // in-transit deciders whose visit schedule is part
-                        // of the policy — neither sleeps.
+                    } else if !self.eval_mutated_here {
+                        // Sleep on the first failing gate (see `EvalBlock`).
+                        // A head this evaluation mutated (patience tick,
+                        // reversion, in-transit latch) stays awake: its
+                        // next evaluation may differ.
                         self.sleep(ri, input, vc, self.eval_block, now);
                     }
-                }
-                if req_mask == 0 {
-                    continue; // a request-free grant would not move the arbiter
                 }
                 // QoS stage-1 strict priority with bounded bypass: when
                 // both classes request, control wins — but after
@@ -1716,7 +1692,7 @@ impl Network {
                 // one bulk nomination goes through and the counter resets,
                 // so bulk always makes progress.
                 let rec = &mut self.inputs[input];
-                let grant_mask = if self.qos_active && ctrl_mask != 0 && ctrl_mask != req_mask {
+                let grant_mask = if ctrl_mask != 0 && ctrl_mask != req_mask {
                     if rec.bypass >= self.bypass_bound {
                         rec.bypass = 0;
                         req_mask & !ctrl_mask
@@ -1727,114 +1703,75 @@ impl Network {
                 } else {
                     req_mask
                 };
-                if let Some(vc) = rec.arb.grant(|v| grant_mask & (1 << v) != 0) {
-                    let d = reqs[vc].expect("granted request");
-                    cand[in_idx] = Some((vc as u8, d));
-                    cand_set.push(in_idx as u16);
+                // A request-free grant moves nothing.
+                if let Some(vc) = rec.arb.grant_mask(grant_mask) {
+                    cand[in_idx] = Some((vc as u8, reqs[vc].expect("granted request")));
+                    nominated |= 1 << in_idx;
+                    ctrl_in |= (ctrl_mask >> vc & 1) << in_idx;
                 }
             }
-            if cand_set.is_empty() {
-                // Zero nominations: no arbiter moved, no RNG was drawn,
-                // and — when no evaluation mutated a packet (tracked via
-                // `eval_mutated`; baseline never does, FlexVC only on
-                // patience/reversion) — no packet changed either.
-                // Intra-cycle state is router-local, so every remaining
-                // allocation round of this cycle must reproduce the same
-                // empty outcome: settle the router until the next cycle.
-                if self.can_settle && !self.eval_mutated {
-                    self.routers[ri].settled = now;
-                }
-                continue; // stages 1.5/2 would be no-ops
-            }
-            // Stage 1.5: ejection grants (consumption channels). `cand_set`
-            // is in ascending `in_idx` order (stage 1 iterates ascending).
-            for &in_idx16 in &cand_set {
-                let in_idx = in_idx16 as usize;
-                if let Some((vc, Decision::Eject { channel })) = cand[in_idx] {
-                    cand[in_idx] = None;
-                    if *self.eject_busy(channel) <= now {
-                        self.grant_eject(ri, in_idx, vc as usize, channel, now);
-                    }
-                }
-            }
-            // Stage 2: output-port arbitration, only over ports with at
-            // least one forwarding candidate (an empty grant would not
-            // move the arbiter), in ascending port order.
-            ports_scratch.clear();
-            for &in_idx16 in cand_set.iter() {
-                if let Some((_, Decision::Forward { port, .. })) = cand[in_idx16 as usize] {
-                    ports_scratch.push(port);
-                }
-            }
-            ports_scratch.sort_unstable();
-            ports_scratch.dedup();
-            // QoS stage-2: bitmask over unified inputs whose surviving
-            // forwarding candidate carries a control-class head.
-            let mut ctrl_in: u64 = 0;
-            if self.qos_active {
-                for &in_idx16 in cand_set.iter() {
-                    let ii = in_idx16 as usize;
-                    if let Some((vc, Decision::Forward { .. })) = cand[ii] {
-                        if self.head_tclass(ri * n_in + ii, vc as usize) == TrafficClass::Control {
-                            ctrl_in |= 1 << ii;
+            // Stage 1.5, in ascending input order: ejection grants
+            // (consumption channels); each forwarding candidate joins its
+            // output's request vector instead.
+            let mut ports: u64 = 0;
+            let mut noms = nominated;
+            while noms != 0 {
+                let in_idx = noms.trailing_zeros() as usize;
+                noms &= noms - 1;
+                match cand[in_idx] {
+                    Some((vc, Decision::Eject { channel })) => {
+                        cand[in_idx] = None;
+                        if *self.eject_busy(channel) <= now {
+                            self.grant_eject(ri, in_idx, vc as usize, channel, now);
                         }
                     }
+                    Some((_, Decision::Forward { port, .. })) => {
+                        ports |= 1 << port;
+                        port_req[port as usize] |= 1 << in_idx;
+                    }
+                    None => unreachable!("nominated input without a candidate"),
                 }
             }
-            for &port16 in &ports_scratch {
-                let port = port16 as usize;
+            // Stage 2: output-port arbitration over the ports with a
+            // forwarding candidate, in ascending port order.
+            while ports != 0 {
+                let port = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let req = std::mem::take(&mut port_req[port]);
                 let out = &mut self.outputs[ri * pp + port];
                 // Same strict-priority-with-bounded-bypass rule as stage 1,
                 // now among the inputs competing for this output port.
-                let mut want_ctrl: Option<bool> = None;
-                if self.qos_active {
-                    let (mut has_ctrl, mut has_bulk) = (false, false);
-                    for &in_idx16 in cand_set.iter() {
-                        let ii = in_idx16 as usize;
-                        if matches!(cand[ii], Some((_, Decision::Forward { port: p, .. })) if p as usize == port)
-                        {
-                            if (ctrl_in >> ii) & 1 == 1 {
-                                has_ctrl = true;
-                            } else {
-                                has_bulk = true;
-                            }
-                        }
+                let (ctrl, bulk) = (req & ctrl_in, req & !ctrl_in);
+                let grant_mask = if ctrl != 0 && bulk != 0 {
+                    if out.bypass >= self.bypass_bound {
+                        out.bypass = 0;
+                        bulk
+                    } else {
+                        out.bypass += 1;
+                        ctrl
                     }
-                    if has_ctrl && has_bulk {
-                        if out.bypass >= self.bypass_bound {
-                            out.bypass = 0;
-                            want_ctrl = Some(false);
-                        } else {
-                            out.bypass += 1;
-                            want_ctrl = Some(true);
-                        }
-                    }
-                }
-                let winner = out.arb.grant(|in_idx| {
-                    matches!(cand[in_idx], Some((_, Decision::Forward { port: p, .. })) if p as usize == port)
-                        && want_ctrl.is_none_or(|w| ((ctrl_in >> in_idx) & 1 == 1) == w)
-                });
-                if let Some(in_idx) = winner {
-                    let (vc, d) = cand[in_idx].take().expect("winner has candidate");
-                    if let Decision::Forward {
-                        port,
-                        vc: out_vc,
-                        pos,
-                    } = d
-                    {
-                        self.grant_forward(ri, in_idx, vc as usize, port, out_vc, pos, now);
-                    }
+                } else {
+                    req
+                };
+                let in_idx = out.arb.grant_mask(grant_mask).expect("port with a request");
+                let (vc, d) = cand[in_idx].take().expect("winner has a candidate");
+                if let Decision::Forward {
+                    port,
+                    vc: out_vc,
+                    pos,
+                } = d
+                {
+                    self.grant_forward(ri, in_idx, vc as usize, port, out_vc, pos, now);
                 }
             }
-            // Selective clear for the next router.
-            for &in_idx16 in cand_set.iter() {
-                cand[in_idx16 as usize] = None;
+            // Clear the losers' slots for the next router.
+            while nominated != 0 {
+                cand[nominated.trailing_zeros() as usize] = None;
+                nominated &= nominated - 1;
             }
         }
         self.alloc_list = list;
         self.cand = cand;
-        self.cand_set = cand_set;
-        self.ports_scratch = ports_scratch;
     }
 
     /// Busy-until of a consumption channel (see [`Decision::Eject`]).
@@ -1877,7 +1814,11 @@ impl Network {
                 self.eval_block = EvalBlock::Until(now + 1);
                 return None;
             }
-            self.transit_decide(ri, in_idx, vc);
+            if self.transit_decide(ri, in_idx, vc) {
+                // Latched this visit: the head stays awake for one more
+                // visit, and every later evaluation in this buffer is pure.
+                self.eval_mutated_here = true;
+            }
         }
 
         // Forwarding evaluation with at most one reversion.
@@ -1946,7 +1887,7 @@ impl Network {
             // Dynamic-repartition admission gate: the head's class must
             // fit inside its phit quota of the downstream buffer.
             // Improves on a same-port credit return or a repartition in
-            // this class's favor (no head sleeps under QoS).
+            // this class's favor (both wake the port's waiters).
             if self.repart
                 && out.cls_occ[head.tclass.index()] + size > out.cls_quota[head.tclass.index()]
             {
@@ -2112,7 +2053,6 @@ impl Network {
                         }
                         // Opportunistic hop without downstream space: wait
                         // out the configured patience, then revert.
-                        self.eval_mutated = true;
                         self.eval_mutated_here = true;
                         let head = self.inputs[input].bank.head_mut(vc)?;
                         if head.opp_blocked < self.cfg.revert_patience {
@@ -2127,7 +2067,6 @@ impl Network {
                         return None;
                     }
                     reverted = true;
-                    self.eval_mutated = true;
                     self.eval_mutated_here = true;
                     let head = self.inputs[input].bank.head_mut(vc)?;
                     head.plan = min_plan(&*fab.topo, r, dst_r);
@@ -2142,12 +2081,13 @@ impl Network {
 
     /// In-transit decision point: hand the head to the routing policy
     /// (PAR divert, DAL per-dimension misroute, adaptive copy
-    /// re-selection) with the router-local sensed state.
-    fn transit_decide(&mut self, ri: usize, in_idx: usize, vc: usize) {
+    /// re-selection) with the router-local sensed state. Returns whether
+    /// the policy latched a decision on this call.
+    fn transit_decide(&mut self, ri: usize, in_idx: usize, vc: usize) -> bool {
         let fab = &*self.fabric;
         let pp = fab.pp;
         let Some(head) = self.inputs[ri * fab.n_in + in_idx].bank.head_mut(vc) else {
-            return;
+            return false;
         };
         let sense = SenseView {
             out_credit: &self.out_credit[ri * pp..(ri + 1) * pp],
@@ -2168,7 +2108,7 @@ impl Network {
             head,
             in_class.is_none(),
             in_class.unwrap_or(LinkClass::Local),
-        );
+        )
     }
 
     /// Return the credit for the buffer a grant just vacated on unified
@@ -2560,6 +2500,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::QosConfig;
     use flexvc_core::{Arrangement, RoutingMode};
     use flexvc_traffic::{Pattern, Workload};
 
@@ -2568,29 +2509,87 @@ mod tests {
     /// worklist and wheel is empty, and 1,000 more cycles visit no router.
     /// Saturated request–reply bursts with a zero-cycle pipeline cover
     /// staged replies, sleeping heads, same-cycle serialization and the
-    /// generators' re-arms.
+    /// generators' re-arms; saturated PAR under FlexVC covers in-transit
+    /// latches, patience and reversion; QoS repartitioning covers heads
+    /// asleep on class quotas and the shifts that wake them.
     #[test]
     fn a_drained_network_leaks_no_wake_ups() {
-        let mut cfg = SimConfig::dragonfly_baseline(
+        let mut rr = SimConfig::dragonfly_baseline(
             2,
             RoutingMode::Min,
             Workload::reactive(Pattern::bursty()),
         )
         .with_flexvc(Arrangement::dragonfly_rr((3, 2), (2, 1)));
-        (cfg.pipeline_latency, cfg.warmup, cfg.measure) = (0, 300, 1_200);
-        let mut net = Network::new(cfg, 1.0, 3).unwrap();
-        let result = net.run();
-        assert!(
-            !result.deadlocked && result.accepted > 0.3,
-            "{}",
-            result.accepted
-        );
-        assert_eq!(net.drain(20_000), 0, "packets left");
-        let idle = |net: &mut Network| (0..1_000).for_each(|_| net.step());
-        idle(&mut net);
-        let (scheduled, visits) = net.scheduled();
-        assert_eq!(scheduled, 0, "wake-ups outstanding");
-        idle(&mut net);
-        assert_eq!(net.scheduled(), (0, visits), "idle routers polled");
+        rr.pipeline_latency = 0;
+        let par = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Par,
+            Workload::oblivious(Pattern::adv1()),
+        )
+        .with_flexvc(Arrangement::dragonfly(4, 2));
+        let qos = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::oblivious(Pattern::Uniform).with_mix(0.3),
+        )
+        .with_flexvc(Arrangement::dragonfly(4, 2))
+        .with_qos(QosConfig {
+            control_quota_fraction: 0.25,
+            ..QosConfig::shared().with_repartition()
+        });
+        for (name, mut cfg, load, floor) in [
+            ("rr", rr, 1.0, 0.3),
+            ("par", par, 0.5, 0.15),
+            ("qos", qos, 0.8, 0.6),
+        ] {
+            (cfg.warmup, cfg.measure) = (300, 1_200);
+            let mut net = Network::new(cfg, load, 3).unwrap();
+            let result = net.run();
+            assert!(!result.deadlocked, "{name}: deadlocked");
+            assert!(result.accepted > floor, "{name}: {}", result.accepted);
+            assert_eq!(net.drain(20_000), 0, "{name}: packets left");
+            let idle = |net: &mut Network| (0..1_000).for_each(|_| net.step());
+            idle(&mut net);
+            let (scheduled, visits) = net.scheduled();
+            assert_eq!(scheduled, 0, "{name}: wake-ups outstanding");
+            idle(&mut net);
+            assert_eq!(net.scheduled(), (0, visits), "{name}: idle routers polled");
+        }
+    }
+
+    /// A quota shift opens a gate without a credit return or an
+    /// output-buffer release: a head asleep on its class quota must wake
+    /// when `repartition` grows that quota.
+    #[test]
+    fn a_quota_shift_wakes_the_ports_sleepers() {
+        let cfg = SimConfig::hyperx_baseline(
+            2,
+            4,
+            2,
+            RoutingMode::Min,
+            Workload::oblivious(Pattern::Uniform).with_mix(0.15),
+        )
+        .with_flexvc(Arrangement::generic(4))
+        .with_qos(QosConfig::shared().with_repartition());
+        let mut net = Network::new(cfg, 0.0, 1).unwrap();
+        let fab = Arc::clone(&net.fabric);
+        let (pp, size, total) = (fab.pp, net.cfg.packet_size, fab.port_total[0]);
+        // A bulk packet on router 0's first injection queue, bound for the
+        // neighbor behind port 0.
+        let (dr, _) = fab.adj[0].expect("port 0 is wired");
+        let dst = fab.node_base[dr as usize];
+        let pkt = net.new_packet(0, dst, MessageClass::Request, TrafficClass::Bulk, 0);
+        net.inject(0, pp, 0, pkt, 0);
+        net.plan_heads(0);
+        // Bulk fills its quota of the downstream buffer; control is idle.
+        let out = &mut net.outputs[0];
+        (out.cls_quota, out.cls_occ) = ([total - size, size], [0, size]);
+        let asleep = |net: &Network| net.inputs[pp].awake & 1 == 0;
+        net.allocate(0);
+        assert!(asleep(&net), "the head should sleep on its class quota");
+        net.repartition(0);
+        assert_eq!(net.outputs[0].cls_quota, [total - 2 * size, 2 * size]);
+        assert!(!asleep(&net), "the quota shift left its sleeper asleep");
+        assert!(net.evaluate_head(0, pp, 0, 0).is_some(), "the gate is open");
     }
 }

@@ -387,6 +387,41 @@ pub fn points() -> Vec<EquivalencePoint> {
         35,
     );
 
+    // Sleeping-head pins: the heads the allocator once re-evaluated every
+    // round. PAR under FlexVC latches its divert in transit and waits out
+    // opportunistic patience before reverting; adaptive copies re-pick the
+    // parallel link of a k = 2 HyperX in transit; QoS repartitioning with
+    // Random VC selection draws the router RNG under priority arbitration
+    // while per-class quotas shift.
+    add(
+        "sleep_par_adv_flexvc42_patience",
+        oblivious(RoutingMode::Par, Pattern::adv1()).with_flexvc(Arrangement::dragonfly(4, 2)),
+        0.5,
+        36,
+    );
+    let mut copies = smoke(SimConfig::hyperx_baseline(
+        2,
+        4,
+        2,
+        RoutingMode::Min,
+        Workload::oblivious(Pattern::Uniform),
+    ));
+    copies.topology = crate::config::TopologySpec::HyperX {
+        dims: vec![(4, 2); 2],
+        p: 2,
+    };
+    copies.adaptive_copies = true;
+    add("sleep_copies_hyperx2d_k2_min_baseline", copies, 0.8, 37);
+    let mut repart = oblivious(RoutingMode::Min, Pattern::Uniform)
+        .with_flexvc(Arrangement::dragonfly(4, 2))
+        .with_qos(QosConfig {
+            control_quota_fraction: 0.25,
+            ..QosConfig::shared().with_repartition()
+        });
+    repart.workload = Workload::oblivious(Pattern::Uniform).with_mix(0.3);
+    repart.selection = flexvc_core::VcSelection::Random;
+    add("sleep_qos_repart_random_df_min_flexvc42", repart, 0.8, 38);
+
     points
 }
 

@@ -10,12 +10,18 @@ use flexvc_core::{LinkClass, MessageClass, RoutingMode, TrafficClass};
 use std::fmt;
 
 /// A configuration that cannot be simulated deadlock-free (or at all).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A scalar parameter that must be strictly positive is zero.
     NonPositive {
         /// Which parameter.
         what: &'static str,
+    },
+    /// An offered load outside `[0, 1]` phits/node/cycle (or NaN): the
+    /// generators draw at most one emission per node per cycle.
+    InvalidLoad {
+        /// The rejected load.
+        load: f64,
     },
     /// A reactive workload needs a request+reply split arrangement.
     MissingReplyArrangement,
@@ -144,6 +150,9 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositive { what } => {
                 write!(f, "{what} must be positive")
             }
+            ConfigError::InvalidLoad { load } => {
+                write!(f, "offered load {load} is outside [0, 1] phits/node/cycle")
+            }
             ConfigError::MissingReplyArrangement => {
                 write!(f, "reactive workload requires a request+reply arrangement")
             }
@@ -243,9 +252,10 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// A batch run that could not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
-    /// A point's configuration failed [`crate::SimConfig::validate`].
+    /// A point's configuration or load failed
+    /// [`crate::SimConfig::validate_point`].
     InvalidPoint {
         /// Index of the point within the submitted batch.
         index: usize,
@@ -303,6 +313,25 @@ mod tests {
             "experiment point #3 is invalid: packet size must be positive"
         );
         assert!(r.source().is_some());
+    }
+
+    /// The two run-time panics these replace (a division by zero in the
+    /// injection round-robin, the generators' load assertion) now render
+    /// the offending value.
+    #[test]
+    fn injection_vcs_and_load_errors_render_the_value() {
+        let e = ConfigError::NonPositive {
+            what: "injection_vcs",
+        };
+        assert_eq!(e.to_string(), "injection_vcs must be positive");
+        assert_eq!(
+            ConfigError::InvalidLoad { load: 1.5 }.to_string(),
+            "offered load 1.5 is outside [0, 1] phits/node/cycle"
+        );
+        assert_eq!(
+            ConfigError::InvalidLoad { load: f64::NAN }.to_string(),
+            "offered load NaN is outside [0, 1] phits/node/cycle"
+        );
     }
 
     #[test]

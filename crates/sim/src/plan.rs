@@ -480,6 +480,10 @@ impl RoutePolicy {
     /// divert (its own `par_evaluated` latch keeps it idempotent), DAL's
     /// per-dimension misroute and adaptive copy re-selection (latched by
     /// `Packet::hop_decided`, cleared on every buffer entry).
+    ///
+    /// Returns whether this call latched a decision (`hop_decided` or
+    /// `par_evaluated` flipped). Every later call on the same head in the
+    /// same buffer reads and draws nothing: it returns `false` untouched.
     #[allow(clippy::too_many_arguments)]
     pub fn transit_update(
         &mut self,
@@ -490,12 +494,12 @@ impl RoutePolicy {
         head: &mut Packet,
         is_injection: bool,
         in_class: LinkClass,
-    ) {
-        if self.mode == RoutingMode::Par && !is_injection {
-            self.maybe_par_divert(topo, sense, rng, r, head, in_class);
-        }
+    ) -> bool {
+        let par_latched = self.mode == RoutingMode::Par
+            && !is_injection
+            && self.maybe_par_divert(topo, sense, rng, r, head, in_class);
         if head.hop_decided {
-            return;
+            return par_latched;
         }
         head.hop_decided = true;
         if self.mode == RoutingMode::Dal && !is_injection && head.planned && !head.plan.is_done() {
@@ -515,6 +519,7 @@ impl RoutePolicy {
                 head.flex_opts = None;
             }
         }
+        true
     }
 
     /// PAR: after the first minimal hop, decide whether to divert to a
@@ -522,7 +527,8 @@ impl RoutePolicy {
     /// Diverts exactly at the classic decision point: after one minimal
     /// *local* hop in the source group, before committing to the global hop
     /// (the divert slots l1.. lie between l0 and g2 in the reference;
-    /// diverting after a global hop would descend positions).
+    /// diverting after a global hop would descend positions). Returns
+    /// whether the head was evaluated (and latched) by this call.
     fn maybe_par_divert(
         &mut self,
         topo: &dyn Topology,
@@ -531,7 +537,7 @@ impl RoutePolicy {
         r: usize,
         head: &mut Packet,
         in_class: LinkClass,
-    ) {
+    ) -> bool {
         if head.par_evaluated
             || !head.min_routed
             || head.hops != 1
@@ -539,7 +545,7 @@ impl RoutePolicy {
             || in_class != LinkClass::Local
             || head.plan.next_hop().map(|h| h.class) != Some(LinkClass::Global)
         {
-            return;
+            return false;
         }
         head.par_evaluated = true;
         let dst_r = head.dst_router as usize;
@@ -548,7 +554,7 @@ impl RoutePolicy {
         let via = draw_via(topo, rng);
         let divert = par_divert_plan(topo, self.family, r, via, dst_r);
         let Some(first) = divert.next_hop() else {
-            return;
+            return true;
         };
         let q_val = sense.port_total(first.port);
         if choose_nonminimal(false, q_min, q_val, self.threshold_phits) {
@@ -557,6 +563,7 @@ impl RoutePolicy {
             head.derouted = true;
             head.flex_opts = None;
         }
+        true
     }
 
     /// DAL: misroute the plan's next correction pair through the

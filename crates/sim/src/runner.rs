@@ -48,7 +48,7 @@ pub struct PointProgress<'a> {
 /// (`sim::shard`): `cfg.shards` worker threads, each stepping cache-sized
 /// blocks of its routers; results are bit-identical for every count.
 pub fn run_one(cfg: &SimConfig, load: f64, seed: u64) -> Result<SimResult, ConfigError> {
-    cfg.validate()?;
+    cfg.validate_point(load)?;
     run_prebuilt(cfg, load, seed, cfg.topology.build())
 }
 
@@ -91,7 +91,7 @@ where
 {
     for (index, p) in points.iter().enumerate() {
         p.cfg
-            .validate()
+            .validate_point(p.load)
             .map_err(|source| RunError::InvalidPoint { index, source })?;
     }
     // Build each distinct topology once and share it across every point
@@ -349,6 +349,65 @@ mod tests {
             }
             other => panic!("unexpected error: {other}"),
         }
+    }
+
+    /// Loads outside [0, 1] — NaN included — and zero injection VCs are
+    /// typed errors at every entry point, not panics in the generators or
+    /// the injection round-robin.
+    #[test]
+    fn out_of_range_loads_and_zero_injection_vcs_are_rejected() {
+        use crate::{Network, ShardedNetwork};
+        let cfg = tiny_cfg();
+        let topo = cfg.topology.build();
+        for load in [1.5, -0.1, f64::NAN] {
+            let is_load = |e: ConfigError| matches!(e, ConfigError::InvalidLoad { load: l } if l.to_bits() == load.to_bits());
+            assert!(is_load(Network::new(cfg.clone(), load, 1).err().unwrap()));
+            let shared = Arc::clone(&topo);
+            assert!(is_load(
+                Network::with_topology(cfg.clone(), load, 1, shared)
+                    .err()
+                    .unwrap()
+            ));
+            assert!(is_load(
+                ShardedNetwork::new(cfg.clone(), load, 1).err().unwrap()
+            ));
+            let shared = Arc::clone(&topo);
+            assert!(is_load(
+                ShardedNetwork::with_topology(cfg.clone(), load, 1, shared)
+                    .err()
+                    .unwrap()
+            ));
+            assert!(is_load(
+                ShardedNetwork::with_block_budget(cfg.clone(), load, 1, 0)
+                    .err()
+                    .unwrap()
+            ));
+            assert!(is_load(run_one(&cfg, load, 1).unwrap_err()));
+            let points = [
+                Point {
+                    cfg: cfg.clone(),
+                    load: 0.2,
+                    seed: 1,
+                },
+                Point {
+                    cfg: cfg.clone(),
+                    load,
+                    seed: 1,
+                },
+            ];
+            match run_points_with_threads(&points, 1).unwrap_err() {
+                RunError::InvalidPoint { index: 1, source } => assert!(is_load(source)),
+                other => panic!("unexpected error: {other}"),
+            }
+        }
+        let mut no_lanes = tiny_cfg();
+        no_lanes.injection_vcs = 0;
+        assert_eq!(
+            Network::new(no_lanes, 0.2, 1).err(),
+            Some(ConfigError::NonPositive {
+                what: "injection_vcs"
+            })
+        );
     }
 
     #[test]

@@ -649,7 +649,7 @@ impl ShardedNetwork {
         seed: u64,
         topo: Arc<dyn Topology>,
     ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        cfg.validate_point(load)?;
         Ok(Self::build(cfg, load, seed, topo, BLOCK_BUDGET_BYTES))
     }
 
@@ -663,7 +663,7 @@ impl ShardedNetwork {
         seed: u64,
         budget: usize,
     ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        cfg.validate_point(load)?;
         let topo = cfg.topology.build();
         Ok(Self::build(cfg, load, seed, topo, budget))
     }

@@ -709,6 +709,83 @@ const GOLDENS: &[Golden] = &[
         fct_p99: 0.0,
         slowdown_mean: 0.0,
     },
+    // Sleeping-head pins, recorded on the engine that still re-evaluated
+    // in-transit deciders and QoS heads every allocation round (`cargo run
+    // --release -p flexvc-sim --example record_goldens
+    // sleep_par_adv_flexvc42_patience sleep_copies_hyperx2d_k2_min_baseline
+    // sleep_qos_repart_random_df_min_flexvc42`): PAR's latched divert with
+    // opportunistic patience and reversion, adaptive copy re-selection, and
+    // RNG draws under priority arbitration while quotas shift.
+    Golden {
+        name: "sleep_par_adv_flexvc42_patience",
+        accepted: 0.1905925925925926,
+        latency: 1891.0685969685192,
+        latency_req: 1891.0685969685192,
+        latency_rep: 0.0,
+        misroute_fraction: 0.605518849591916,
+        avg_hops: 3.6888845705402256,
+        reverts_per_packet: 0.2104547221142635,
+        drop_fraction: 0.39398496240601505,
+        deadlocked: false,
+        latency_p99: 2048.0,
+        hist_count: 5146,
+        local_vc_occupancy: &[
+            7.219135802469136,
+            9.37962962962963,
+            7.962962962962963,
+            0.5648148148148148,
+        ],
+        global_vc_occupancy: &[3.138888888888889, 1.0694444444444444],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
+    Golden {
+        name: "sleep_copies_hyperx2d_k2_min_baseline",
+        accepted: 0.7938333333333333,
+        latency: 90.11851774091959,
+        latency_req: 90.11851774091959,
+        latency_rep: 0.0,
+        misroute_fraction: 0.0,
+        avg_hops: 1.5532227587654839,
+        reverts_per_packet: 0.0,
+        drop_fraction: 0.0,
+        deadlocked: false,
+        latency_p99: 256.0,
+        hist_count: 9526,
+        local_vc_occupancy: &[1.6354166666666667, 2.3125],
+        global_vc_occupancy: &[],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
+    Golden {
+        name: "sleep_qos_repart_random_df_min_flexvc42",
+        accepted: 0.7782592592592592,
+        latency: 285.25465188216816,
+        latency_req: 285.25465188216816,
+        latency_rep: 0.0,
+        misroute_fraction: 0.0,
+        avg_hops: 2.335934897444439,
+        reverts_per_packet: 0.0,
+        drop_fraction: 0.0004177109440267335,
+        deadlocked: false,
+        latency_p99: 512.0,
+        hist_count: 21013,
+        local_vc_occupancy: &[
+            4.2253086419753085,
+            4.2407407407407405,
+            4.558641975308642,
+            2.20679012345679,
+        ],
+        global_vc_occupancy: &[23.87037037037037, 26.71759259259259],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
 ];
 
 /// Differential check: a 2-D unit-multiplicity HyperX is the same machine
