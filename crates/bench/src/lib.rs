@@ -268,7 +268,7 @@ pub fn dfplus_series(scale: &Scale, pattern: Pattern) -> Vec<Series> {
     base.measure = scale.measure;
     base.watchdog = (scale.warmup + scale.measure) / 2;
     let flex = |l: usize, g: usize| base.clone().with_flexvc(Arrangement::dragonfly(l, g));
-    let (ml, mg) = routing.min_dfplus_vcs();
+    let (ml, mg) = routing.min_dragonfly_vcs();
     let mut out = vec![
         Series::new("Baseline", base.clone()),
         Series::new(format!("FlexVC {ml}/{mg}VCs"), flex(ml, mg)),

@@ -679,11 +679,29 @@ fn bad_input_fails_with_usage_errors() {
 
     // A scenario file the engine cannot run is rejected with its error,
     // not a panic: an offered load outside [0, 1] and zero injection VCs
-    // once reached the generators' assertion and a division by zero.
+    // once reached the generators' assertion and a division by zero; a
+    // DAMQ reservation above the port memory, a burst shorter than one
+    // packet and a control fraction above one reached the bank's and the
+    // generators' assertions.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
         ("0.3", "injection_vcs = 0", "injection_vcs must be positive"),
+        (
+            "0.3",
+            "[points.cfg.buffers.organization]\nkind = \"damq\"\nprivate_fraction = 1.5",
+            "invalid buffers: DAMQ private_fraction must be in [0, 1]",
+        ),
+        (
+            "0.3",
+            "[points.cfg.workload]\npattern = { kind = \"bursty_uniform\", mean_burst = 0.5 }",
+            "invalid workload: bursty mean_burst must be at least one packet",
+        ),
+        (
+            "0.3",
+            "[points.cfg.workload]\npattern = \"uniform\"\ncontrol_fraction = 1.5",
+            "invalid workload: control_fraction must be in [0, 1]",
+        ),
     ]
     .into_iter()
     .enumerate()

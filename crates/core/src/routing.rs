@@ -127,21 +127,6 @@ impl RoutingMode {
         }
     }
 
-    /// Minimum safe Dragonfly+ `(local, global)` VC counts for the
-    /// *baseline* policy. Dragonfly+ (Megafly) minimal paths follow
-    /// `local-up — global — local-down`, the same `L G L` class texture as
-    /// the Dragonfly, and the baseline never leaves its planned slots — so
-    /// the baseline minima coincide with
-    /// [`RoutingMode::min_dragonfly_vcs`]: 2/1 for MIN, 4/2 for
-    /// VAL/PB/UGAL, 5/2 for PAR. The *classifier* boundaries differ
-    /// (FlexVC detours can strand packets on spines whose minimal escape
-    /// is `L L G L` — see `classify::NetworkFamily::DragonflyPlus`), which
-    /// is why Dragonfly+ has no opportunistic-below-minimum VAL
-    /// configuration the way the Dragonfly does.
-    pub fn min_dfplus_vcs(self) -> (usize, usize) {
-        self.min_dragonfly_vcs()
-    }
-
     /// Minimum safe VC count for the baseline policy in a generic
     /// single-class diameter-`dims` network — the HyperX analogue of
     /// Table V, where an `n`-dimensional HyperX has diameter `n`: MIN
@@ -262,25 +247,6 @@ mod tests {
         assert_eq!(RoutingMode::Par.min_dragonfly_vcs(), (5, 2));
         assert_eq!(RoutingMode::UgalL.min_dragonfly_vcs(), (4, 2));
         assert_eq!(RoutingMode::UgalG.min_dragonfly_vcs(), (4, 2));
-    }
-
-    #[test]
-    fn min_dfplus_vcs_match_the_dragonfly_baseline_minima() {
-        // The baseline never leaves its planned slots, so the Dragonfly+
-        // minima equal the Dragonfly's (the classifier boundaries differ —
-        // see classify::tests::dragonfly_plus_rows).
-        for mode in [
-            RoutingMode::Min,
-            RoutingMode::Valiant,
-            RoutingMode::Par,
-            RoutingMode::Piggyback,
-            RoutingMode::UgalL,
-            RoutingMode::UgalG,
-        ] {
-            assert_eq!(mode.min_dfplus_vcs(), mode.min_dragonfly_vcs());
-        }
-        assert_eq!(RoutingMode::Min.min_dfplus_vcs(), (2, 1));
-        assert_eq!(RoutingMode::Valiant.min_dfplus_vcs(), (4, 2));
     }
 
     #[test]

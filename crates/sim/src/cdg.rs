@@ -316,7 +316,7 @@ pub fn is_acyclic(edges: &[(BufferId, BufferId)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexvc_topology::{Dragonfly, FlatButterfly2D};
+    use flexvc_topology::{Dragonfly, HyperX};
 
     #[test]
     fn min_routes_strictly_increase() {
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn generic_valiant_routes_strictly_increase() {
-        let topo = FlatButterfly2D::new(4, 1);
+        let topo = HyperX::regular(2, 4, 1);
         let arr = Arrangement::generic(4);
         check_baseline_routes(
             &topo,
@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn min_cdg_acyclic_on_flatbf() {
-        let topo = FlatButterfly2D::new(4, 1);
+        let topo = HyperX::regular(2, 4, 1);
         let arr = Arrangement::generic(2);
         let edges = build_min_cdg(&topo, &arr, MessageClass::Request);
         assert!(is_acyclic(&edges));

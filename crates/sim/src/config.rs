@@ -1,12 +1,14 @@
 //! Simulation configuration (Table V of the paper plus policy knobs).
 //!
-//! Build configurations with [`SimConfig::builder`] (validating, typed
-//! errors) or the [`SimConfig::dragonfly_baseline`] convenience
-//! constructor; serialize them through `flexvc_serde` (see the
-//! `serde_impls` module) to move whole experiments through TOML/JSON.
+//! Start from a baseline constructor ([`SimConfig::dragonfly_baseline`],
+//! [`SimConfig::hyperx_baseline`], [`SimConfig::dfplus_baseline`]), which
+//! fills Table V and the minimum VC arrangement, assign the fields that
+//! differ, and call [`SimConfig::validate`] for a typed [`ConfigError`]
+//! instead of a panic later. Serialize configurations through
+//! `flexvc_serde` (see the `serde_impls` module) to move whole
+//! experiments through TOML/JSON.
 
 use crate::bank::MAX_VCS;
-use crate::builder::SimConfigBuilder;
 use crate::engine::MAX_ROUTER_INPUTS;
 use crate::error::ConfigError;
 use flexvc_core::classify::{classify, NetworkFamily, Support};
@@ -14,9 +16,7 @@ use flexvc_core::policy::supports_baseline;
 use flexvc_core::{
     Arrangement, LinkClass, MessageClass, RoutingMode, TrafficClass, VcPolicy, VcSelection,
 };
-use flexvc_topology::{
-    Dragonfly, DragonflyPlus, FlatButterfly2D, GlobalArrangement, HyperX, Topology,
-};
+use flexvc_topology::{Dragonfly, DragonflyPlus, GlobalArrangement, HyperX, Topology};
 use flexvc_traffic::{Pattern, Workload};
 use std::sync::Arc;
 
@@ -49,18 +49,12 @@ pub enum TopologySpec {
         /// Global wiring.
         arrangement: GlobalArrangement,
     },
-    /// `k × k` flattened butterfly with `p` terminals per router, treated
-    /// as a generic diameter-2 network.
-    FlatButterfly {
-        /// Routers per row/column.
-        k: usize,
-        /// Terminals per router.
-        p: usize,
-    },
     /// `n`-dimensional HyperX with per-dimension `(s, k)` shapes (`s`
     /// routers along the dimension, `k` parallel links per peer pair) and
     /// `p` terminals per router; a generic diameter-`n` network. The 2-D
-    /// unit-multiplicity instance coincides with [`FlatButterfly2D`].
+    /// unit-multiplicity instance is the `k × k` flattened butterfly, the
+    /// paper's generic diameter-2 network (documents spelling it
+    /// `kind = "flat_butterfly"` decode to it).
     HyperX {
         /// Per-dimension `(s, k)` pairs, dimension 0 first.
         dims: Vec<(usize, usize)>,
@@ -103,7 +97,6 @@ impl TopologySpec {
                 g,
                 arrangement,
             } => Arc::new(Dragonfly::new(p, a, h, g, arrangement)),
-            &TopologySpec::FlatButterfly { k, p } => Arc::new(FlatButterfly2D::new(k, p)),
             TopologySpec::HyperX { dims, p } => Arc::new(HyperX::new(dims.clone(), *p)),
             &TopologySpec::DragonflyPlus {
                 leaves,
@@ -128,7 +121,6 @@ impl TopologySpec {
         match self {
             TopologySpec::DragonflyBalanced { h, .. } => 2 * h * (2 * h * h + 1),
             TopologySpec::Dragonfly { a, g, .. } => a * g,
-            TopologySpec::FlatButterfly { k, .. } => k * k,
             TopologySpec::HyperX { dims, .. } => dims.iter().map(|&(s, _)| s).product(),
             TopologySpec::DragonflyPlus {
                 leaves,
@@ -147,7 +139,6 @@ impl TopologySpec {
         match self {
             TopologySpec::DragonflyBalanced { h, .. } => h * 2 * h * (2 * h * h + 1),
             TopologySpec::Dragonfly { p, a, g, .. } => p * a * g,
-            TopologySpec::FlatButterfly { k, p } => k * k * p,
             TopologySpec::HyperX { dims, p } => dims.iter().map(|&(s, _)| s).product::<usize>() * p,
             TopologySpec::DragonflyPlus {
                 leaves,
@@ -166,7 +157,6 @@ impl TopologySpec {
         match self {
             TopologySpec::DragonflyBalanced { h, .. } => (2 * h - 1) + h + h,
             TopologySpec::Dragonfly { p, a, h, .. } => (a - 1) + h + p,
-            TopologySpec::FlatButterfly { k, p } => 2 * (k - 1) + p,
             TopologySpec::HyperX { dims, p } => {
                 dims.iter().map(|&(s, k)| (s - 1) * k).sum::<usize>() + p
             }
@@ -183,7 +173,6 @@ impl TopologySpec {
     /// Classification family of the topology.
     pub fn family(&self) -> NetworkFamily {
         match self {
-            TopologySpec::FlatButterfly { .. } => NetworkFamily::Diameter2,
             TopologySpec::HyperX { dims, .. } => NetworkFamily::generic(dims.len().max(1)),
             TopologySpec::DragonflyPlus { .. } => NetworkFamily::DragonflyPlus,
             _ => NetworkFamily::Dragonfly,
@@ -206,11 +195,6 @@ impl TopologySpec {
                 }
                 if *g < 2 || *g > a * h + 1 {
                     return fail("Dragonfly group count must be in 2..=a*h+1");
-                }
-            }
-            TopologySpec::FlatButterfly { k, p } => {
-                if *k < 2 || *p < 1 {
-                    return fail("flattened butterfly needs k >= 2, p >= 1");
                 }
             }
             TopologySpec::HyperX { dims, p } => {
@@ -520,31 +504,54 @@ pub struct SimConfig {
     pub qos: Option<QosConfig>,
 }
 
-impl SimConfig {
-    /// Start building a configuration field by field; `build()` validates
-    /// and returns typed [`ConfigError`]s instead of panicking.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::new()
+/// The minimum arrangement on which the baseline policy supports `routing`
+/// on the topology family — Table V's 2/1 (MIN), 4/2 (VAL, PB, UGAL, DAL)
+/// and 5/2 (PAR) on both Dragonfly families, the generic diameter-`d`
+/// reference length on a HyperX — doubled into request/reply halves when
+/// `reactive`. Every baseline constructor and the decoder of documents
+/// that omit `arrangement` derive it here.
+///
+/// Dragonfly+ shares the Dragonfly's `L G L` texture and baseline minima;
+/// only its FlexVC classifier boundaries differ, and those are enforced by
+/// [`SimConfig::validate`], not by this default.
+pub fn default_arrangement(
+    family: NetworkFamily,
+    routing: RoutingMode,
+    reactive: bool,
+) -> Arrangement {
+    match family.generic_diameter() {
+        None => {
+            let (l, g) = routing.min_dragonfly_vcs();
+            if reactive {
+                Arrangement::dragonfly_rr((l, g), (l, g))
+            } else {
+                Arrangement::dragonfly(l, g)
+            }
+        }
+        Some(d) => {
+            let n = routing.min_hyperx_vcs(d);
+            if reactive {
+                Arrangement::generic_rr(n, n)
+            } else {
+                Arrangement::generic(n)
+            }
+        }
     }
+}
 
-    /// Baseline configuration on a balanced Dragonfly of size `h` for a
-    /// routing mode, with the minimum VC arrangement of Table V
-    /// (2/1 for MIN, 4/2 for VAL/PB, 5/2 for PAR; doubled when reactive).
-    pub fn dragonfly_baseline(h: usize, routing: RoutingMode, workload: Workload) -> Self {
-        let (l, g) = routing.min_dragonfly_vcs();
-        let arrangement = if workload.is_reactive() {
-            Arrangement::dragonfly_rr((l, g), (l, g))
-        } else {
-            Arrangement::dragonfly(l, g)
-        };
+impl SimConfig {
+    /// Table V on `topology`: the baseline policy on the minimum
+    /// arrangement for the routing/workload ([`default_arrangement`]),
+    /// JSQ selection, 8-phit packets, 10/100-cycle local/global links, a
+    /// 5-cycle pipeline, 2× speedup, 3 injection VCs, per-port sensing
+    /// with threshold 3, and 10k/20k-cycle windows at the reduced default
+    /// scale. The only place these defaults are written.
+    fn table_v(topology: TopologySpec, routing: RoutingMode, workload: Workload) -> Self {
         SimConfig {
-            topology: TopologySpec::DragonflyBalanced {
-                h,
-                arrangement: GlobalArrangement::default(),
-            },
+            arrangement: default_arrangement(topology.family(), routing, workload.is_reactive()),
+            topology,
             routing,
             policy: VcPolicy::Baseline,
-            arrangement,
             selection: VcSelection::Jsq,
             workload,
             packet_size: 8,
@@ -566,6 +573,17 @@ impl SimConfig {
         }
     }
 
+    /// Baseline configuration on a balanced Dragonfly of size `h` for a
+    /// routing mode, with the minimum VC arrangement of Table V
+    /// (2/1 for MIN, 4/2 for VAL/PB, 5/2 for PAR; doubled when reactive).
+    pub fn dragonfly_baseline(h: usize, routing: RoutingMode, workload: Workload) -> Self {
+        let topology = TopologySpec::DragonflyBalanced {
+            h,
+            arrangement: GlobalArrangement::default(),
+        };
+        Self::table_v(topology, routing, workload)
+    }
+
     /// Baseline configuration on a regular `n`-dimensional HyperX of `s`
     /// routers per dimension (unit link multiplicity) with `p` terminals,
     /// using the minimum generic arrangement for the routing mode
@@ -579,18 +597,11 @@ impl SimConfig {
         routing: RoutingMode,
         workload: Workload,
     ) -> Self {
-        let vcs = routing.min_hyperx_vcs(n);
-        let arrangement = if workload.is_reactive() {
-            Arrangement::generic_rr(vcs, vcs)
-        } else {
-            Arrangement::generic(vcs)
-        };
-        let mut cfg = Self::dragonfly_baseline(2, routing, workload);
-        cfg.topology = TopologySpec::HyperX {
+        let topology = TopologySpec::HyperX {
             dims: vec![(s, 1); n],
             p,
         };
-        cfg.arrangement = arrangement;
+        let mut cfg = Self::table_v(topology, routing, workload);
         // Single-class network: one uniform link latency.
         cfg.global_latency = cfg.local_latency;
         cfg
@@ -599,8 +610,7 @@ impl SimConfig {
     /// Baseline configuration on a Dragonfly+ with `leaves`/`spines`
     /// routers and `hosts_per_leaf` terminals per group, `groups` groups
     /// and one global link per group pair, using the minimum VC
-    /// arrangement for the routing mode
-    /// ([`RoutingMode::min_dfplus_vcs`] — the Dragonfly counts, since
+    /// arrangement for the routing mode (the Dragonfly counts, since
     /// Dragonfly+ shares the `L G L` reference texture; doubled when
     /// reactive). Local (fat-tree) links keep the Dragonfly local
     /// latency, global links the global one.
@@ -612,22 +622,14 @@ impl SimConfig {
         routing: RoutingMode,
         workload: Workload,
     ) -> Self {
-        let (l, g) = routing.min_dfplus_vcs();
-        let arrangement = if workload.is_reactive() {
-            Arrangement::dragonfly_rr((l, g), (l, g))
-        } else {
-            Arrangement::dragonfly(l, g)
-        };
-        let mut cfg = Self::dragonfly_baseline(2, routing, workload);
-        cfg.topology = TopologySpec::DragonflyPlus {
+        let topology = TopologySpec::DragonflyPlus {
             leaves,
             spines,
             hosts_per_leaf,
             global_mult: 1,
             groups,
         };
-        cfg.arrangement = arrangement;
-        cfg
+        Self::table_v(topology, routing, workload)
     }
 
     /// Switch to FlexVC with the given arrangement.
@@ -856,6 +858,24 @@ impl SimConfig {
         if let Some(spec) = self.workload.flow_spec() {
             self.check_flow_spec(spec, nodes)?;
         }
+        if let Workload::Synthetic { pattern, mix, .. } = self.workload {
+            let fail = |why| Err(ConfigError::InvalidWorkload { why });
+            if let Pattern::BurstyUniform { mean_burst } = pattern {
+                if mean_burst.is_nan() || mean_burst < 1.0 {
+                    return fail("bursty mean_burst must be at least one packet");
+                }
+            }
+            if mix.is_some_and(|m| !(0.0..=1.0).contains(&m.control_fraction)) {
+                return fail("control_fraction must be in [0, 1]");
+            }
+        }
+        if let BufferOrg::Damq { private_fraction } = self.buffers.organization {
+            if !(0.0..=1.0).contains(&private_fraction) {
+                return Err(ConfigError::InvalidBuffers {
+                    why: "DAMQ private_fraction must be in [0, 1]",
+                });
+            }
+        }
         for &msg in classes {
             match self.policy {
                 VcPolicy::Baseline => {
@@ -885,18 +905,14 @@ impl SimConfig {
                     {
                         // Name the classifier's safe minimum so the error
                         // tells the user which arrangement would work.
+                        let min = default_arrangement(family, self.routing, false);
                         let minimum = match family.generic_diameter() {
-                            Some(d) => {
-                                format!("{} single-class VCs", self.routing.min_hyperx_vcs(d))
-                            }
-                            None if family == NetworkFamily::DragonflyPlus => {
-                                let (l, g) = self.routing.min_dfplus_vcs();
-                                format!("{l}/{g} local/global VCs")
-                            }
-                            None => {
-                                let (l, g) = self.routing.min_dragonfly_vcs();
-                                format!("{l}/{g} local/global VCs")
-                            }
+                            Some(_) => format!("{} single-class VCs", min.total_vcs()),
+                            None => format!(
+                                "{}/{} local/global VCs",
+                                min.vc_count(LinkClass::Local),
+                                min.vc_count(LinkClass::Global)
+                            ),
                         };
                         return Err(ConfigError::InsufficientVcs {
                             routing: self.routing,
@@ -1086,6 +1102,136 @@ mod tests {
     use super::*;
     use flexvc_core::LinkClass::*;
 
+    /// The minimum-arrangement rule, pinned for every routing mode, both
+    /// workload kinds and every topology family: each `*_baseline`
+    /// constructor holds exactly what [`default_arrangement`] derives for
+    /// its spec. Combinations `validate` rejects (DAL off HyperX, PAR on
+    /// Dragonfly+) are compared too — this is about the derivation.
+    #[test]
+    fn baselines_hold_the_default_arrangement() {
+        let modes = [
+            RoutingMode::Min,
+            RoutingMode::Valiant,
+            RoutingMode::Par,
+            RoutingMode::Piggyback,
+            RoutingMode::UgalL,
+            RoutingMode::UgalG,
+            RoutingMode::Dal,
+        ];
+        for routing in modes {
+            for reactive in [false, true] {
+                let workload = if reactive {
+                    Workload::reactive(Pattern::Uniform)
+                } else {
+                    Workload::oblivious(Pattern::Uniform)
+                };
+                for cfg in [
+                    SimConfig::dragonfly_baseline(2, routing, workload),
+                    SimConfig::dfplus_baseline(2, 2, 2, 5, routing, workload),
+                    SimConfig::hyperx_baseline(1, 4, 2, routing, workload),
+                    SimConfig::hyperx_baseline(2, 4, 2, routing, workload),
+                    SimConfig::hyperx_baseline(3, 3, 2, routing, workload),
+                ] {
+                    let derived = default_arrangement(cfg.topology.family(), routing, reactive);
+                    assert_eq!(
+                        cfg.arrangement, derived,
+                        "{routing} reactive={reactive} {:?}",
+                        cfg.topology
+                    );
+                    assert_eq!(cfg.arrangement.has_reply_part(), reactive);
+                }
+            }
+        }
+        // Spot values: Table V's VAL 4/2 on both Dragonfly families, and
+        // the diameter-3 generic VAL reference (6 VCs) on a 3-D HyperX.
+        let val = |cfg: SimConfig| {
+            let a = cfg.arrangement;
+            (a.vc_count(Local), a.vc_count(Global), a.total_vcs())
+        };
+        let un = Workload::oblivious(Pattern::Uniform);
+        let v = RoutingMode::Valiant;
+        assert_eq!(val(SimConfig::dragonfly_baseline(2, v, un)), (4, 2, 6));
+        assert_eq!(
+            val(SimConfig::dfplus_baseline(2, 2, 2, 5, v, un)),
+            (4, 2, 6)
+        );
+        assert_eq!(val(SimConfig::hyperx_baseline(2, 4, 2, v, un)).2, 4);
+        assert_eq!(val(SimConfig::hyperx_baseline(3, 3, 2, v, un)).2, 6);
+    }
+
+    #[test]
+    fn invalid_combinations_are_typed_errors() {
+        let base = || {
+            SimConfig::dragonfly_baseline(
+                2,
+                RoutingMode::Valiant,
+                Workload::oblivious(Pattern::Uniform),
+            )
+        };
+        // FlexVC VAL on the 2/1 MIN arrangement: unsupported.
+        let err = base()
+            .with_flexvc(Arrangement::dragonfly_min())
+            .validate()
+            .unwrap_err();
+        assert!(matches!(err, ConfigError::InsufficientVcs { .. }), "{err}");
+        // The rendered rejection names the classifier's safe minimum.
+        assert!(err.to_string().contains("4/2 local/global VCs"), "{err}");
+
+        // Degenerate topology shapes are typed errors, not panics.
+        let mut cfg = base();
+        cfg.routing = RoutingMode::Min;
+        cfg.topology = TopologySpec::HyperX {
+            dims: vec![(2, 1); 4],
+            p: 1,
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::InvalidTopology { .. }), "{err}");
+
+        // Zero packet size.
+        let mut cfg = base();
+        cfg.packet_size = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::NonPositive { .. })
+        ));
+    }
+
+    /// A DAMQ reservation outside the port memory, a burst shorter than
+    /// one packet and a control fraction outside `[0, 1]` (NaN included)
+    /// are typed errors; each once passed `validate` and then tripped an
+    /// assertion in the bank or the generators.
+    #[test]
+    fn out_of_range_fractions_are_rejected() {
+        let with = |private_fraction, mean_burst, control_fraction| {
+            let pattern = Pattern::BurstyUniform { mean_burst };
+            let workload = Workload::oblivious(pattern).with_mix(control_fraction);
+            let mut cfg = SimConfig::dragonfly_baseline(2, RoutingMode::Min, workload);
+            cfg.buffers.organization = BufferOrg::Damq { private_fraction };
+            cfg.validate()
+        };
+        with(0.0, 1.0, 0.0).unwrap();
+        with(1.0, 1.0, 1.0).unwrap();
+        for bad in [1.5, -0.1, f64::NAN] {
+            let err = with(bad, 5.0, 0.1);
+            assert!(
+                matches!(err, Err(ConfigError::InvalidBuffers { .. })),
+                "{bad}"
+            );
+            let err = with(0.75, 5.0, bad);
+            assert!(
+                matches!(err, Err(ConfigError::InvalidWorkload { .. })),
+                "{bad}"
+            );
+        }
+        for bad in [0.5, f64::NAN] {
+            let err = with(0.75, bad, 0.1);
+            assert!(
+                matches!(err, Err(ConfigError::InvalidWorkload { .. })),
+                "{bad}"
+            );
+        }
+    }
+
     #[test]
     fn baseline_min_config_validates() {
         let cfg = SimConfig::dragonfly_baseline(
@@ -1139,7 +1285,10 @@ mod tests {
                 g: 7,
                 arrangement: GlobalArrangement::Palmtree,
             },
-            TopologySpec::FlatButterfly { k: 4, p: 2 },
+            TopologySpec::HyperX {
+                dims: vec![(4, 1); 2],
+                p: 2,
+            },
             TopologySpec::HyperX {
                 dims: vec![(4, 1), (3, 2), (2, 3)],
                 p: 2,
@@ -1380,7 +1529,14 @@ mod tests {
             .num_nodes(),
             72
         );
-        assert_eq!(TopologySpec::FlatButterfly { k: 4, p: 2 }.num_nodes(), 32);
+        assert_eq!(
+            TopologySpec::HyperX {
+                dims: vec![(4, 1); 2],
+                p: 2,
+            }
+            .num_nodes(),
+            32
+        );
         assert_eq!(
             TopologySpec::HyperX {
                 dims: vec![(4, 1), (3, 2)],

@@ -17,55 +17,6 @@ use crate::config::{BufferOrg, QosConfig, SensingMode, SimConfig};
 use flexvc_core::{Arrangement, RoutingMode};
 use flexvc_traffic::{FlowSpec, Pattern, SizeDist, Workload};
 
-/// Shapes on which a 2-D unit-multiplicity [`HyperX`] must be
-/// *bit-identical* to the [`FlatButterfly2D`] it generalizes: the
-/// differential test runs each `(routing, arrangement, load, seed)` point
-/// on both `TopologySpec`s and asserts equal [`SimResult`](crate::SimResult)s
-/// field for field.
-///
-/// [`HyperX`]: flexvc_topology::HyperX
-/// [`FlatButterfly2D`]: flexvc_topology::FlatButterfly2D
-pub fn hyperx_flatbf_differential_points() -> Vec<EquivalencePoint> {
-    use crate::config::TopologySpec;
-    let base = |routing, pattern| {
-        let mut cfg = smoke(SimConfig::hyperx_baseline(
-            2,
-            4,
-            2,
-            routing,
-            Workload::oblivious(pattern),
-        ));
-        cfg.topology = TopologySpec::FlatButterfly { k: 4, p: 2 };
-        cfg
-    };
-    vec![
-        (
-            "diff_un_min_baseline".to_string(),
-            base(RoutingMode::Min, Pattern::Uniform),
-            0.5,
-            21,
-        ),
-        (
-            "diff_un_min_flexvc4".to_string(),
-            base(RoutingMode::Min, Pattern::Uniform).with_flexvc(Arrangement::generic(4)),
-            0.8,
-            22,
-        ),
-        (
-            "diff_adv_val_flexvc3_opportunistic".to_string(),
-            base(RoutingMode::Valiant, Pattern::adv1()).with_flexvc(Arrangement::generic(3)),
-            0.7,
-            23,
-        ),
-        (
-            "diff_un_par_baseline".to_string(),
-            base(RoutingMode::Par, Pattern::Uniform),
-            0.4,
-            24,
-        ),
-    ]
-}
-
 /// One equivalence point: `(name, config, load, seed)`.
 pub type EquivalencePoint = (String, SimConfig, f64, u64);
 

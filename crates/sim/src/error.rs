@@ -47,10 +47,9 @@ pub enum ConfigError {
     },
     /// The configured routing is unsupported (not even opportunistic) on
     /// the arrangement: it has too few VCs for the mode's reference
-    /// sequence. Carries the classifier's minimum
-    /// ([`RoutingMode::min_dragonfly_vcs`] /
-    /// [`RoutingMode::min_hyperx_vcs`]) so the message tells the user what
-    /// would work.
+    /// sequence. Carries the minimum arrangement for the mode on the
+    /// topology family ([`default_arrangement`](crate::config::default_arrangement))
+    /// so the message tells the user what would work.
     InsufficientVcs {
         /// Configured routing mode.
         routing: RoutingMode,
@@ -70,6 +69,12 @@ pub enum ConfigError {
     },
     /// Output or injection buffers cannot hold one packet.
     PortBuffersBelowPacket,
+    /// A buffer parameter is out of range (a DAMQ private reservation
+    /// outside `[0, 1]` of the port memory, or NaN).
+    InvalidBuffers {
+        /// What is wrong with the buffer configuration.
+        why: &'static str,
+    },
     /// A port class (request + reply VCs together) or the injection queues
     /// carry more VCs than [`MAX_VCS`](crate::MAX_VCS), the width of the
     /// engine's inline per-VC state and VC bitmasks.
@@ -101,8 +106,9 @@ pub enum ConfigError {
     /// which is undefined with a single node — rejected at validation time
     /// instead of panicking inside the generator.
     SingleNodeTopology,
-    /// A flow workload parameter is out of range (zero-packet flows, a
-    /// fraction outside `[0, 1]`, a degenerate Pareto bound, …).
+    /// A workload parameter is out of range (zero-packet flows, a
+    /// fraction outside `[0, 1]`, a degenerate Pareto bound, a burst
+    /// shorter than one packet, …).
     InvalidWorkload {
         /// What is wrong with the flow specification.
         why: &'static str,
@@ -190,6 +196,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::PortBuffersBelowPacket => {
                 write!(f, "output/injection buffers below one packet")
+            }
+            ConfigError::InvalidBuffers { why } => {
+                write!(f, "invalid buffers: {why}")
             }
             ConfigError::TooManyVcs { what, vcs, max } => {
                 write!(f, "{vcs} {what} VCs exceed the supported maximum of {max}")
@@ -416,6 +425,33 @@ mod tests {
             }
             .to_string(),
             "invalid QoS parameter: bypass bound must be at least 1"
+        );
+    }
+
+    /// The three values that once passed validation and then panicked in
+    /// the bank and the generators render what is out of range.
+    #[test]
+    fn out_of_range_fractions_render_the_parameter() {
+        assert_eq!(
+            ConfigError::InvalidBuffers {
+                why: "DAMQ private_fraction must be in [0, 1]"
+            }
+            .to_string(),
+            "invalid buffers: DAMQ private_fraction must be in [0, 1]"
+        );
+        assert_eq!(
+            ConfigError::InvalidWorkload {
+                why: "bursty mean_burst must be at least one packet"
+            }
+            .to_string(),
+            "invalid workload: bursty mean_burst must be at least one packet"
+        );
+        assert_eq!(
+            ConfigError::InvalidWorkload {
+                why: "control_fraction must be in [0, 1]"
+            }
+            .to_string(),
+            "invalid workload: control_fraction must be in [0, 1]"
         );
     }
 

@@ -31,7 +31,6 @@
 
 pub mod arbiter;
 pub mod bank;
-pub mod builder;
 pub mod cdg;
 pub mod config;
 pub mod engine;
@@ -49,7 +48,6 @@ pub mod shard;
 mod wheel;
 
 pub use bank::MAX_VCS;
-pub use builder::SimConfigBuilder;
 pub use config::{
     paper_routing_for, BufferConfig, BufferOrg, BufferSizing, ClassVcMap, QosConfig, SensingConfig,
     SensingMode, SimConfig, TopologySpec,
@@ -65,7 +63,6 @@ pub use shard::{BoundaryCounts, ShardStats, ShardedNetwork};
 
 /// Common imports for examples and experiment binaries.
 pub mod prelude {
-    pub use crate::builder::SimConfigBuilder;
     pub use crate::config::{
         paper_routing_for, BufferConfig, BufferOrg, BufferSizing, ClassVcMap, QosConfig,
         SensingConfig, SensingMode, SimConfig, TopologySpec,

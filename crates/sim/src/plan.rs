@@ -70,7 +70,7 @@ pub fn min_plan(topo: &dyn Topology, from: usize, to: usize) -> PlannedPath {
 
 /// Draw a Valiant intermediate router: uniform over the topology's
 /// candidate set ([`Topology::valiant_via`] — every router for
-/// Dragonfly/flattened-butterfly/HyperX, leaves only on Dragonfly+ so the
+/// Dragonfly/HyperX, leaves only on Dragonfly+ so the
 /// detour reference stays `L G L | L G L`). One `gen_range` call either
 /// way, preserving the pre-refactor draw order on existing topologies.
 fn draw_via(topo: &dyn Topology, rng: &mut SmallRng) -> usize {
@@ -637,7 +637,7 @@ impl RoutePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexvc_topology::{Dragonfly, FlatButterfly2D};
+    use flexvc_topology::{Dragonfly, HyperX};
 
     #[test]
     fn valiant_plan_slots_are_offset() {
@@ -736,7 +736,7 @@ mod tests {
 
     #[test]
     fn diameter2_plans() {
-        let t = FlatButterfly2D::new(4, 1);
+        let t = HyperX::regular(2, 4, 1);
         let plan = valiant_plan(&t, NetworkFamily::Diameter2, 0, 10, 15);
         assert!(plan.remaining_len() <= 4);
         let slots: Vec<u8> = plan.remaining().iter().map(|h| h.slot).collect();

@@ -7,8 +7,8 @@
 //! files only need to spell out what differs from the baseline.
 
 use crate::config::{
-    BufferConfig, BufferOrg, BufferSizing, ClassVcMap, QosConfig, SensingConfig, SensingMode,
-    SimConfig, TopologySpec,
+    default_arrangement, BufferConfig, BufferOrg, BufferSizing, ClassVcMap, QosConfig,
+    SensingConfig, SensingMode, SimConfig, TopologySpec,
 };
 use crate::metrics::{ClassResult, LatencyHistogram, SimResult};
 use flexvc_serde::{Deserialize, Error, Map, Serialize, Value};
@@ -37,12 +37,6 @@ impl Serialize for TopologySpec {
                     .with("h", h.to_value())
                     .with("g", g.to_value())
                     .with("global_arrangement", arrangement.to_value()),
-            ),
-            TopologySpec::FlatButterfly { k, p } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("flat_butterfly"))
-                    .with("k", k.to_value())
-                    .with("p", p.to_value()),
             ),
             TopologySpec::HyperX { ref dims, p } => {
                 let s: Vec<usize> = dims.iter().map(|&(s, _)| s).collect();
@@ -94,8 +88,10 @@ impl Deserialize for TopologySpec {
                 g: m.field("g")?,
                 arrangement: m.field_or("global_arrangement", GlobalArrangement::default())?,
             }),
-            "flat_butterfly" => Ok(TopologySpec::FlatButterfly {
-                k: m.field("k")?,
+            // Legacy spelling: the `k × k` flattened butterfly is the 2-D
+            // unit-multiplicity HyperX.
+            "flat_butterfly" => Ok(TopologySpec::HyperX {
+                dims: vec![(m.field("k")?, 1); 2],
                 p: m.field("p")?,
             }),
             "hyperx" => {
@@ -122,8 +118,7 @@ impl Deserialize for TopologySpec {
             }),
             other => Err(Error::new(format!(
                 "unknown topology kind `{other}` \
-                 (expected dragonfly_balanced, dragonfly, flat_butterfly, hyperx \
-                 or dragonfly_plus)"
+                 (expected dragonfly_balanced, dragonfly, hyperx or dragonfly_plus)"
             ))),
         }
     }
@@ -387,51 +382,44 @@ impl Serialize for SimConfig {
 impl Deserialize for SimConfig {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let m = v.as_map()?;
-        // Table V defaults at the reduced scale, so scenario files only
-        // spell out what differs from the baseline. The arrangement
-        // defaults to the minimum safe one for the routing/workload.
-        let topology = m.field_or(
-            "topology",
-            TopologySpec::DragonflyBalanced {
-                h: 2,
-                arrangement: GlobalArrangement::default(),
-            },
-        )?;
+        let topology: Option<TopologySpec> = m.opt("topology")?;
         let routing = m.field_or("routing", flexvc_core::RoutingMode::Min)?;
-        let workload: flexvc_traffic::Workload = m.field_or(
+        let workload = m.field_or(
             "workload",
             flexvc_traffic::Workload::oblivious(flexvc_traffic::Pattern::Uniform),
         )?;
+        // Omitted fields take the baseline's Table V values at the reduced
+        // default scale, so scenario files only spell out what differs.
+        let d = SimConfig::dragonfly_baseline(2, routing, workload);
+        let topology = topology.unwrap_or(d.topology);
+        // Derived only when omitted: an explicit arrangement must decode
+        // even on a shape `validate` will reject.
         let arrangement = match m.opt("arrangement")? {
             Some(arr) => arr,
-            None => crate::builder::default_arrangement(
-                topology.family(),
-                routing,
-                workload.is_reactive(),
-            ),
+            None => default_arrangement(topology.family(), routing, workload.is_reactive()),
         };
         Ok(SimConfig {
             topology,
             routing,
-            policy: m.field_or("policy", flexvc_core::VcPolicy::Baseline)?,
+            policy: m.field_or("policy", d.policy)?,
             arrangement,
-            selection: m.field_or("selection", flexvc_core::VcSelection::Jsq)?,
+            selection: m.field_or("selection", d.selection)?,
             workload,
-            packet_size: m.field_or("packet_size", 8)?,
-            local_latency: m.field_or("local_latency", 10)?,
-            global_latency: m.field_or("global_latency", 100)?,
-            pipeline_latency: m.field_or("pipeline_latency", 5)?,
-            speedup: m.field_or("speedup", 2)?,
-            buffers: m.field_or("buffers", BufferConfig::default())?,
-            injection_vcs: m.field_or("injection_vcs", 3)?,
-            sensing: m.field_or("sensing", SensingConfig::default())?,
-            warmup: m.field_or("warmup", 10_000)?,
-            measure: m.field_or("measure", 20_000)?,
-            watchdog: m.field_or("watchdog", 20_000)?,
-            revert_patience: m.field_or("revert_patience", 16)?,
-            reply_queue_packets: m.field_or("reply_queue_packets", 4)?,
-            adaptive_copies: m.field_or("adaptive_copies", false)?,
-            shards: m.field_or("shards", 1)?,
+            packet_size: m.field_or("packet_size", d.packet_size)?,
+            local_latency: m.field_or("local_latency", d.local_latency)?,
+            global_latency: m.field_or("global_latency", d.global_latency)?,
+            pipeline_latency: m.field_or("pipeline_latency", d.pipeline_latency)?,
+            speedup: m.field_or("speedup", d.speedup)?,
+            buffers: m.field_or("buffers", d.buffers)?,
+            injection_vcs: m.field_or("injection_vcs", d.injection_vcs)?,
+            sensing: m.field_or("sensing", d.sensing)?,
+            warmup: m.field_or("warmup", d.warmup)?,
+            measure: m.field_or("measure", d.measure)?,
+            watchdog: m.field_or("watchdog", d.watchdog)?,
+            revert_patience: m.field_or("revert_patience", d.revert_patience)?,
+            reply_queue_packets: m.field_or("reply_queue_packets", d.reply_queue_packets)?,
+            adaptive_copies: m.field_or("adaptive_copies", d.adaptive_copies)?,
+            shards: m.field_or("shards", d.shards)?,
             qos: m.opt("qos")?,
         })
     }
@@ -764,6 +752,40 @@ p = 2
         // reference: 6 single-class VCs.
         assert_eq!(cfg.arrangement, Arrangement::generic(6));
         cfg.validate().unwrap();
+    }
+
+    /// Documents written when the flattened butterfly was its own topology
+    /// still load, as the 2-D unit-multiplicity HyperX they always ran.
+    #[test]
+    fn legacy_flat_butterfly_decodes_to_2d_hyperx() {
+        let toml = "routing = \"valiant\"\n\n[topology]\nkind = \"flat_butterfly\"\nk = 4\np = 2\n";
+        let json =
+            r#"{"routing": "valiant", "topology": {"kind": "flat_butterfly", "k": 4, "p": 2}}"#;
+        let hx = TopologySpec::HyperX {
+            dims: vec![(4, 1); 2],
+            p: 2,
+        };
+        for cfg in [
+            from_toml::<SimConfig>(toml).unwrap(),
+            from_json::<SimConfig>(json).unwrap(),
+        ] {
+            assert_eq!(cfg.topology, hx);
+            // Derived on the diameter-2 family: the generic VAL reference.
+            assert_eq!(cfg.arrangement, Arrangement::generic(4));
+            cfg.validate().unwrap();
+            assert!(to_json(&cfg).contains("\"hyperx\""));
+        }
+        // A degenerate row is a typed shape error, not a panic.
+        let cfg: SimConfig =
+            from_toml("[topology]\nkind = \"flat_butterfly\"\nk = 1\np = 2\n").unwrap();
+        assert!(
+            matches!(
+                cfg.validate(),
+                Err(crate::ConfigError::InvalidTopology { .. })
+            ),
+            "{:?}",
+            cfg.validate()
+        );
     }
 
     #[test]

@@ -97,7 +97,7 @@
 //!
 //! [`partition_topology`] aligns worker boundaries with the topology's
 //! natural unit ([`Topology::partition_unit`]): Dragonfly/Dragonfly+
-//! groups, HyperX last-dimension hyperplanes, FlatButterfly rows. Aligned
+//! groups, HyperX last-dimension hyperplanes. Aligned
 //! cuts sever only inter-group (global) links, which both shrinks the cut
 //! and raises λ to the global-link latency — an order of magnitude more
 //! free-running per barrier under the default `local=10 / global=100`

@@ -294,7 +294,11 @@ fn selection_functions_all_run() {
 fn flatbutterfly_generic_network_runs() {
     let mut cfg =
         SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
-    cfg.topology = TopologySpec::FlatButterfly { k: 4, p: 2 };
+    // The 4 × 4 flattened butterfly: the 2-D unit-multiplicity HyperX.
+    cfg.topology = TopologySpec::HyperX {
+        dims: vec![(4, 1); 2],
+        p: 2,
+    };
     cfg.arrangement = Arrangement::generic(2);
     cfg.warmup = 1_000;
     cfg.measure = 2_000;

@@ -15,9 +15,9 @@
 //! engine - never by copying the new engine's output untested.
 
 use flexvc_core::{Arrangement, RoutingMode};
-use flexvc_sim::equivalence::{hyperx_flatbf_differential_points, points};
+use flexvc_sim::equivalence::points;
 use flexvc_sim::runner::run_one;
-use flexvc_sim::{Network, ShardedNetwork, SimConfig, TopologySpec};
+use flexvc_sim::{Network, ShardedNetwork, SimConfig};
 use flexvc_traffic::{Pattern, Workload};
 
 struct Golden {
@@ -787,36 +787,6 @@ const GOLDENS: &[Golden] = &[
         slowdown_mean: 0.0,
     },
 ];
-
-/// Differential check: a 2-D unit-multiplicity HyperX is the same machine
-/// as the flattened butterfly it generalizes — identical wiring, port
-/// numbering, routes, slots, groups and classification family — so the
-/// same `(config, load, seed)` must produce *bit-identical* results on
-/// both `TopologySpec`s, across policies and routings.
-#[test]
-fn hyperx_2d_is_bit_identical_to_flat_butterfly() {
-    for (name, cfg, load, seed) in hyperx_flatbf_differential_points() {
-        let (k, p) = match cfg.topology {
-            TopologySpec::FlatButterfly { k, p } => (k, p),
-            ref other => panic!("{name}: differential point must start from FB, got {other:?}"),
-        };
-        let fb = run_one(&cfg, load, seed).unwrap();
-        let mut hx_cfg = cfg.clone();
-        hx_cfg.topology = TopologySpec::HyperX {
-            dims: vec![(k, 1); 2],
-            p,
-        };
-        let hx = run_one(&hx_cfg, load, seed).unwrap();
-        // Serialized form covers every result field including the latency
-        // histogram; exact string equality = exact f64/u64 equality.
-        assert_eq!(
-            flexvc_serde::to_json(&fb),
-            flexvc_serde::to_json(&hx),
-            "{name}: HyperX(2, {k}, {p}) diverged from FlatButterfly2D({k}, {p})"
-        );
-        assert!(fb.accepted > 0.0, "{name}: degenerate run");
-    }
-}
 
 /// The reference of every driver test below: the single engine's own loop
 /// ([`Network::run`]), serialized — the form covers every result field

@@ -31,7 +31,7 @@ use flexvc_core::{Arrangement, RoutingMode};
 use flexvc_serde::Value;
 use flexvc_sim::shard::{partition, partition_blocks, partition_topology};
 use flexvc_sim::{ShardedNetwork, SimConfig};
-use flexvc_topology::{Dragonfly, DragonflyPlus, FlatButterfly2D, HyperX, Topology};
+use flexvc_topology::{Dragonfly, DragonflyPlus, HyperX, Topology};
 use flexvc_traffic::{Pattern, Workload};
 use proptest::prelude::*;
 
@@ -40,7 +40,6 @@ use proptest::prelude::*;
 enum Shape {
     HyperX { dims: Vec<(usize, usize)>, p: usize },
     Dragonfly { h: usize },
-    FlatBf { k: usize, p: usize },
     DfPlus { l: usize, s: usize, h: usize },
 }
 
@@ -49,7 +48,6 @@ impl Shape {
         match self {
             Shape::HyperX { dims, p } => Box::new(HyperX::new(dims.clone(), *p)),
             Shape::Dragonfly { h } => Box::new(Dragonfly::balanced(*h)),
-            Shape::FlatBf { k, p } => Box::new(FlatButterfly2D::new(*k, *p)),
             // Unit global multiplicity with `groups = spines + 1` keeps the
             // per-spine global share integral for any (l, s, h).
             Shape::DfPlus { l, s, h } => Box::new(DragonflyPlus::new(*l, *s, *h, 1, s + 1)),
@@ -70,7 +68,11 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
             p,
         }),
         (1usize..=3).prop_map(|h| Shape::Dragonfly { h }),
-        (2usize..=5, 1usize..=2).prop_map(|(k, p)| Shape::FlatBf { k, p }),
+        // Flattened butterflies: square 2-D HyperX up to 5 × 5.
+        (2usize..=5, 1usize..=2).prop_map(|(k, p)| Shape::HyperX {
+            dims: vec![(k, 1); 2],
+            p,
+        }),
         (1usize..=4, 2usize..=4, 1usize..=3).prop_map(|(l, s, h)| Shape::DfPlus { l, s, h }),
     ]
 }

@@ -8,8 +8,8 @@
 //! Minimal distance equals the number of differing coordinates, so the
 //! diameter is `n` and every minimal route is dimension-ordered (DOR,
 //! dimension 0 first) here — the deterministic order keeps baseline
-//! reference-path slots well-defined, exactly as the 2-D flattened
-//! butterfly takes its row hop first.
+//! reference-path slots well-defined (in the 2-D flattened butterfly,
+//! the row hop comes first).
 //!
 //! Following the paper's generic-network abstraction all links share the
 //! single class [`LinkClass::Local`] and deadlock avoidance is purely
@@ -17,9 +17,8 @@
 //! [`NetworkFamily::generic`]`(n)`, whose reference sequences are `T^n`
 //! (MIN), `T^2n` (VAL/PB) and `T^(2n+1)` (PAR).
 //!
-//! A 2-D HyperX with unit multiplicity is wired, port-numbered and routed
-//! *identically* to [`crate::FlatButterfly2D`] — the differential tests in
-//! `flexvc-sim` assert bit-identical simulation results on that overlap.
+//! The 2-D HyperX with unit multiplicity is the `k × k` flattened
+//! butterfly, the paper's generic diameter-2 network.
 //!
 //! Groups (the unit of adversarial displacement) are the hyperplanes of
 //! the last dimension: `ADV+1` sends every node of slice `X_{n-1} = i` to
@@ -138,7 +137,7 @@ impl HyperX {
 
     /// Parallel-link copy a route between `from` and `to` uses in `dim`:
     /// deterministic, spread across the `k` copies by endpoint pair, and 0
-    /// whenever `k = 1` (the flattened-butterfly overlap).
+    /// whenever `k = 1`.
     #[inline]
     fn route_copy(&self, dim: usize, from: usize, to: usize) -> usize {
         (from + to) % self.dims[dim].1
@@ -178,9 +177,8 @@ impl Topology for HyperX {
         LinkClass::Local // generic network: single class
     }
 
-    /// Dimension-ordered minimal route (dimension 0 first) with consecutive
-    /// baseline slots, exactly like the flattened butterfly's row-then-column
-    /// convention.
+    /// Dimension-ordered minimal route (dimension 0 first, so row then
+    /// column in 2-D) with consecutive baseline slots.
     fn min_route(&self, from: usize, to: usize) -> Route {
         let mut route = Route::new();
         if from == to {
@@ -276,7 +274,6 @@ impl Topology for HyperX {
 mod tests {
     use super::*;
     use crate::validate::{bfs_distances, check_connected, check_wiring, compute_diameter};
-    use crate::FlatButterfly2D;
 
     #[test]
     fn dimensions_and_ports() {
@@ -371,39 +368,6 @@ mod tests {
         let route = t.min_route(0, 2);
         assert_eq!(route.len(), 1);
         assert_eq!(t.neighbor(0, route[0].port as usize).unwrap().0, 2);
-    }
-
-    /// The 2-D unit-multiplicity HyperX *is* the flattened butterfly:
-    /// identical port numbering, wiring, classes, routes, slots and groups.
-    #[test]
-    fn two_dim_unit_k_matches_flat_butterfly() {
-        let (k, p) = (4, 2);
-        let hx = HyperX::regular(2, k, p);
-        let fb = FlatButterfly2D::new(k, p);
-        assert_eq!(hx.num_routers(), fb.num_routers());
-        assert_eq!(hx.num_ports(), fb.num_ports());
-        assert_eq!(hx.nodes_per_router(), fb.nodes_per_router());
-        assert_eq!(hx.num_groups(), fb.num_groups());
-        assert_eq!(hx.family(), fb.family());
-        assert_eq!(hx.diameter(), fb.diameter());
-        for r in 0..fb.num_routers() {
-            assert_eq!(hx.group_of_router(r), fb.group_of_router(r));
-            for port in 0..fb.num_ports() {
-                assert_eq!(
-                    hx.neighbor(r, port),
-                    fb.neighbor(r, port),
-                    "neighbor({r}, {port})"
-                );
-                assert_eq!(hx.port_class(r, port), fb.port_class(r, port));
-            }
-            for to in 0..fb.num_routers() {
-                assert_eq!(hx.min_route(r, to), fb.min_route(r, to), "route {r}->{to}");
-                assert_eq!(
-                    hx.min_classes(r, to).as_slice(),
-                    fb.min_classes(r, to).as_slice()
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //!   global link when `g = a·h + 1`. This is the paper's evaluation
 //!   platform (Table V uses the balanced `h = 8` instance with 2,064
 //!   routers and 16,512 nodes).
-//! * [`FlatButterfly2D`] — a 2-D flattened butterfly treated as a *generic
-//!   diameter-2 network* (single link class, no traversal-order
-//!   restriction), the setting of the paper's Figures 1/3 and Tables I/II.
 //! * [`HyperX`] — the `n`-dimensional generalization of the flattened
 //!   butterfly (all-to-all wiring per dimension, per-dimension link
 //!   multiplicity, dimension-ordered minimal routes): a generic
-//!   diameter-`n` network whose 2-D unit-multiplicity instance coincides
-//!   with [`FlatButterfly2D`] bit for bit.
+//!   diameter-`n` network (single link class, no traversal-order
+//!   restriction). Its 2-D unit-multiplicity instance,
+//!   [`HyperX::regular`]`(2, k, p)`, is the `k × k` flattened butterfly —
+//!   the paper's generic diameter-2 network of Figures 1/3 and
+//!   Tables I/II.
 //! * [`DragonflyPlus`] — Dragonfly+ / Megafly: groups are two-level fat
 //!   trees (leaf routers with the hosts, spine routers with the global
 //!   links), minimal routes are `leaf → spine → global → spine → leaf`,
@@ -33,7 +33,6 @@
 
 pub mod dragonfly;
 pub mod dragonflyplus;
-pub mod flatbf;
 pub mod hyperx;
 pub mod route;
 pub mod serde_impls;
@@ -41,7 +40,6 @@ pub mod validate;
 
 pub use dragonfly::{Dragonfly, GlobalArrangement};
 pub use dragonflyplus::DragonflyPlus;
-pub use flatbf::FlatButterfly2D;
 pub use hyperx::HyperX;
 pub use route::{offset_slots, ClassPath, Route, RouteHop};
 
@@ -132,7 +130,7 @@ pub trait Topology: Send + Sync {
 
     /// Natural shard-alignment block: the number of consecutive router ids
     /// forming one topological unit — a Dragonfly/Dragonfly+ group, a
-    /// HyperX last-dimension hyperplane, a FlatButterfly row. Every
+    /// HyperX last-dimension hyperplane. Every
     /// built-in topology numbers routers group-major, so unit `u` covers
     /// routers `u * partition_unit() .. (u + 1) * partition_unit()` and a
     /// router partition whose boundaries land on unit boundaries never

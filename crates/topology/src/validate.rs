@@ -86,7 +86,7 @@ pub fn check_connected<T: Topology + ?Sized>(topo: &T) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dragonfly, FlatButterfly2D};
+    use crate::{Dragonfly, HyperX};
 
     #[test]
     fn dragonfly_checks_pass() {
@@ -98,7 +98,8 @@ mod tests {
 
     #[test]
     fn flatbf_checks_pass() {
-        let t = FlatButterfly2D::new(3, 1);
+        // The 3 × 3 flattened butterfly: the 2-D unit-multiplicity HyperX.
+        let t = HyperX::regular(2, 3, 1);
         check_wiring(&t).unwrap();
         check_connected(&t).unwrap();
         assert_eq!(compute_diameter(&t), 2);

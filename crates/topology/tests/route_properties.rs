@@ -17,7 +17,7 @@
 
 use flexvc_core::{Arrangement, LinkClass, RoutingMode};
 use flexvc_topology::validate::{bfs_distances, check_wiring};
-use flexvc_topology::{Dragonfly, DragonflyPlus, FlatButterfly2D, HyperX, Topology};
+use flexvc_topology::{Dragonfly, DragonflyPlus, HyperX, Topology};
 use proptest::prelude::*;
 
 /// A randomly shaped topology, kept small enough for per-case BFS.
@@ -25,7 +25,6 @@ use proptest::prelude::*;
 enum Shape {
     HyperX { dims: Vec<(usize, usize)>, p: usize },
     Dragonfly { h: usize },
-    FlatBf { k: usize, p: usize },
 }
 
 impl Shape {
@@ -33,7 +32,6 @@ impl Shape {
         match self {
             Shape::HyperX { dims, p } => Box::new(HyperX::new(dims.clone(), *p)),
             Shape::Dragonfly { h } => Box::new(Dragonfly::balanced(*h)),
-            Shape::FlatBf { k, p } => Box::new(FlatButterfly2D::new(*k, *p)),
         }
     }
 }
@@ -52,7 +50,11 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
             p,
         }),
         (1usize..=2).prop_map(|h| Shape::Dragonfly { h }),
-        (2usize..=5, 1usize..=2).prop_map(|(k, p)| Shape::FlatBf { k, p }),
+        // Flattened butterflies: square 2-D HyperX up to 5 × 5.
+        (2usize..=5, 1usize..=2).prop_map(|(k, p)| Shape::HyperX {
+            dims: vec![(k, 1); 2],
+            p,
+        }),
     ]
 }
 

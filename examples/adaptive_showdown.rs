@@ -14,12 +14,13 @@ use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let wl = Workload::reactive(Pattern::adv1());
-    let pb = SimConfig::builder()
-        .dragonfly(2)
-        .routing(RoutingMode::Piggyback)
-        .workload(wl)
-        .windows(5_000, 10_000)
-        .build()?;
+    // The baseline constructor doubles the 4/2 PB minimum into 8/4
+    // request/reply VCs for the reactive workload.
+    let mut pb = SimConfig::dragonfly_baseline(2, RoutingMode::Piggyback, wl);
+    pb.warmup = 5_000;
+    pb.measure = 10_000;
+    pb.watchdog = 7_500;
+    pb.validate()?;
 
     let flex = pb
         .clone()

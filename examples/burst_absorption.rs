@@ -12,12 +12,12 @@ use flexvc::traffic::{Pattern, Workload};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let base = SimConfig::builder()
-        .dragonfly(2)
-        .routing(RoutingMode::Min)
-        .workload(Workload::oblivious(Pattern::bursty()))
-        .windows(5_000, 10_000)
-        .build()?;
+    let mut base =
+        SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::bursty()));
+    base.warmup = 5_000;
+    base.measure = 10_000;
+    base.watchdog = 7_500;
+    base.validate()?;
 
     let series = [
         ("baseline 2/1".to_string(), base.clone()),

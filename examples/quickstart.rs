@@ -1,6 +1,7 @@
 //! Quickstart: simulate a Dragonfly under uniform traffic and compare the
-//! baseline distance-based VC policy against FlexVC, using the validating
-//! `SimConfigBuilder` and the non-panicking runner.
+//! baseline distance-based VC policy against FlexVC: a baseline
+//! constructor, plain field assignment, `validate()`, and the
+//! non-panicking runner.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -12,14 +13,15 @@ use std::error::Error;
 fn main() -> Result<(), Box<dyn Error>> {
     // A balanced h=2 Dragonfly: 9 groups, 36 routers, 72 nodes. Everything
     // else follows Table V of the paper (10/100-cycle links, 8-phit packets,
-    // 2x crossbar speedup, JSQ selection). `build()` validates and returns a
+    // 2x crossbar speedup, JSQ selection, the minimum 2/1 VC arrangement for
+    // MIN). Fields that differ are plain assignments; `validate()` returns a
     // typed ConfigError on inconsistent input instead of panicking later.
-    let baseline = SimConfig::builder()
-        .dragonfly(2)
-        .routing(RoutingMode::Min)
-        .workload(Workload::oblivious(Pattern::Uniform))
-        .windows(5_000, 10_000)
-        .build()?;
+    let mut baseline =
+        SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
+    baseline.warmup = 5_000;
+    baseline.measure = 10_000;
+    baseline.watchdog = 7_500;
+    baseline.validate()?;
 
     // FlexVC on the same minimal 2/1 arrangement, and on the 4/2 arrangement
     // that a VAL-capable router would already provision.

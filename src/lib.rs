@@ -7,14 +7,15 @@
 //!
 //! * [`mod@core`] — the FlexVC VC-management model (arrangements, safe and
 //!   opportunistic hop rules, path classification, selection functions).
-//! * [`mod@topology`] — Dragonfly, flattened-butterfly, `n`-dimensional
-//!   HyperX and Dragonfly+ (Megafly) topologies with minimal/Valiant
-//!   route computation.
+//! * [`mod@topology`] — Dragonfly, `n`-dimensional HyperX (whose 2-D
+//!   instance is the flattened butterfly) and Dragonfly+ (Megafly)
+//!   topologies with minimal/Valiant route computation.
 //! * [`mod@traffic`] — uniform, adversarial and bursty traffic generators
 //!   plus the request–reply reactive wrapper.
-//! * [`mod@sim`] — the cycle-accurate phit-level network simulator, the
-//!   validating [`SimConfigBuilder`](sim::SimConfigBuilder), and the
-//!   non-panicking experiment runner.
+//! * [`mod@sim`] — the cycle-accurate phit-level network simulator, its
+//!   [`SimConfig`](sim::SimConfig) (a Table V baseline constructor, plain
+//!   field assignment, then [`validate`](sim::SimConfig::validate) for
+//!   typed errors), and the non-panicking experiment runner.
 //! * [`mod@bench`] — the scenario-first experiment harness: every paper
 //!   figure/table as serializable data
 //!   ([`bench::scenario::Scenario`]), the
@@ -34,6 +35,11 @@ pub use flexvc_sim as sim;
 pub use flexvc_topology as topology;
 pub use flexvc_traffic as traffic;
 
+/// The user guide's `rust` example compiles and runs as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("README.md")]
+struct ReadmeDoctest;
+
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {
     pub use flexvc_bench::scenario::{
@@ -45,6 +51,6 @@ pub mod prelude {
     };
     pub use flexvc_serde::{from_json, from_toml, to_json, to_json_pretty, to_toml};
     pub use flexvc_sim::prelude::*;
-    pub use flexvc_topology::{Dragonfly, DragonflyPlus, FlatButterfly2D, HyperX, Topology};
+    pub use flexvc_topology::{Dragonfly, DragonflyPlus, HyperX, Topology};
     pub use flexvc_traffic::TrafficPattern;
 }

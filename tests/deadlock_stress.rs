@@ -493,7 +493,11 @@ fn flat_butterfly_survives_saturation() {
         (Some(Arrangement::generic(4)), RoutingMode::Valiant),
     ] {
         let mut cfg = tiny(routing, Workload::oblivious(Pattern::Uniform));
-        cfg.topology = TopologySpec::FlatButterfly { k: 4, p: 2 };
+        // The 4 × 4 flattened butterfly: the 2-D unit-multiplicity HyperX.
+        cfg.topology = TopologySpec::HyperX {
+            dims: vec![(4, 1); 2],
+            p: 2,
+        };
         match policy_arr {
             None => cfg.arrangement = Arrangement::generic(2),
             Some(arr) => {

@@ -76,7 +76,6 @@ fn arb_topology() -> impl Strategy<Value = TopologySpec> {
             g: 2 * h * h + 1,
             arrangement,
         }),
-        ((2usize..6), (1usize..4)).prop_map(|(k, p)| TopologySpec::FlatButterfly { k, p }),
         (
             proptest::collection::vec((2usize..5, 1usize..3), 1..=3),
             1usize..4,
@@ -277,7 +276,10 @@ fn corner_configs_round_trip() {
         RoutingMode::Valiant,
         Workload::oblivious(Pattern::Uniform),
     );
-    fb.topology = TopologySpec::FlatButterfly { k: 4, p: 2 };
+    fb.topology = TopologySpec::HyperX {
+        dims: vec![(4, 1); 2],
+        p: 2,
+    };
     fb.policy = VcPolicy::FlexVc;
     fb.arrangement = Arrangement::generic(4);
     cfgs.push(fb);
