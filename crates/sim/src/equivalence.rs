@@ -373,6 +373,19 @@ pub fn points() -> Vec<EquivalencePoint> {
     repart.selection = flexvc_core::VcSelection::Random;
     add("sleep_qos_repart_random_df_min_flexvc42", repart, 0.8, 38);
 
+    // FlexVC over a DAMQ bank: JSQ picks among the candidate VCs by shared-
+    // pool headroom through the `can_accept` loop. VAL at 3/2 is below its
+    // safe 4/2, so opportunistic hops and reversions run too; ADV+1 at this
+    // load keeps the shared pool contended without deadlocking.
+    add(
+        "damq75_adv_val_flexvc32",
+        oblivious(RoutingMode::Valiant, Pattern::adv1())
+            .with_flexvc(Arrangement::dragonfly(3, 2))
+            .with_damq75(),
+        0.3,
+        39,
+    );
+
     points
 }
 

@@ -786,6 +786,31 @@ const GOLDENS: &[Golden] = &[
         fct_p99: 0.0,
         slowdown_mean: 0.0,
     },
+    // FlexVC over a DAMQ bank, recorded on the engine that still kept the
+    // ready-VC bitmask for static banks (`cargo run --release -p flexvc-sim
+    // --example record_goldens damq75_adv_val_flexvc32`): JSQ over
+    // shared-pool headroom through the `can_accept` loop, with VAL's
+    // opportunistic hops and reversions under ADV+1 at saturation.
+    Golden {
+        name: "damq75_adv_val_flexvc32",
+        accepted: 0.15566666666666668,
+        latency: 1213.114679990483,
+        latency_req: 1213.114679990483,
+        latency_rep: 0.0,
+        misroute_fraction: 1.0,
+        avg_hops: 3.040923150130859,
+        reverts_per_packet: 0.5431834403997144,
+        drop_fraction: 0.024218460397874706,
+        deadlocked: false,
+        latency_p99: 2048.0,
+        hist_count: 4203,
+        local_vc_occupancy: &[12.898148148148149, 9.533950617283951, 0.44135802469135804],
+        global_vc_occupancy: &[33.0462962962963, 1.1018518518518519],
+        flows_completed: 0.0,
+        fct_p50: 0.0,
+        fct_p99: 0.0,
+        slowdown_mean: 0.0,
+    },
 ];
 
 /// The reference of every driver test below: the single engine's own loop
