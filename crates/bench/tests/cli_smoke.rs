@@ -682,7 +682,8 @@ fn bad_input_fails_with_usage_errors() {
     // once reached the generators' assertion and a division by zero; a
     // DAMQ reservation above the port memory, a burst shorter than one
     // packet and a control fraction above one reached the bank's and the
-    // generators' assertions.
+    // generators' assertions; a NaN Pareto tail index once ran a flow
+    // workload that emitted no traffic at all.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
@@ -701,6 +702,12 @@ fn bad_input_fails_with_usage_errors() {
             "0.3",
             "[points.cfg.workload]\npattern = \"uniform\"\ncontrol_fraction = 1.5",
             "invalid workload: control_fraction must be in [0, 1]",
+        ),
+        (
+            "0.1",
+            "[points.cfg.workload]\nkind = \"flows\"\npattern = \"permutation\"\n\
+             sizes = { kind = \"pareto\", min = 1, max = 64, alpha = nan }",
+            "invalid workload: Pareto tail index alpha must be positive",
         ),
     ]
     .into_iter()

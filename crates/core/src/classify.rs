@@ -250,11 +250,7 @@ pub fn classify(
     arr: &Arrangement,
     msg: MessageClass,
 ) -> Support {
-    let worst: &[LinkClass] = match family.generic_diameter() {
-        Some(d) => routing.generic_reference(d),
-        None => routing.dragonfly_reference(),
-    };
-    if arr.embeds(worst, None, arr.safe_region(msg)) {
+    if arr.embeds(routing.reference(family), None, arr.safe_region(msg)) {
         return Support::Safe;
     }
     let specs = match routing {

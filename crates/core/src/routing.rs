@@ -34,6 +34,7 @@
 //! allowed path, which determines the minimum VC arrangement for the
 //! baseline policy.
 
+use crate::classify::NetworkFamily;
 use crate::link::LinkClass;
 
 /// Maximum generic-network diameter the plan/reference machinery supports
@@ -111,6 +112,16 @@ impl RoutingMode {
             "diameter {diameter} exceeds the supported generic reference"
         );
         &REF_GENERIC[..hops]
+    }
+
+    /// Reference sequence of this mode in `family`: the generic
+    /// diameter-`d` reference on single-class families, the Dragonfly
+    /// reference on Dragonfly and Dragonfly+ (same `L G L` class texture).
+    pub fn reference(self, family: NetworkFamily) -> &'static [LinkClass] {
+        match family.generic_diameter() {
+            Some(d) => self.generic_reference(d),
+            None => self.dragonfly_reference(),
+        }
     }
 
     /// Minimum safe Dragonfly `(local, global)` VC counts for the baseline
@@ -237,6 +248,34 @@ mod tests {
             }
         }
         assert_eq!(MAX_GENERIC_REF, 7);
+    }
+
+    #[test]
+    fn family_references_pick_the_family_rule() {
+        let generic3 = NetworkFamily::generic(3);
+        for mode in [
+            RoutingMode::Min,
+            RoutingMode::Valiant,
+            RoutingMode::Par,
+            RoutingMode::Piggyback,
+            RoutingMode::UgalL,
+            RoutingMode::UgalG,
+            RoutingMode::Dal,
+        ] {
+            for family in [NetworkFamily::Dragonfly, NetworkFamily::DragonflyPlus] {
+                assert_eq!(mode.reference(family), mode.dragonfly_reference());
+            }
+            assert_eq!(
+                mode.reference(NetworkFamily::Diameter2),
+                mode.generic_reference(2)
+            );
+            assert_eq!(mode.reference(generic3), mode.generic_reference(3));
+        }
+        assert_eq!(RoutingMode::Par.reference(generic3).len(), 7);
+        assert_eq!(
+            RoutingMode::Valiant.reference(NetworkFamily::DragonflyPlus),
+            seq!(L G L L G L)
+        );
     }
 
     #[test]

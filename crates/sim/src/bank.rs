@@ -48,12 +48,6 @@ pub struct Occupancy {
     resv: u32,
     /// Shared pool capacity (0 for static banks).
     shared_cap: u32,
-    /// Probe size registered via [`Occupancy::register_probe`] (0 when the
-    /// ready mask is not maintained).
-    probe: u32,
-    /// Bit `v` set iff `can_accept(v, probe)` — maintained incrementally by
-    /// `add`/`remove`, valid only while `probe != 0`.
-    ready: u32,
 }
 
 impl Occupancy {
@@ -65,8 +59,6 @@ impl Occupancy {
             vcs: vcs as u8,
             resv: per_vc,
             shared_cap: 0,
-            probe: 0,
-            ready: 0,
         }
     }
 
@@ -122,55 +114,15 @@ impl Occupancy {
         private_head + self.shared_cap - self.shared_used()
     }
 
-    /// Maintain a ready-VC bitmask for a fixed probe size: after this call
-    /// (and incrementally across every `add`/`remove`),
-    /// [`Occupancy::ready_mask`] has bit `v` set iff
-    /// `can_accept(v, probe)`. Only meaningful for static banks — DAMQ
-    /// admission depends on the *other* VCs' shared-pool use, so a per-VC
-    /// bit cannot be maintained by that VC's mutations alone; the call is a
-    /// no-op there and `ready_mask` keeps reporting `None`.
-    pub fn register_probe(&mut self, probe: u32) {
-        if self.shared_cap != 0 || probe == 0 {
-            return;
-        }
-        self.probe = probe;
-        self.ready = 0;
-        for vc in 0..self.vcs() {
-            self.refresh_ready(vc);
-        }
-    }
-
-    /// The maintained ready-VC bitmask (bit `v` iff the registered probe
-    /// size fits VC `v`), or `None` when no probe is registered.
-    #[inline]
-    pub fn ready_mask(&self) -> Option<u32> {
-        (self.probe != 0).then_some(self.ready)
-    }
-
-    /// Re-derive VC `vc`'s ready bit after an occupancy mutation.
-    #[inline]
-    fn refresh_ready(&mut self, vc: usize) {
-        if self.probe != 0 {
-            let bit = 1u32 << vc;
-            if self.occupancy(vc) + self.probe <= self.resv {
-                self.ready |= bit;
-            } else {
-                self.ready &= !bit;
-            }
-        }
-    }
-
     /// Record `size` phits entering VC `vc`.
     pub fn add(&mut self, vc: usize, size: u32, class: CreditClass) {
         debug_assert!(self.can_accept(vc, size), "overflow on VC {vc}");
         self.split[vc].add(class, size);
-        self.refresh_ready(vc);
     }
 
     /// Record `size` phits leaving VC `vc`.
     pub fn remove(&mut self, vc: usize, size: u32, class: CreditClass) {
         self.split[vc].remove(class, size);
-        self.refresh_ready(vc);
     }
 
     /// Phits resident in VC `vc`.

@@ -59,10 +59,7 @@ pub fn check_baseline_routes(
     seed: u64,
 ) -> Result<(), String> {
     let family = topo.family();
-    let reference: Vec<flexvc_core::LinkClass> = match family.generic_diameter() {
-        None => routing.dragonfly_reference().to_vec(),
-        Some(d) => routing.generic_reference(d).to_vec(),
-    };
+    let reference = routing.reference(family);
     // The baseline only ever routes between traffic endpoints (and
     // through the topology's own Valiant candidates) — on Dragonfly+
     // those are the leaves; on uniformly-populated topologies the list is
@@ -74,7 +71,7 @@ pub fn check_baseline_routes(
         for &s in &endpoints {
             for &d in &endpoints {
                 let route = topo.min_route(s, d);
-                let pos = route_positions(arr, msg, &reference, &route);
+                let pos = route_positions(arr, msg, reference, &route);
                 if !strictly_increasing(&pos) {
                     return Err(format!("min route {s}->{d}: positions {pos:?}"));
                 }
@@ -117,7 +114,7 @@ pub fn check_baseline_routes(
                     cur = topo.neighbor(cur, hop.port as usize).expect("wired").0;
                     plan.advance();
                 }
-                let pos = route_positions(arr, msg, &reference, &route);
+                let pos = route_positions(arr, msg, reference, &route);
                 if !strictly_increasing(&pos) {
                     return Err(format!("DAL {s}->{d}: positions {pos:?}"));
                 }
@@ -146,7 +143,7 @@ pub fn check_baseline_routes(
                         .iter()
                         .copied(),
                 );
-                let pos = route_positions(arr, msg, &reference, &route);
+                let pos = route_positions(arr, msg, reference, &route);
                 if !strictly_increasing(&pos) {
                     return Err(format!("PAR divert {s}->{d} via {via}: positions {pos:?}"));
                 }
@@ -155,7 +152,7 @@ pub fn check_baseline_routes(
             RoutingMode::Min => unreachable!(),
         };
         let route: flexvc_topology::Route = plan.remaining().to_vec();
-        let pos = route_positions(arr, msg, &reference, &route);
+        let pos = route_positions(arr, msg, reference, &route);
         if !strictly_increasing(&pos) {
             return Err(format!("{routing} {s}->{d} via {via}: positions {pos:?}"));
         }
@@ -186,10 +183,7 @@ pub fn build_min_cdg(
     arr: &Arrangement,
     msg: MessageClass,
 ) -> Vec<(BufferId, BufferId)> {
-    let reference: Vec<flexvc_core::LinkClass> = match topo.family().generic_diameter() {
-        None => RoutingMode::Min.dragonfly_reference().to_vec(),
-        Some(d) => RoutingMode::Min.generic_reference(d).to_vec(),
-    };
+    let reference = RoutingMode::Min.reference(topo.family());
     let mut edges = std::collections::HashSet::new();
     let endpoints = endpoint_routers(topo);
     for &s in &endpoints {
@@ -199,7 +193,7 @@ pub fn build_min_cdg(
             let mut cur = s;
             for hop in &route {
                 let (next, next_port) = topo.neighbor(cur, hop.port as usize).expect("wired");
-                let (_, vc) = baseline_vc(arr, msg, &reference, hop.slot as usize);
+                let (_, vc) = baseline_vc(arr, msg, reference, hop.slot as usize);
                 bufs.push((next, next_port, vc));
                 cur = next;
             }

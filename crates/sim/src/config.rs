@@ -879,10 +879,7 @@ impl SimConfig {
         for &msg in classes {
             match self.policy {
                 VcPolicy::Baseline => {
-                    let reference: &[_] = match family.generic_diameter() {
-                        None => self.routing.dragonfly_reference(),
-                        Some(d) => self.routing.generic_reference(d),
-                    };
+                    let reference = self.routing.reference(family);
                     if !supports_baseline(&self.arrangement, msg, reference) {
                         return Err(ConfigError::BaselineArrangement {
                             routing: self.routing,
@@ -1043,7 +1040,7 @@ impl SimConfig {
                 if max < min {
                     return fail("Pareto maximum flow size must be >= the minimum");
                 }
-                if alpha <= 0.0 {
+                if alpha.is_nan() || alpha <= 0.0 {
                     return fail("Pareto tail index alpha must be positive");
                 }
             }
@@ -1617,6 +1614,11 @@ mod tests {
                 min: 1,
                 max: 64,
                 alpha: -1.0,
+            }),
+            FlowSpec::uniform(SizeDist::Pareto {
+                min: 1,
+                max: 64,
+                alpha: f64::NAN,
             }),
             FlowSpec {
                 pattern: FlowPattern::Hotspot {

@@ -99,7 +99,7 @@ use crate::plan::{min_plan, RoutePolicy, SenseView};
 use crate::sensing::{saturated_flags_into, GroupBoard};
 use crate::shard::{BoardEvent, CreditEvent, Outbox, PacketEvent};
 use crate::wheel::Wheel;
-use flexvc_core::policy::flexvc_options_lookahead;
+use flexvc_core::policy::{baseline_vc, flexvc_options_lookahead};
 use flexvc_core::{CreditClass, HopKind, LinkClass, MessageClass, TrafficClass, VcPolicy};
 use flexvc_topology::Topology;
 use flexvc_traffic::{Emission, NodeTraffic};
@@ -211,13 +211,6 @@ struct OutputRec {
     /// an output-buffer release (`process_pending`) and a per-class quota
     /// shift (`repartition`).
     waiters: u32,
-    /// Last credit-arrival cycle scheduled for this link: credit returns
-    /// are batched per link per cycle, so a link already scheduled for
-    /// cycle `at` skips the duplicate wheel push — `deliver` drains every
-    /// credit due at `at` from one wheel entry. Sound because credit
-    /// arrivals are monotonic per link, and a duplicate entry would drain
-    /// nothing anyway.
-    cred_sched: u64,
     /// Output buffer occupancy in phits.
     occ: u32,
     /// Stage-2 QoS bypass counter.
@@ -308,10 +301,6 @@ pub struct Network {
     /// Cached [`RoutePolicy::decides_in_transit`] for the allocator's hot
     /// path.
     transit_decisions: bool,
-    /// Cached [`RoutePolicy::is_static_min`]: injection planning bypasses
-    /// the policy object (no `SenseView` setup, no dispatch) and calls
-    /// [`min_plan`] directly — the monomorphized MIN fast path.
-    fast_min: bool,
     // --- record tables, indexed by offset into the owned ranges ---
     routers: Vec<RouterRec>,
     inputs: Vec<InputRec>,
@@ -377,12 +366,6 @@ pub struct Network {
     pkt_wheel: Wheel<u32>,
     /// Timing wheel of outputs with a credit arriving at a cycle.
     cred_wheel: Wheel<u32>,
-    /// Debug-build shadow of `cred_wheel` *without* the per-link batching:
-    /// one entry per credit event. `deliver` cross-checks that the batched
-    /// drain processes exactly the credits the per-event schedule would
-    /// have, cycle by cycle.
-    #[cfg(debug_assertions)]
-    shadow_cred: Wheel<u32>,
     /// Timing wheel of every other timed event (see [`Pending`]) —
     /// releases are commutative occupancy arithmetic and wake-ups only set
     /// bits or queue work for a later phase, so wheel order is
@@ -579,7 +562,6 @@ impl Network {
             .map(|port| OutputRec {
                 xbar: 0,
                 waiters: NIL,
-                cred_sched: 0,
                 occ: 0,
                 bypass: 0,
                 cls_occ: [0; 2],
@@ -589,16 +571,8 @@ impl Network {
                 link: LinkState::with_capacity(window(port)),
             })
             .collect();
-        // Uniform packet size: let the credit mirrors maintain a ready-VC
-        // bitmask incrementally, so the allocator's VC-candidate scan is a
-        // word scan instead of a per-VC `can_accept` loop (static buffers
-        // only; DAMQ admission depends on shared headroom and falls back).
         let out_credit = (0..n_own * pp)
-            .map(|o| {
-                let mut credit = make_occ(fab.port_class[o % pp]);
-                credit.register_probe(size);
-                credit
-            })
+            .map(|o| make_occ(fab.port_class[o % pp]))
             .collect();
         let routers = owned_r
             .clone()
@@ -671,7 +645,6 @@ impl Network {
             ]
         };
         Network {
-            fast_min: policy.is_static_min(),
             transit_decisions: policy.decides_in_transit(),
             policy,
             routers,
@@ -704,8 +677,6 @@ impl Network {
             sense_list: Vec::new(),
             pkt_wheel: Wheel::new(horizon),
             cred_wheel: Wheel::new(horizon),
-            #[cfg(debug_assertions)]
-            shadow_cred: Wheel::new(horizon),
             rel_wheel: Wheel::new(rel_horizon),
             cand: vec![None; n_in],
             eval_mutated_here: false,
@@ -999,7 +970,7 @@ impl Network {
             self.outputs[o]
                 .link
                 .receive_credit(arrival, vc, phits, class, tclass);
-            self.schedule_credit(now, arrival, o);
+            self.cred_wheel.schedule(now, arrival, o as u32);
         }
         for ev in &mail.boards {
             self.boards[ev.group as usize].publish(
@@ -1240,13 +1211,11 @@ impl Network {
         self.pkt_wheel.put_back(now, due);
         // Credit arrivals: outputs with a credit due now (the credit queue
         // lives on the *upstream* link, owned by the router it returns to).
-        // One wheel entry per (link, cycle) — `schedule_credit` batches —
-        // and the drain loop applies every credit due on that link at once.
-        #[cfg(debug_assertions)]
-        let mut drained_dbg: Vec<(u32, u32)> = Vec::new();
+        // The first wheel entry of a link applies every credit due on it;
+        // a later entry for the same link finds none left.
         let due = self.cred_wheel.take(now);
-        for &o32 in &due {
-            let o = o32 as usize;
+        for &o in &due {
+            let o = o as usize;
             let out = &mut self.outputs[o];
             let mut any = false;
             while let Some(c) = out.link.pop_credit(now) {
@@ -1263,11 +1232,6 @@ impl Network {
                 // as deadlocked.
                 self.last_progress = now;
                 any = true;
-                #[cfg(debug_assertions)]
-                match drained_dbg.last_mut() {
-                    Some((l, n)) if *l == o32 => *n += 1,
-                    _ => drained_dbg.push((o32, 1)),
-                }
             }
             if any {
                 // Credits restore acceptance on this output port: wake the
@@ -1283,27 +1247,6 @@ impl Network {
             }
         }
         self.cred_wheel.put_back(now, due);
-        // Cross-check: the batched drain must process exactly the credits
-        // the un-batched per-event schedule (`shadow_cred`) has due this
-        // cycle — same links, same per-link counts.
-        #[cfg(debug_assertions)]
-        {
-            let shadow = self.shadow_cred.take(now);
-            let mut expected: Vec<(u32, u32)> = Vec::new();
-            for &l in &shadow {
-                match expected.iter_mut().find(|(el, _)| *el == l) {
-                    Some((_, n)) => *n += 1,
-                    None => expected.push((l, 1)),
-                }
-            }
-            drained_dbg.sort_unstable();
-            expected.sort_unstable();
-            debug_assert_eq!(
-                drained_dbg, expected,
-                "batched credit drain diverged from the per-event schedule at cycle {now}"
-            );
-            self.shadow_cred.put_back(now, shadow);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1556,36 +1499,23 @@ impl Network {
                     if head.planned {
                         continue;
                     }
-                    let dst_r = head.dst_router as usize;
-                    let (plan, min_routed) = if self.fast_min {
-                        // Monomorphized MIN fast path: `plan_injection` in
-                        // Min mode without adaptive copies reads no sensed
-                        // state and no RNG, so skip the `SenseView` setup
-                        // and the policy dispatch entirely.
-                        if dst_r == r {
-                            (PlannedPath::empty(), true)
-                        } else {
-                            (min_plan(&*fab.topo, r, dst_r), true)
-                        }
-                    } else {
-                        let sense = SenseView {
-                            out_credit: &self.out_credit[ri * pp..(ri + 1) * pp],
-                            boards: &self.boards,
-                            sense_ports: &fab.sense_ports,
-                            sense_all: fab.sense_all,
-                            min_cred: self.cfg.sensing.min_cred,
-                            adj: &fab.adj,
-                            port_class: &fab.port_class,
-                        };
-                        self.policy.plan_injection(
-                            &*fab.topo,
-                            &sense,
-                            &mut router.rng,
-                            r,
-                            dst_r,
-                            head.class,
-                        )
+                    let sense = SenseView {
+                        out_credit: &self.out_credit[ri * pp..(ri + 1) * pp],
+                        boards: &self.boards,
+                        sense_ports: &fab.sense_ports,
+                        sense_all: fab.sense_all,
+                        min_cred: self.cfg.sensing.min_cred,
+                        adj: &fab.adj,
+                        port_class: &fab.port_class,
                     };
+                    let (plan, min_routed) = self.policy.plan_injection(
+                        &*fab.topo,
+                        &sense,
+                        &mut router.rng,
+                        r,
+                        head.dst_router as usize,
+                        head.class,
+                    );
                     head.plan = plan;
                     head.min_routed = min_routed;
                     head.derouted = !min_routed;
@@ -1799,26 +1729,25 @@ impl Network {
         let size = self.cfg.packet_size;
         self.eval_block = EvalBlock::Never;
 
+        let head = self.inputs[input].bank.head(vc)?;
+        if head.head_arrival > now {
+            // Cut-through eligibility is time-pure.
+            self.eval_block = EvalBlock::Until(head.head_arrival);
+            return None;
+        }
+        if !head.planned {
+            // Planned by next cycle's planning pass (phase 4 precedes
+            // allocation, and the router is already on `plan_list`).
+            self.eval_block = EvalBlock::Until(now + 1);
+            return None;
+        }
         // In-transit routing decisions (PAR divert, DAL per-dimension
-        // misroute, adaptive copy re-selection) may replace the plan; they
-        // only run for arrived, planned heads, so pre-read those facts.
-        // Without transit decisions the same checks run on the fused head
-        // read inside the loop below instead (one bank lookup, not two).
-        if self.transit_decisions {
-            let head = self.inputs[input].bank.head(vc)?;
-            if head.head_arrival > now {
-                self.eval_block = EvalBlock::Until(head.head_arrival);
-                return None;
-            }
-            if !head.planned {
-                self.eval_block = EvalBlock::Until(now + 1);
-                return None;
-            }
-            if self.transit_decide(ri, in_idx, vc) {
-                // Latched this visit: the head stays awake for one more
-                // visit, and every later evaluation in this buffer is pure.
-                self.eval_mutated_here = true;
-            }
+        // misroute, adaptive copy re-selection) may replace the plan of an
+        // arrived, planned head.
+        if self.transit_decisions && self.transit_decide(ri, in_idx, vc) {
+            // Latched this visit: the head stays awake for one more visit,
+            // and every later evaluation in this buffer is pure.
+            self.eval_mutated_here = true;
         }
 
         // Forwarding evaluation with at most one reversion.
@@ -1826,20 +1755,6 @@ impl Network {
         loop {
             let fab = &*self.fabric;
             let head = self.inputs[input].bank.head(vc)?;
-            if !self.transit_decisions && !reverted {
-                if head.head_arrival > now {
-                    // Cut-through eligibility is time-pure.
-                    self.eval_block = EvalBlock::Until(head.head_arrival);
-                    return None;
-                }
-                if !head.planned {
-                    // Planned by next cycle's planning pass (phase 4
-                    // precedes allocation, and the router is already on
-                    // `plan_list`).
-                    self.eval_block = EvalBlock::Until(now + 1);
-                    return None;
-                }
-            }
             // A done plan means ejection (possibly after a reversion of a
             // detour that passed through the destination router).
             if head.plan.is_done() {
@@ -1897,36 +1812,17 @@ impl Network {
             let credit = &self.out_credit[ri * pp + port];
             match self.cfg.policy {
                 VcPolicy::Baseline => {
-                    // Precomputed pure (class, slot) -> (vc, pos) mapping
-                    // (see `Fabric::baseline_table`).
-                    let (bvc, pos) = fab.baseline_table[head.class.index()][hop.slot as usize];
-                    #[cfg(debug_assertions)]
-                    {
-                        let arr = &self.cfg.arrangement;
-                        let reference: &[LinkClass] =
-                            match self.cfg.topology.family().generic_diameter() {
-                                None => self.cfg.routing.dragonfly_reference(),
-                                // Generic references are all-Local; slots map 1:1.
-                                Some(d) => self.cfg.routing.generic_reference(d),
-                            };
-                        let (bclass, fresh_vc) = flexvc_core::policy::baseline_vc(
-                            arr,
-                            head.class,
-                            reference,
-                            hop.slot as usize,
-                        );
-                        debug_assert_eq!(bclass, pclass, "reference class mismatch");
-                        debug_assert_eq!(fresh_vc as u8, bvc, "stale baseline table");
-                        debug_assert_eq!(
-                            arr.position(pclass, fresh_vc).expect("baseline vc") as u16,
-                            pos
-                        );
-                    }
-                    if credit.can_accept(bvc as usize, size) {
+                    // The one VC the distance-based rule assigns this
+                    // reference slot.
+                    let arr = &self.cfg.arrangement;
+                    let reference = self.cfg.routing.reference(self.cfg.topology.family());
+                    let (bclass, bvc) = baseline_vc(arr, head.class, reference, hop.slot as usize);
+                    debug_assert_eq!(bclass, pclass, "reference class mismatch");
+                    if credit.can_accept(bvc, size) {
                         return Some(Decision::Forward {
                             port: port as u16,
-                            vc: bvc,
-                            pos,
+                            vc: bvc as u8,
+                            pos: arr.position(bclass, bvc).expect("baseline vc") as u16,
                         });
                     }
                     // Improves only on a credit return for this port.
@@ -1996,39 +1892,10 @@ impl Network {
                     if let Some(opts) = opts {
                         let mut cands: [(usize, usize); MAX_VCS] = [(0, 0); MAX_VCS];
                         let mut nc = 0;
-                        match credit.ready_mask() {
-                            // Word scan over the incrementally-maintained
-                            // ready-VC bitmask: same ascending VC order and
-                            // same acceptance set as the per-VC
-                            // `can_accept` loop below.
-                            Some(ready) => {
-                                let window =
-                                    (u32::MAX >> (31 - opts.hi as u32)) & !((1u32 << opts.lo) - 1);
-                                let mut m = ready & window & qmask;
-                                #[cfg(debug_assertions)]
-                                for v in opts.lo..=opts.hi {
-                                    debug_assert_eq!(
-                                        credit.can_accept(v, size) && qmask & (1 << v) != 0,
-                                        m & (1 << v) != 0,
-                                        "ready mask out of sync at vc {v}"
-                                    );
-                                }
-                                while m != 0 {
-                                    let v = m.trailing_zeros() as usize;
-                                    m &= m - 1;
-                                    cands[nc] = (v, credit.free_for(v) as usize);
-                                    nc += 1;
-                                }
-                            }
-                            // DAMQ banks (admission depends on shared
-                            // headroom) keep the linear scan.
-                            None => {
-                                for v in opts.lo..=opts.hi {
-                                    if qmask & (1 << v) != 0 && credit.can_accept(v, size) {
-                                        cands[nc] = (v, credit.free_for(v) as usize);
-                                        nc += 1;
-                                    }
-                                }
+                        for v in opts.lo..=opts.hi {
+                            if qmask & (1 << v) != 0 && credit.can_accept(v, size) {
+                                cands[nc] = (v, credit.free_for(v) as usize);
+                                nc += 1;
                             }
                         }
                         if nc > 0 {
@@ -2154,23 +2021,7 @@ impl Network {
             self.outputs[up]
                 .link
                 .send_credit(t_c, lat, vc_in as u8, phits, class, tclass);
-            self.schedule_credit(now, t_c + lat as u64, up);
-        }
-    }
-
-    /// Schedule the credit-drain wheel for a credit arriving on output `o`
-    /// at cycle `at`, batching per link per cycle: `deliver` pops *every*
-    /// credit due at `at` from one wheel entry, so a second entry for the
-    /// same (link, cycle) would drain nothing — skip pushing it. Credit
-    /// arrivals are monotonic per link (asserted in `LinkState`), so a
-    /// recorded cycle can only be superseded by a later one.
-    #[inline]
-    fn schedule_credit(&mut self, now: u64, at: u64, o: usize) {
-        #[cfg(debug_assertions)]
-        self.shadow_cred.schedule(now, at, o as u32);
-        if self.outputs[o].cred_sched != at {
-            self.outputs[o].cred_sched = at;
-            self.cred_wheel.schedule(now, at, o as u32);
+            self.cred_wheel.schedule(now, t_c + lat as u64, up as u32);
         }
     }
 

@@ -227,12 +227,10 @@ pub fn points() -> Vec<EquivalencePoint> {
         19,
     );
 
-    // Hot-path pins (recorded when the fast paths landed): static-MIN
-    // routing with the baseline VC policy drives the monomorphized
-    // injection-plan path (no SenseView, no policy dispatch) and — at
-    // high load, where credit stalls dominate — the batched per-link
-    // credit drain. One synthetic point on the HyperX and one flow point
-    // on the Dragonfly so both topologies' fast paths stay pinned.
+    // Hot-path pins: static-MIN routing with the baseline VC policy, the
+    // most common configuration, at loads where credit stalls dominate.
+    // One synthetic point on the HyperX and one flow point on the
+    // Dragonfly.
     add(
         "hotpath_un_min_baseline_hyperx2d",
         smoke(SimConfig::hyperx_baseline(

@@ -1,18 +1,15 @@
 //! The immutable, topology-derived half of a simulation.
 //!
 //! Everything the engine reads but never writes once a run starts — the
-//! flattened wiring, per-port classes, latencies and VC counts, the
-//! baseline policy's `(class, slot) → VC` table, the flow permutation —
-//! is computed once per `(config, topology, seed)` into a [`Fabric`] and
-//! shared behind an `Arc` by every shard of a
+//! flattened wiring, per-port classes, latencies and VC counts, the flow
+//! permutation — is computed once per `(config, topology, seed)` into a
+//! [`Fabric`] and shared behind an `Arc` by every shard of a
 //! [`ShardedNetwork`](crate::ShardedNetwork) (a plain
 //! [`Network`](crate::Network) is the one-shard case), so an engine
 //! instance allocates mutable state only for the routers it owns.
 
 use crate::config::SimConfig;
-use crate::packet::MAX_PLAN;
-use flexvc_core::policy::baseline_vc;
-use flexvc_core::{LinkClass, MessageClass, VcPolicy};
+use flexvc_core::LinkClass;
 use flexvc_topology::Topology;
 use flexvc_traffic::flow::{random_permutation, FlowPattern};
 use flexvc_traffic::generator::NodeSpace;
@@ -49,9 +46,6 @@ pub(crate) struct Fabric {
     pub sense_ports: Vec<usize>,
     /// `true` when every port is a sense port (single-class topology).
     pub sense_all: bool,
-    /// Baseline policy lookup: `(class, slot) -> (vc, position)`, pure per
-    /// configuration (empty unless the baseline policy is active).
-    pub baseline_table: Vec<[(u8, u16); MAX_PLAN]>,
     /// A permutation flow workload fixes each node's destination from a
     /// seed-only random derangement (`None` otherwise).
     pub perm: Option<Vec<u32>>,
@@ -62,7 +56,6 @@ pub(crate) struct Fabric {
 impl Fabric {
     /// Flatten `topo` under the (validated) configuration `cfg`.
     pub fn new(cfg: &SimConfig, topo: Arc<dyn Topology>, seed: u64) -> Self {
-        let family = cfg.topology.family();
         let pp = topo.num_ports();
         let pn = topo.nodes_per_router();
         let nr = topo.num_routers();
@@ -106,35 +99,6 @@ impl Fabric {
             } as u8)
             .collect();
 
-        // Precompute the baseline policy's pure (class, slot) -> (vc, pos)
-        // mapping so the allocator's hottest path is a table lookup.
-        let baseline_table = if cfg.policy == VcPolicy::Baseline {
-            let arr = &cfg.arrangement;
-            let reference: &[LinkClass] = match family.generic_diameter() {
-                None => cfg.routing.dragonfly_reference(),
-                Some(d) => cfg.routing.generic_reference(d),
-            };
-            [MessageClass::Request, MessageClass::Reply]
-                .iter()
-                .map(|&class| {
-                    let mut row = [(0u8, 0u16); MAX_PLAN];
-                    // Reply rows exist only for reactive workloads (the
-                    // arrangement has no reply part otherwise, and no
-                    // reply packet can ever query the table).
-                    if class == MessageClass::Reply && !cfg.workload.is_reactive() {
-                        return row;
-                    }
-                    for (slot, entry) in row.iter_mut().enumerate().take(reference.len()) {
-                        let (bclass, bvc) = baseline_vc(arr, class, reference, slot);
-                        let pos = arr.position(bclass, bvc).expect("baseline vc") as u16;
-                        *entry = (bvc as u8, pos);
-                    }
-                    row
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let perm = match cfg.workload.flow_spec() {
             Some(spec) if matches!(spec.pattern, FlowPattern::Permutation) => {
                 Some(random_permutation(topo.num_nodes(), seed))
@@ -152,7 +116,6 @@ impl Fabric {
             vcs_by_in,
             sense_ports,
             sense_all,
-            baseline_table,
             perm,
             space: NodeSpace {
                 num_nodes: topo.num_nodes(),

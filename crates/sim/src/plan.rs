@@ -374,17 +374,6 @@ impl RoutePolicy {
         self.mode.decides_in_transit() || self.adaptive_copies
     }
 
-    /// Whether injection planning is the *static minimal* fast path: in
-    /// [`RoutingMode::Min`] without adaptive copies,
-    /// [`RoutePolicy::plan_injection`] reduces to [`min_plan`] (or the
-    /// ejection-empty plan at the destination router), reads no sensed
-    /// state, and draws no randomness — so the engine may bypass the
-    /// policy object and its `SenseView` setup entirely on this, the most
-    /// common, configuration.
-    pub fn is_static_min(&self) -> bool {
-        self.mode == RoutingMode::Min && !self.adaptive_copies
-    }
-
     /// Plan a packet's route at injection. Returns the plan and whether it
     /// is minimal. Decisions consume congestion exclusively through
     /// `sense`; random draws (Valiant intermediates) come from the

@@ -79,10 +79,7 @@ fn arb_dfplus() -> impl Strategy<Value = DragonflyPlus> {
 /// The routing mode's reference arrangement for the topology family: the
 /// master sequence the baseline policy assigns one VC per hop of.
 fn reference_arrangement(topo: &dyn Topology, mode: RoutingMode) -> Arrangement {
-    match topo.family().generic_diameter() {
-        Some(d) => Arrangement::new(mode.generic_reference(d)),
-        None => Arrangement::new(mode.dragonfly_reference().to_vec()),
-    }
+    Arrangement::new(mode.reference(topo.family()))
 }
 
 /// Walk `route` from `from`, asserting port-level consistency; returns the
