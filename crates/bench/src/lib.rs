@@ -79,7 +79,11 @@ impl Scale {
 
     /// Baseline config for a routing mode/workload at this scale.
     pub fn config(&self, routing: RoutingMode, workload: Workload) -> SimConfig {
-        let mut cfg = SimConfig::dragonfly_baseline(self.h, routing, workload);
+        self.windowed(SimConfig::dragonfly_baseline(self.h, routing, workload))
+    }
+
+    /// `cfg` on this scale's windows, with the watchdog at half their sum.
+    pub(crate) fn windowed(&self, mut cfg: SimConfig) -> SimConfig {
         cfg.warmup = self.warmup;
         cfg.measure = self.measure;
         cfg.watchdog = (self.warmup + self.measure) / 2;
@@ -188,10 +192,8 @@ pub fn hyperx_shape(n_dims: usize) -> (usize, usize) {
 pub fn hyperx_series(scale: &Scale, n_dims: usize, pattern: Pattern) -> Vec<Series> {
     let routing = paper_routing_for(pattern);
     let (s, p) = hyperx_shape(n_dims);
-    let mut base = SimConfig::hyperx_baseline(n_dims, s, p, routing, Workload::oblivious(pattern));
-    base.warmup = scale.warmup;
-    base.measure = scale.measure;
-    base.watchdog = (scale.warmup + scale.measure) / 2;
+    let wl = Workload::oblivious(pattern);
+    let base = scale.windowed(SimConfig::hyperx_baseline(n_dims, s, p, routing, wl));
     let min_vcs = routing.min_hyperx_vcs(n_dims);
     let flex = |vcs: usize| base.clone().with_flexvc(Arrangement::generic(vcs));
     let mut out = vec![Series::new("Baseline", base.clone())];
@@ -256,17 +258,14 @@ pub fn dfplus_shape() -> (usize, usize, usize, usize) {
 pub fn dfplus_series(scale: &Scale, pattern: Pattern) -> Vec<Series> {
     let routing = paper_routing_for(pattern);
     let (leaves, spines, hosts, groups) = dfplus_shape();
-    let mut base = SimConfig::dfplus_baseline(
+    let base = scale.windowed(SimConfig::dfplus_baseline(
         leaves,
         spines,
         hosts,
         groups,
         routing,
         Workload::oblivious(pattern),
-    );
-    base.warmup = scale.warmup;
-    base.measure = scale.measure;
-    base.watchdog = (scale.warmup + scale.measure) / 2;
+    ));
     let flex = |l: usize, g: usize| base.clone().with_flexvc(Arrangement::dragonfly(l, g));
     let (ml, mg) = routing.min_dragonfly_vcs();
     let mut out = vec![
@@ -311,10 +310,7 @@ pub fn flow_series(scale: &Scale, spec: flexvc_traffic::FlowSpec) -> Vec<Series>
     let wl = Workload::flows(spec);
     let df_base = scale.config(RoutingMode::Min, wl);
     let (s, p) = hyperx_shape(2);
-    let mut hx_base = SimConfig::hyperx_baseline(2, s, p, RoutingMode::Min, wl);
-    hx_base.warmup = scale.warmup;
-    hx_base.measure = scale.measure;
-    hx_base.watchdog = (scale.warmup + scale.measure) / 2;
+    let hx_base = scale.windowed(SimConfig::hyperx_baseline(2, s, p, RoutingMode::Min, wl));
     let hx_vcs = RoutingMode::Min.min_hyperx_vcs(2);
     vec![
         Series::new("DF Baseline", df_base.clone()),
@@ -337,15 +333,12 @@ pub fn flow_series(scale: &Scale, spec: flexvc_traffic::FlowSpec) -> Vec<Series>
 /// adaptive JSQ uses both copies.
 pub fn hyperx_k2_series(scale: &Scale, pattern: Pattern) -> Vec<Series> {
     let (s, p) = hyperx_shape(2);
-    let mut base =
-        SimConfig::hyperx_baseline(2, s, p, RoutingMode::Min, Workload::oblivious(pattern));
+    let wl = Workload::oblivious(pattern);
+    let mut base = scale.windowed(SimConfig::hyperx_baseline(2, s, p, RoutingMode::Min, wl));
     base.topology = flexvc_sim::TopologySpec::HyperX {
         dims: vec![(s, 2); 2],
         p,
     };
-    base.warmup = scale.warmup;
-    base.measure = scale.measure;
-    base.watchdog = (scale.warmup + scale.measure) / 2;
     let mut adaptive = base.clone();
     adaptive.adaptive_copies = true;
     vec![

@@ -576,10 +576,7 @@ fn paper_points(pattern: Pattern, series: &[Series]) -> Vec<PointSpec> {
 /// over the host's cores.
 pub(super) fn dragonfly_paper(scale: &Scale) -> Scenario {
     let wl = Workload::oblivious(Pattern::Uniform);
-    let mut base = SimConfig::dragonfly_baseline(8, RoutingMode::Min, wl);
-    base.warmup = scale.warmup;
-    base.measure = scale.measure;
-    base.watchdog = (scale.warmup + scale.measure) / 2;
+    let base = scale.windowed(SimConfig::dragonfly_baseline(8, RoutingMode::Min, wl));
     let series = [
         Series::new("Baseline", base.clone()),
         Series::new(
@@ -605,16 +602,13 @@ pub(super) fn dragonfly_paper(scale: &Scale) -> Scenario {
 /// topology of the follow-up VC-management analysis (arXiv 2306.13042),
 /// far beyond the single-core sweep budget.
 pub(super) fn hyperx_paper(scale: &Scale) -> Scenario {
-    let mut base = SimConfig::hyperx_baseline(
+    let base = scale.windowed(SimConfig::hyperx_baseline(
         3,
         16,
         4,
         RoutingMode::Min,
         Workload::oblivious(Pattern::Uniform),
-    );
-    base.warmup = scale.warmup;
-    base.measure = scale.measure;
-    base.watchdog = (scale.warmup + scale.measure) / 2;
+    ));
     let series = [
         Series::new("Baseline", base.clone()),
         Series::new("FlexVC 5VCs", base.with_flexvc(Arrangement::generic(5))),
@@ -638,17 +632,14 @@ pub(super) fn hyperx_paper(scale: &Scale) -> Scenario {
 /// links, matching the megafly configurations of the Dragonfly+ litera-
 /// ture rather than the registry's laptop-sized 9-group instance.
 pub(super) fn dfplus_paper(scale: &Scale) -> Scenario {
-    let mut base = SimConfig::dfplus_baseline(
+    let base = scale.windowed(SimConfig::dfplus_baseline(
         16,
         16,
         8,
         33,
         RoutingMode::Min,
         Workload::oblivious(Pattern::Uniform),
-    );
-    base.warmup = scale.warmup;
-    base.measure = scale.measure;
-    base.watchdog = (scale.warmup + scale.measure) / 2;
+    ));
     let series = [
         Series::new("Baseline", base.clone()),
         Series::new(
@@ -803,10 +794,7 @@ pub(super) fn qos_hyperx(scale: &Scale) -> Scenario {
         } else {
             wl
         };
-        let mut cfg = SimConfig::hyperx_baseline(2, s, p, RoutingMode::Min, wl);
-        cfg.warmup = scale.warmup;
-        cfg.measure = scale.measure;
-        cfg.watchdog = (scale.warmup + scale.measure) / 2;
+        let cfg = scale.windowed(SimConfig::hyperx_baseline(2, s, p, RoutingMode::Min, wl));
         cfg.with_flexvc(Arrangement::generic(4))
     };
     let series = [

@@ -11,7 +11,7 @@
 use super::{ClassifyKind, Scenario, ScenarioError};
 use flexvc_core::classify::{classify, classify_both, classify_combined};
 use flexvc_core::MessageClass;
-use flexvc_serde::{Deserialize, Error as DeError, Map, Serialize, Value};
+use flexvc_serde::{Map, Serialize, Value};
 use flexvc_sim::runner::{run_points_with_progress, Point};
 use flexvc_sim::{RunError, SimResult};
 use std::fmt;
@@ -487,18 +487,6 @@ impl Serialize for PointResult {
     }
 }
 
-impl Deserialize for PointResult {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map()?;
-        Ok(PointResult {
-            series: m.field("series")?,
-            x: m.field("x")?,
-            load: m.field("load")?,
-            result: m.field("result")?,
-        })
-    }
-}
-
 impl Serialize for ClassificationResult {
     fn to_value(&self) -> Value {
         let rows: Vec<Value> = self
@@ -521,27 +509,6 @@ impl Serialize for ClassificationResult {
     }
 }
 
-impl Deserialize for ClassificationResult {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map()?;
-        let rows = m
-            .req("rows")?
-            .as_seq()
-            .map_err(|e| e.context("rows"))?
-            .iter()
-            .map(|row| -> Result<(String, Vec<String>), DeError> {
-                let rm = row.as_map().map_err(|e| e.context("rows"))?;
-                Ok((rm.field("mode")?, rm.field("cells")?))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ClassificationResult {
-            title: m.field_or("title", String::new())?,
-            columns: m.field("columns")?,
-            rows,
-        })
-    }
-}
-
 impl Serialize for ScenarioReport {
     fn to_value(&self) -> Value {
         Value::Map(
@@ -556,26 +523,12 @@ impl Serialize for ScenarioReport {
     }
 }
 
-impl Deserialize for ScenarioReport {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map()?;
-        Ok(ScenarioReport {
-            name: m.field("name")?,
-            title: m.field_or("title", String::new())?,
-            description: m.field_or("description", String::new())?,
-            seeds: m.field_or("seeds", Vec::new())?,
-            points: m.field_or("points", Vec::new())?,
-            tables: m.field_or("tables", Vec::new())?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::PointSpec;
     use flexvc_core::RoutingMode;
-    use flexvc_serde::{from_json, to_json_pretty};
+    use flexvc_serde::to_json_pretty;
     use flexvc_sim::SimConfig;
     use flexvc_traffic::{Pattern, Workload};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -637,11 +590,13 @@ mod tests {
         let csv = render_csv(&report);
         assert_eq!(csv.lines().count(), 3, "{csv}");
 
-        // The report round-trips through JSON.
+        // The JSON report carries both points.
         let json = to_json_pretty(&report);
-        let back: ScenarioReport = from_json(&json).unwrap();
-        assert_eq!(back.points.len(), 2);
-        assert_eq!(back.points[0].series, "Baseline");
+        assert_eq!(
+            json.matches("\"series\": \"Baseline\"").count(),
+            2,
+            "{json}"
+        );
     }
 
     #[test]

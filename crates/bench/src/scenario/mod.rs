@@ -29,7 +29,7 @@ pub use registry::{ScenarioEntry, ScenarioRegistry};
 
 use flexvc_core::classify::NetworkFamily;
 use flexvc_core::{Arrangement, RoutingMode};
-use flexvc_serde::{Deserialize, Error as DeError, Map, Serialize, Value};
+use flexvc_serde::{keywords, record, Deserialize, Error as DeError, Map, Serialize, Value};
 use flexvc_sim::{ConfigError, SimConfig};
 use std::fmt;
 
@@ -188,68 +188,39 @@ impl Scenario {
 // Serialization
 // ---------------------------------------------------------------------------
 
-impl Serialize for PointSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            Map::new()
-                .with("series", Value::from(self.series.as_str()))
-                .with("x", Value::from(self.x.as_str()))
-                .with("load", self.load.to_value())
-                .with("cfg", self.cfg.to_value()),
-        )
-    }
+record!(PointSpec {
+    series: "series" = String::new(),
+    x: "x" => format!("{load:.2}"),
+    load: "load",
+    cfg: "cfg",
+});
+
+keywords!(ClassifyKind, "classification kind" {
+    Request => "request",
+    Combined => "combined",
+    Both => "both",
+});
+
+/// A classification column as written: a label, by default the
+/// arrangement's VC counts.
+struct Column {
+    label: String,
+    arrangement: Arrangement,
 }
 
-impl Deserialize for PointSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map()?;
-        let load = m.field("load")?;
-        Ok(PointSpec {
-            series: m.field_or("series", String::new())?,
-            x: m.field_or("x", format!("{load:.2}"))?,
-            load,
-            cfg: m.field("cfg")?,
-        })
-    }
-}
-
-impl Serialize for ClassifyKind {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                ClassifyKind::Request => "request",
-                ClassifyKind::Combined => "combined",
-                ClassifyKind::Both => "both",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for ClassifyKind {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_str()?.to_ascii_lowercase().as_str() {
-            "request" => Ok(ClassifyKind::Request),
-            "combined" => Ok(ClassifyKind::Combined),
-            "both" => Ok(ClassifyKind::Both),
-            other => Err(DeError::new(format!(
-                "unknown classification kind `{other}` (expected request, combined or both)"
-            ))),
-        }
-    }
-}
+record!(Column {
+    label: "label" => Arrangement::count_label(&arrangement),
+    arrangement: "arrangement",
+});
 
 impl Serialize for ClassificationSpec {
     fn to_value(&self) -> Value {
         let columns: Vec<Value> = self
             .columns
             .iter()
-            .map(|(label, arr)| {
-                Value::Map(
-                    Map::new()
-                        .with("label", Value::from(label.as_str()))
-                        .with("arrangement", arr.to_value()),
-                )
+            .map(|(label, arrangement)| {
+                let (label, arrangement) = (label.clone(), arrangement.clone());
+                Column { label, arrangement }.to_value()
             })
             .collect();
         Value::Map(
@@ -266,27 +237,16 @@ impl Serialize for ClassificationSpec {
 impl Deserialize for ClassificationSpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let m = v.as_map()?;
-        let columns = m
-            .req("columns")?
-            .as_seq()
-            .map_err(|e| e.context("columns"))?
-            .iter()
-            .enumerate()
-            .map(|(i, c)| -> Result<(String, Arrangement), DeError> {
-                let cm = c
-                    .as_map()
-                    .map_err(|e| e.context(&format!("columns[{i}]")))?;
-                let arrangement: Arrangement = cm.field("arrangement")?;
-                let label = cm.field_or("label", arrangement.count_label())?;
-                Ok((label, arrangement))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let columns: Vec<Column> = m.field("columns")?;
         Ok(ClassificationSpec {
             title: m.field_or("title", String::new())?,
             family: m.field("family")?,
             kind: m.field_or("kind", ClassifyKind::Request)?,
             modes: m.field("modes")?,
-            columns,
+            columns: columns
+                .into_iter()
+                .map(|c| (c.label, c.arrangement))
+                .collect(),
         })
     }
 }

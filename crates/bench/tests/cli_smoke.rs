@@ -682,8 +682,9 @@ fn bad_input_fails_with_usage_errors() {
     // once reached the generators' assertion and a division by zero; a
     // DAMQ reservation above the port memory, a burst shorter than one
     // packet and a control fraction above one reached the bank's and the
-    // generators' assertions; a NaN Pareto tail index once ran a flow
-    // workload that emitted no traffic at all.
+    // generators' assertions; a NaN Pareto tail index and an infinite mean
+    // burst ran workloads that emitted no traffic at all, and a per-port
+    // budget below one packet per VC ran on silently grown buffers.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
@@ -697,6 +698,16 @@ fn bad_input_fails_with_usage_errors() {
             "0.3",
             "[points.cfg.workload]\npattern = { kind = \"bursty_uniform\", mean_burst = 0.5 }",
             "invalid workload: bursty mean_burst must be at least one packet",
+        ),
+        (
+            "0.3",
+            "[points.cfg.workload]\npattern = { kind = \"bursty_uniform\", mean_burst = inf }",
+            "invalid workload: bursty mean_burst must be at least one packet",
+        ),
+        (
+            "0.3",
+            "[points.cfg.buffers]\nsizing = { kind = \"per_port\", local = 8, global = 8 }",
+            "Local VC capacity below one packet",
         ),
         (
             "0.3",

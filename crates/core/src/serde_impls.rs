@@ -2,124 +2,40 @@
 //!
 //! Conventions used across the workspace's serialized documents:
 //!
+//! * Each type declares its wire format once, in a `flexvc_serde` field
+//!   table ([`keywords!`], `record!`, `tagged!`); only a type with a rule
+//!   of its own is written by hand.
 //! * Unit enum variants are lowercase snake_case strings (`"min"`,
-//!   `"per_port"`, `"flexvc"`); parsing is case-insensitive.
+//!   `"per_port"`, `"flexvc"`); parsing is case-insensitive and accepts
+//!   the paper's labels (`"val"`, `"pb"`).
 //! * [`Arrangement`]s serialize as their paper notation string, e.g.
 //!   `"L G L | L G L"`, with the `|` marking the request/reply boundary.
 
 use crate::classify::{NetworkFamily, Support};
 use crate::{Arrangement, LinkClass, RoutingMode, VcPolicy, VcSelection};
-use flexvc_serde::{Deserialize, Error, Serialize, Value};
+use flexvc_serde::{keywords, Deserialize, Error, Serialize, Value};
 
-/// Shared helper: parse a lowercase keyword enum.
-fn keyword<T: Copy>(v: &Value, what: &str, table: &[(&str, T)]) -> Result<T, Error> {
-    let s = v.as_str()?.to_ascii_lowercase();
-    table
-        .iter()
-        .find(|(k, _)| *k == s)
-        .map(|(_, t)| *t)
-        .ok_or_else(|| {
-            let options: Vec<&str> = table.iter().map(|(k, _)| *k).collect();
-            Error::new(format!(
-                "unknown {what} `{s}` (expected one of {})",
-                options.join(", ")
-            ))
-        })
-}
+keywords!(RoutingMode, "routing mode" {
+    Min => "min",
+    Valiant => "valiant" | "val",
+    Par => "par",
+    Piggyback => "piggyback" | "pb",
+    UgalL => "ugal_l" | "ugal-l" | "ugal",
+    UgalG => "ugal_g" | "ugal-g",
+    Dal => "dal",
+});
 
-impl Serialize for RoutingMode {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                RoutingMode::Min => "min",
-                RoutingMode::Valiant => "valiant",
-                RoutingMode::Par => "par",
-                RoutingMode::Piggyback => "piggyback",
-                RoutingMode::UgalL => "ugal_l",
-                RoutingMode::UgalG => "ugal_g",
-                RoutingMode::Dal => "dal",
-            }
-            .to_string(),
-        )
-    }
-}
+keywords!(VcPolicy, "VC policy" {
+    Baseline => "baseline",
+    FlexVc => "flexvc",
+});
 
-impl Deserialize for RoutingMode {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        keyword(
-            v,
-            "routing mode",
-            &[
-                ("min", RoutingMode::Min),
-                ("valiant", RoutingMode::Valiant),
-                ("val", RoutingMode::Valiant),
-                ("par", RoutingMode::Par),
-                ("piggyback", RoutingMode::Piggyback),
-                ("pb", RoutingMode::Piggyback),
-                ("ugal_l", RoutingMode::UgalL),
-                ("ugal-l", RoutingMode::UgalL),
-                ("ugal", RoutingMode::UgalL),
-                ("ugal_g", RoutingMode::UgalG),
-                ("ugal-g", RoutingMode::UgalG),
-                ("dal", RoutingMode::Dal),
-            ],
-        )
-    }
-}
-
-impl Serialize for VcPolicy {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                VcPolicy::Baseline => "baseline",
-                VcPolicy::FlexVc => "flexvc",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for VcPolicy {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        keyword(
-            v,
-            "VC policy",
-            &[
-                ("baseline", VcPolicy::Baseline),
-                ("flexvc", VcPolicy::FlexVc),
-            ],
-        )
-    }
-}
-
-impl Serialize for VcSelection {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                VcSelection::Jsq => "jsq",
-                VcSelection::HighestVc => "highest_vc",
-                VcSelection::LowestVc => "lowest_vc",
-                VcSelection::Random => "random",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for VcSelection {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        keyword(
-            v,
-            "VC selection",
-            &[
-                ("jsq", VcSelection::Jsq),
-                ("highest_vc", VcSelection::HighestVc),
-                ("lowest_vc", VcSelection::LowestVc),
-                ("random", VcSelection::Random),
-            ],
-        )
-    }
-}
+keywords!(VcSelection, "VC selection" {
+    Jsq => "jsq",
+    HighestVc => "highest_vc",
+    LowestVc => "lowest_vc",
+    Random => "random",
+});
 
 impl Serialize for NetworkFamily {
     fn to_value(&self) -> Value {

@@ -14,14 +14,16 @@
 //! * [`Serialize`]/[`Deserialize`] — value-model conversion traits, plus
 //!   the [`to_json`]/[`from_json`]/[`to_toml`]/[`from_toml`] entry points.
 //!
-//! Implementations are written by hand (there is no derive macro); the
-//! [`Map`] helpers `field`, `field_or` and `opt` keep them compact and
-//! give deserialization errors a `path.to.key: message` context chain.
+//! There is no derive macro: a type declares its wire format once, in a
+//! field table ([`keywords!`], [`record!`], [`tagged!`]) that generates both
+//! impls, or implements them by hand with the [`Map`] helpers `field`,
+//! `field_or` and `opt`. Errors carry a `path.to.key: message` context.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
+mod table;
 pub mod toml;
 mod value;
 
@@ -68,6 +70,50 @@ pub fn to_toml<T: Serialize>(t: &T) -> Result<String, Error> {
 /// Deserialize from TOML text.
 pub fn from_toml<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&Value::Map(toml::parse(s)?))
+}
+
+/// Helpers for the code the field tables generate.
+#[doc(hidden)]
+pub mod __private {
+    use crate::{Deserialize, Error, Map, Value};
+
+    /// A `tagged!` value: the bare tag when no field follows `kind`.
+    pub fn tagged(m: Map) -> Value {
+        match m.len() {
+            1 => m.req("kind").cloned().unwrap_or(Value::Null),
+            _ => Value::Map(m),
+        }
+    }
+
+    /// A tag or keyword that spells none of `expected`.
+    pub fn unknown(what: &str, got: &str, expected: &[&str]) -> Error {
+        let (got, expected) = (got.to_ascii_lowercase(), expected.join(", "));
+        Error::new(format!(
+            "unknown {what} `{got}` (expected one of {expected})"
+        ))
+    }
+
+    /// A bare tag with no fields, or the `kind` of a map and the map.
+    pub fn tag_of<'a>(v: &'a Value, what: &str) -> Result<(&'a str, &'a Map), Error> {
+        static NO_FIELDS: Map = Map::new();
+        match v {
+            Value::Str(tag) => Ok((tag, &NO_FIELDS)),
+            Value::Map(m) => Ok((m.req("kind")?.as_str().map_err(|e| e.context("kind"))?, m)),
+            other => Err(Error::new(format!(
+                "expected string or map for {what}, got {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// A struct variant's field: required, or `default` when absent.
+    pub fn variant_field<T: Deserialize>(
+        m: &Map,
+        key: &str,
+        default: Option<T>,
+    ) -> Result<T, Error> {
+        default.map_or_else(|| m.field(key), |default| m.field_or(key, default))
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -57,8 +57,10 @@ pub struct Map {
 
 impl Map {
     /// Empty map.
-    pub fn new() -> Self {
-        Map::default()
+    pub const fn new() -> Self {
+        Map {
+            entries: Vec::new(),
+        }
     }
 
     /// Insert or replace a key.

@@ -680,8 +680,7 @@ impl SimConfig {
                     Local => local,
                     Global => global,
                 };
-                let n = self.vcs_for_class(class).max(1) as u32;
-                (total / n).max(self.packet_size)
+                total / self.vcs_for_class(class).max(1) as u32
             }
         }
     }
@@ -861,8 +860,8 @@ impl SimConfig {
         if let Workload::Synthetic { pattern, mix, .. } = self.workload {
             let fail = |why| Err(ConfigError::InvalidWorkload { why });
             if let Pattern::BurstyUniform { mean_burst } = pattern {
-                if mean_burst.is_nan() || mean_burst < 1.0 {
-                    return fail("bursty mean_burst must be at least one packet");
+                if !mean_burst.is_finite() || mean_burst < 1.0 {
+                    return fail("bursty mean_burst must be at least one packet and finite");
                 }
             }
             if mix.is_some_and(|m| !(0.0..=1.0).contains(&m.control_fraction)) {
@@ -1220,7 +1219,7 @@ mod tests {
                 "{bad}"
             );
         }
-        for bad in [0.5, f64::NAN] {
+        for bad in [0.5, f64::NAN, f64::INFINITY] {
             let err = with(0.75, bad, 0.1);
             assert!(
                 matches!(err, Err(ConfigError::InvalidWorkload { .. })),
@@ -1371,6 +1370,22 @@ mod tests {
         assert_eq!(cfg.vc_capacity(Global), 256); // 512 / 2
         assert_eq!(cfg.port_capacity(Local), 128);
         cfg.validate().unwrap();
+    }
+
+    /// A port budget below one packet per VC is rejected, as its per-VC
+    /// equivalent is, rather than grown to `n × packet_size` phits.
+    #[test]
+    fn per_port_budget_below_one_packet_per_vc_is_rejected() {
+        let uniform = Workload::oblivious(Pattern::Uniform);
+        let mut cfg = SimConfig::dragonfly_baseline(2, RoutingMode::Min, uniform);
+        let too_small = Err(ConfigError::VcCapacityBelowPacket { class: Local });
+        let (local, global) = (8, 8);
+        cfg.buffers.sizing = BufferSizing::PerPort { local, global };
+        assert_eq!(cfg.vc_capacity(Local), 4);
+        assert_eq!(cfg.validate(), too_small);
+        let local = 4;
+        cfg.buffers.sizing = BufferSizing::PerVc { local, global };
+        assert_eq!(cfg.validate(), too_small);
     }
 
     #[test]

@@ -41,9 +41,7 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Largest recorded sample (0 when empty). After deserialization from
-    /// bucket counts alone this is the lower bound of the highest non-empty
-    /// bucket — the best information the buckets carry.
+    /// Largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
     }
@@ -57,39 +55,6 @@ impl LatencyHistogram {
     /// Per-bucket sample sums (aligned with [`LatencyHistogram::buckets`]).
     pub fn bucket_sums(&self) -> &[u64; 21] {
         &self.sums
-    }
-
-    /// Rebuild from serialized bucket counts. The maximum is estimated as
-    /// the lower bound of the highest non-empty bucket; callers holding the
-    /// true recorded maximum should follow up with
-    /// [`LatencyHistogram::observe_max`], and callers holding the per-bucket
-    /// sums with [`LatencyHistogram::restore_bucket_sums`].
-    pub fn from_buckets(buckets: [u64; 21]) -> Self {
-        let count = buckets.iter().sum();
-        let max = buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, |i| 1u64 << i);
-        LatencyHistogram {
-            buckets,
-            sums: [0; 21],
-            count,
-            max,
-        }
-    }
-
-    /// Raise the recorded maximum (used when deserializing a histogram whose
-    /// true maximum was stored alongside the buckets). Never lowers it.
-    pub fn observe_max(&mut self, max: u64) {
-        self.max = self.max.max(max);
-    }
-
-    /// Restore per-bucket sums stored alongside serialized bucket counts.
-    /// Old files carry no sums and leave them zero, which
-    /// [`LatencyHistogram::quantile_interp`] treats as "unknown" and falls
-    /// back to the bucket lower bound for.
-    pub fn restore_bucket_sums(&mut self, sums: [u64; 21]) {
-        self.sums = sums;
     }
 
     /// Approximate quantile: the *lower* bound of the bucket containing the
@@ -121,11 +86,11 @@ impl LatencyHistogram {
     /// Interpolated quantile: resolves *within* the bucket containing the
     /// `q`-th sample by reporting the bucket's sample mean (`sum ÷ count`),
     /// which is exact whenever the bucket holds a single sample and never
-    /// off by more than the bucket width otherwise. Buckets without sum
-    /// data (histograms deserialized from old files) fall back to the
-    /// power-of-two lower bound, matching [`LatencyHistogram::quantile`];
-    /// the overflow bucket keeps reporting the recorded maximum, since its
-    /// mean can still understate an unbounded tail.
+    /// off by more than the bucket width otherwise. A bucket whose samples
+    /// sum to zero (latency-0 samples, which bucket 0 absorbs) reports its
+    /// lower bound, matching [`LatencyHistogram::quantile`]; the overflow
+    /// bucket keeps reporting the recorded maximum, since its mean can
+    /// still understate an unbounded tail.
     pub fn quantile_interp(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -971,13 +936,6 @@ mod tests {
         h2.merge(&h);
         assert_eq!(h2.max(), 9_999_999);
         assert_eq!(h2.quantile(1.0), 9_999_999);
-        // A deserialized histogram without the recorded max falls back to
-        // the overflow bucket's lower bound — never less.
-        let bare = LatencyHistogram::from_buckets(*h.buckets());
-        assert_eq!(bare.quantile(1.0), 1 << 20);
-        let mut restored = LatencyHistogram::from_buckets(*h.buckets());
-        restored.observe_max(9_999_999);
-        assert_eq!(restored.quantile(1.0), 9_999_999);
     }
 
     #[test]
@@ -1008,17 +966,6 @@ mod tests {
         let mut h = LatencyHistogram::default();
         h.record(0); // clamped into bucket 0 = [1, 2)
         assert_eq!(h.quantile(0.5), 1);
-    }
-
-    #[test]
-    fn histogram_bucket_roundtrip() {
-        let mut h = LatencyHistogram::default();
-        for lat in [1u64, 5, 1000, u64::MAX] {
-            h.record(lat);
-        }
-        let back = LatencyHistogram::from_buckets(*h.buckets());
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.buckets(), h.buckets());
     }
 
     /// Test helper: the engine-side pairing of `flow_packet_done` and
@@ -1172,26 +1119,10 @@ mod tests {
         // [64,128) now holds {90,100,110,120}: mean 105.
         assert_eq!(merged.quantile_interp(0.5), 105.0);
         assert_eq!(LatencyHistogram::default().quantile_interp(0.5), 0.0);
-    }
-
-    /// Histograms rebuilt from bucket counts alone (old serialized files)
-    /// carry no sums: interpolation degrades to the lower-bound convention
-    /// of `quantile`, and restoring the sums recovers exactness. The
-    /// overflow bucket keeps the recorded-max convention either way.
-    #[test]
-    fn interpolated_quantiles_degrade_without_sums() {
-        let mut h = LatencyHistogram::default();
-        for lat in [100u64, 110, 120, 130, 5_000_000] {
-            h.record(lat);
-        }
-        let mut bare = LatencyHistogram::from_buckets(*h.buckets());
-        assert_eq!(bare.quantile_interp(0.5), 64.0, "no sums: lower bound");
-        assert_eq!(bare.quantile_interp(1.0), (1u64 << 20) as f64);
-        bare.restore_bucket_sums(*h.bucket_sums());
-        bare.observe_max(h.max());
-        assert_eq!(bare.quantile_interp(0.5), 110.0, "sums restored: mean");
-        assert_eq!(bare.quantile_interp(1.0), 5_000_000.0, "overflow: max");
-        assert_eq!(h.quantile_interp(1.0), 5_000_000.0);
+        // The overflow bucket reports the recorded maximum, not its mean.
+        merged.record(2_000_000);
+        merged.record(5_000_000);
+        assert_eq!(merged.quantile_interp(1.0), 5_000_000.0);
     }
 
     #[test]

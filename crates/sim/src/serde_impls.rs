@@ -1,18 +1,22 @@
 //! `flexvc_serde` conversions for simulator configuration and results.
 //!
-//! These impls let a whole experiment — [`SimConfig`] in, [`SimResult`]
-//! out — round-trip through TOML and JSON. Field names mirror the struct
-//! fields; tagged maps use a `kind` discriminator. Deserialization fills
-//! Table V defaults for omitted scalar fields, so hand-written scenario
-//! files only need to spell out what differs from the baseline.
+//! A [`SimConfig`] round-trips through TOML and JSON; a [`SimResult`] is
+//! only written. Keys mirror the struct fields; tagged maps use a `kind`
+//! discriminator. Deserialization fills Table V defaults for omitted
+//! fields, so hand-written scenario files only need to spell out what
+//! differs from the baseline. [`TopologySpec`] and the results are
+//! written by hand; every other type is a field table.
 
 use crate::config::{
     default_arrangement, BufferConfig, BufferOrg, BufferSizing, ClassVcMap, QosConfig,
     SensingConfig, SensingMode, SimConfig, TopologySpec,
 };
-use crate::metrics::{ClassResult, LatencyHistogram, SimResult};
-use flexvc_serde::{Deserialize, Error, Map, Serialize, Value};
+use crate::metrics::{ClassResult, SimResult};
+use flexvc_core::RoutingMode;
+use flexvc_serde::{keywords, record, tagged, Deserialize, Error, Map, Serialize, Value};
 use flexvc_topology::GlobalArrangement;
+use flexvc_traffic::{Pattern, Workload};
+use std::sync::LazyLock;
 
 impl Serialize for TopologySpec {
     fn to_value(&self) -> Value {
@@ -124,306 +128,87 @@ impl Deserialize for TopologySpec {
     }
 }
 
-impl Serialize for BufferSizing {
-    fn to_value(&self) -> Value {
-        let (kind, local, global) = match *self {
-            BufferSizing::PerVc { local, global } => ("per_vc", local, global),
-            BufferSizing::PerPort { local, global } => ("per_port", local, global),
-        };
-        Value::Map(
-            Map::new()
-                .with("kind", Value::from(kind))
-                .with("local", local.to_value())
-                .with("global", global.to_value()),
-        )
-    }
-}
+tagged!(BufferSizing, "buffer sizing" {
+    PerVc { local: "local", global: "global" } => "per_vc",
+    PerPort { local: "local", global: "global" } => "per_port",
+});
 
-impl Deserialize for BufferSizing {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        let local = m.field("local")?;
-        let global = m.field("global")?;
-        match m.field::<String>("kind")?.to_ascii_lowercase().as_str() {
-            "per_vc" => Ok(BufferSizing::PerVc { local, global }),
-            "per_port" => Ok(BufferSizing::PerPort { local, global }),
-            other => Err(Error::new(format!(
-                "unknown buffer sizing `{other}` (expected per_vc or per_port)"
-            ))),
-        }
-    }
-}
+tagged!(BufferOrg, "buffer organization" {
+    Static => "static",
+    Damq { private_fraction: "private_fraction" = 0.75 } => "damq",
+});
 
-impl Serialize for BufferOrg {
-    fn to_value(&self) -> Value {
-        match *self {
-            BufferOrg::Static => Value::Str("static".to_string()),
-            BufferOrg::Damq { private_fraction } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("damq"))
-                    .with("private_fraction", private_fraction.to_value()),
-            ),
-        }
-    }
-}
+record!(BufferConfig {
+    sizing: "sizing" = BufferConfig::default().sizing,
+    organization: "organization" = BufferConfig::default().organization,
+    injection: "injection" = BufferConfig::default().injection,
+    output: "output" = BufferConfig::default().output,
+});
 
-impl Deserialize for BufferOrg {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                "static" => Ok(BufferOrg::Static),
-                "damq" => Ok(BufferOrg::Damq {
-                    private_fraction: 0.75,
-                }),
-                other => Err(Error::new(format!(
-                    "unknown buffer organization `{other}` (expected static or damq)"
-                ))),
-            },
-            Value::Map(m) => match m.field::<String>("kind")?.to_ascii_lowercase().as_str() {
-                "static" => Ok(BufferOrg::Static),
-                "damq" => Ok(BufferOrg::Damq {
-                    private_fraction: m.field_or("private_fraction", 0.75)?,
-                }),
-                other => Err(Error::new(format!(
-                    "unknown buffer organization `{other}` (expected static or damq)"
-                ))),
-            },
-            other => Err(Error::new(format!(
-                "expected string or map for buffer organization, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
+keywords!(SensingMode, "sensing mode" {
+    PerPort => "per_port",
+    PerVc => "per_vc",
+});
 
-impl Serialize for BufferConfig {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            Map::new()
-                .with("sizing", self.sizing.to_value())
-                .with("organization", self.organization.to_value())
-                .with("injection", self.injection.to_value())
-                .with("output", self.output.to_value()),
-        )
-    }
-}
+record!(SensingConfig {
+    mode: "mode" = SensingConfig::default().mode,
+    min_cred: "min_cred" = SensingConfig::default().min_cred,
+    threshold: "threshold" = SensingConfig::default().threshold,
+});
 
-impl Deserialize for BufferConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        let defaults = BufferConfig::default();
-        Ok(BufferConfig {
-            sizing: m.field_or("sizing", defaults.sizing)?,
-            organization: m.field_or("organization", defaults.organization)?,
-            injection: m.field_or("injection", defaults.injection)?,
-            output: m.field_or("output", defaults.output)?,
-        })
-    }
-}
+tagged!(ClassVcMap, "class VC map" {
+    Shared => "shared",
+    Partitioned {
+        control_local: "control_local",
+        control_global: "control_global",
+    } => "partitioned",
+});
 
-impl Serialize for SensingMode {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                SensingMode::PerPort => "per_port",
-                SensingMode::PerVc => "per_vc",
-            }
-            .to_string(),
-        )
-    }
-}
+record!(QosConfig {
+    vc_map: "vc_map" = QosConfig::default().vc_map,
+    bypass_bound: "bypass_bound" = QosConfig::default().bypass_bound,
+    repartition: "repartition" = QosConfig::default().repartition,
+    control_quota_fraction: "control_quota_fraction" = QosConfig::default().control_quota_fraction,
+});
 
-impl Deserialize for SensingMode {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.as_str()?.to_ascii_lowercase().as_str() {
-            "per_port" => Ok(SensingMode::PerPort),
-            "per_vc" => Ok(SensingMode::PerVc),
-            other => Err(Error::new(format!(
-                "unknown sensing mode `{other}` (expected per_port or per_vc)"
-            ))),
-        }
-    }
-}
+/// What an omitted [`SimConfig`] key decodes to: Table V on the `h = 2`
+/// balanced Dragonfly, MIN routing, uniform traffic, single class. An
+/// omitted arrangement is the exception: it is derived from the
+/// document's topology, routing and workload.
+static OMITTED: LazyLock<SimConfig> = LazyLock::new(|| {
+    SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::Uniform))
+});
 
-impl Serialize for SensingConfig {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            Map::new()
-                .with("mode", self.mode.to_value())
-                .with("min_cred", self.min_cred.to_value())
-                .with("threshold", self.threshold.to_value()),
-        )
-    }
-}
-
-impl Deserialize for SensingConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        let defaults = SensingConfig::default();
-        Ok(SensingConfig {
-            mode: m.field_or("mode", defaults.mode)?,
-            min_cred: m.field_or("min_cred", defaults.min_cred)?,
-            threshold: m.field_or("threshold", defaults.threshold)?,
-        })
-    }
-}
-
-impl Serialize for ClassVcMap {
-    fn to_value(&self) -> Value {
-        match *self {
-            ClassVcMap::Shared => Value::Str("shared".to_string()),
-            ClassVcMap::Partitioned {
-                control_local,
-                control_global,
-            } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("partitioned"))
-                    .with("control_local", control_local.to_value())
-                    .with("control_global", control_global.to_value()),
-            ),
-        }
-    }
-}
-
-impl Deserialize for ClassVcMap {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                "shared" => Ok(ClassVcMap::Shared),
-                other => Err(Error::new(format!(
-                    "unknown class VC map `{other}` (expected shared or a partitioned map)"
-                ))),
-            },
-            Value::Map(m) => match m.field::<String>("kind")?.to_ascii_lowercase().as_str() {
-                "shared" => Ok(ClassVcMap::Shared),
-                "partitioned" => Ok(ClassVcMap::Partitioned {
-                    control_local: m.field("control_local")?,
-                    control_global: m.field("control_global")?,
-                }),
-                other => Err(Error::new(format!(
-                    "unknown class VC map kind `{other}` (expected shared or partitioned)"
-                ))),
-            },
-            other => Err(Error::new(format!(
-                "expected string or map for class VC map, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-impl Serialize for QosConfig {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            Map::new()
-                .with("vc_map", self.vc_map.to_value())
-                .with("bypass_bound", self.bypass_bound.to_value())
-                .with("repartition", self.repartition.to_value())
-                .with(
-                    "control_quota_fraction",
-                    self.control_quota_fraction.to_value(),
-                ),
-        )
-    }
-}
-
-impl Deserialize for QosConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        let defaults = QosConfig::default();
-        Ok(QosConfig {
-            vc_map: m.field_or("vc_map", defaults.vc_map)?,
-            bypass_bound: m.field_or("bypass_bound", defaults.bypass_bound)?,
-            repartition: m.field_or("repartition", defaults.repartition)?,
-            control_quota_fraction: m
-                .field_or("control_quota_fraction", defaults.control_quota_fraction)?,
-        })
-    }
-}
-
-impl Serialize for SimConfig {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            Map::new()
-                .with("topology", self.topology.to_value())
-                .with("routing", self.routing.to_value())
-                .with("policy", self.policy.to_value())
-                .with("arrangement", self.arrangement.to_value())
-                .with("selection", self.selection.to_value())
-                .with("workload", self.workload.to_value())
-                .with("packet_size", self.packet_size.to_value())
-                .with("local_latency", self.local_latency.to_value())
-                .with("global_latency", self.global_latency.to_value())
-                .with("pipeline_latency", self.pipeline_latency.to_value())
-                .with("speedup", self.speedup.to_value())
-                .with("buffers", self.buffers.to_value())
-                .with("injection_vcs", self.injection_vcs.to_value())
-                .with("sensing", self.sensing.to_value())
-                .with("warmup", self.warmup.to_value())
-                .with("measure", self.measure.to_value())
-                .with("watchdog", self.watchdog.to_value())
-                .with("revert_patience", self.revert_patience.to_value())
-                .with("reply_queue_packets", self.reply_queue_packets.to_value())
-                .with("adaptive_copies", self.adaptive_copies.to_value())
-                .with("shards", self.shards.to_value())
-                // `with` drops Nulls, so single-class configs keep the
-                // legacy wire form with no `qos` key at all.
-                .with(
-                    "qos",
-                    match &self.qos {
-                        Some(q) => q.to_value(),
-                        None => Value::Null,
-                    },
-                ),
-        )
-    }
-}
-
-impl Deserialize for SimConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        let topology: Option<TopologySpec> = m.opt("topology")?;
-        let routing = m.field_or("routing", flexvc_core::RoutingMode::Min)?;
-        let workload = m.field_or(
-            "workload",
-            flexvc_traffic::Workload::oblivious(flexvc_traffic::Pattern::Uniform),
-        )?;
-        // Omitted fields take the baseline's Table V values at the reduced
-        // default scale, so scenario files only spell out what differs.
-        let d = SimConfig::dragonfly_baseline(2, routing, workload);
-        let topology = topology.unwrap_or(d.topology);
-        // Derived only when omitted: an explicit arrangement must decode
-        // even on a shape `validate` will reject.
-        let arrangement = match m.opt("arrangement")? {
-            Some(arr) => arr,
-            None => default_arrangement(topology.family(), routing, workload.is_reactive()),
-        };
-        Ok(SimConfig {
-            topology,
-            routing,
-            policy: m.field_or("policy", d.policy)?,
-            arrangement,
-            selection: m.field_or("selection", d.selection)?,
-            workload,
-            packet_size: m.field_or("packet_size", d.packet_size)?,
-            local_latency: m.field_or("local_latency", d.local_latency)?,
-            global_latency: m.field_or("global_latency", d.global_latency)?,
-            pipeline_latency: m.field_or("pipeline_latency", d.pipeline_latency)?,
-            speedup: m.field_or("speedup", d.speedup)?,
-            buffers: m.field_or("buffers", d.buffers)?,
-            injection_vcs: m.field_or("injection_vcs", d.injection_vcs)?,
-            sensing: m.field_or("sensing", d.sensing)?,
-            warmup: m.field_or("warmup", d.warmup)?,
-            measure: m.field_or("measure", d.measure)?,
-            watchdog: m.field_or("watchdog", d.watchdog)?,
-            revert_patience: m.field_or("revert_patience", d.revert_patience)?,
-            reply_queue_packets: m.field_or("reply_queue_packets", d.reply_queue_packets)?,
-            adaptive_copies: m.field_or("adaptive_copies", d.adaptive_copies)?,
-            shards: m.field_or("shards", d.shards)?,
-            qos: m.opt("qos")?,
-        })
-    }
-}
+record!(SimConfig {
+    topology: "topology" = OMITTED.topology.clone(),
+    routing: "routing" = OMITTED.routing,
+    policy: "policy" = OMITTED.policy,
+    // Derived only when omitted: an explicit arrangement must decode even
+    // on a shape `validate` will reject.
+    arrangement: "arrangement" => {
+        default_arrangement(topology.family(), routing, workload.is_reactive())
+    },
+    selection: "selection" = OMITTED.selection,
+    workload: "workload" = OMITTED.workload,
+    packet_size: "packet_size" = OMITTED.packet_size,
+    local_latency: "local_latency" = OMITTED.local_latency,
+    global_latency: "global_latency" = OMITTED.global_latency,
+    pipeline_latency: "pipeline_latency" = OMITTED.pipeline_latency,
+    speedup: "speedup" = OMITTED.speedup,
+    buffers: "buffers" = OMITTED.buffers,
+    injection_vcs: "injection_vcs" = OMITTED.injection_vcs,
+    sensing: "sensing" = OMITTED.sensing,
+    warmup: "warmup" = OMITTED.warmup,
+    measure: "measure" = OMITTED.measure,
+    watchdog: "watchdog" = OMITTED.watchdog,
+    revert_patience: "revert_patience" = OMITTED.revert_patience,
+    reply_queue_packets: "reply_queue_packets" = OMITTED.reply_queue_packets,
+    adaptive_copies: "adaptive_copies" = OMITTED.adaptive_copies,
+    shards: "shards" = OMITTED.shards,
+    // Left out when `None`, so single-class configs keep the legacy wire
+    // form with no `qos` key at all.
+    qos: "qos" = None,
+});
 
 impl Serialize for ClassResult {
     fn to_value(&self) -> Value {
@@ -445,41 +230,6 @@ impl Serialize for ClassResult {
                 )
                 .with("fct_max", self.fct_hist.max().to_value()),
         )
-    }
-}
-
-impl Deserialize for ClassResult {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        let hist = |buckets_key: &str,
-                    max_key: &str,
-                    sums_key: Option<&str>|
-         -> Result<LatencyHistogram, Error> {
-            let buckets: Vec<u64> = m.field_or(buckets_key, Vec::new())?;
-            let mut fixed = [0u64; 21];
-            for (slot, b) in fixed.iter_mut().zip(&buckets) {
-                *slot = *b;
-            }
-            let mut hist = LatencyHistogram::from_buckets(fixed);
-            hist.observe_max(m.field_or(max_key, 0u64)?);
-            if let Some(sk) = sums_key {
-                let sums: Vec<u64> = m.field_or(sk, Vec::new())?;
-                let mut fixed_sums = [0u64; 21];
-                for (slot, s) in fixed_sums.iter_mut().zip(&sums) {
-                    *slot = *s;
-                }
-                hist.restore_bucket_sums(fixed_sums);
-            }
-            Ok(hist)
-        };
-        Ok(ClassResult {
-            accepted: m.field_or("accepted", 0.0)?,
-            latency: m.field_or("latency", 0.0)?,
-            latency_p99: m.field_or("latency_p99", 0.0)?,
-            fct_p99: m.field_or("fct_p99", 0.0)?,
-            latency_hist: hist("latency_buckets", "latency_max", None)?,
-            fct_hist: hist("fct_buckets", "fct_max", Some("fct_bucket_sums"))?,
-        })
     }
 }
 
@@ -532,79 +282,11 @@ impl Serialize for SimResult {
     }
 }
 
-impl Deserialize for SimResult {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        Ok(SimResult {
-            offered: m.field_or("offered", 0.0)?,
-            accepted: m.field_or("accepted", 0.0)?,
-            latency: m.field_or("latency", 0.0)?,
-            latency_req: m.field_or("latency_req", 0.0)?,
-            latency_rep: m.field_or("latency_rep", 0.0)?,
-            misroute_fraction: m.field_or("misroute_fraction", 0.0)?,
-            avg_hops: m.field_or("avg_hops", 0.0)?,
-            reverts_per_packet: m.field_or("reverts_per_packet", 0.0)?,
-            drop_fraction: m.field_or("drop_fraction", 0.0)?,
-            deadlocked: m.field_or("deadlocked", false)?,
-            latency_p99: m.field_or("latency_p99", 0.0)?,
-            local_vc_occupancy: m.field_or("local_vc_occupancy", Vec::new())?,
-            global_vc_occupancy: m.field_or("global_vc_occupancy", Vec::new())?,
-            latency_hist: {
-                let buckets: Vec<u64> = m.field_or("latency_buckets", Vec::new())?;
-                let mut fixed = [0u64; 21];
-                for (slot, b) in fixed.iter_mut().zip(&buckets) {
-                    *slot = *b;
-                }
-                let mut hist = LatencyHistogram::from_buckets(fixed);
-                // Files written before the overflow-bucket fix carry no
-                // recorded max; the bucket estimate stands in.
-                hist.observe_max(m.field_or("latency_max", 0u64)?);
-                hist
-            },
-            // Flow metrics are absent in files written before the flow
-            // layer; they default to "no flows observed".
-            flows_completed: m.field_or("flows_completed", 0.0)?,
-            fct_mean: m.field_or("fct_mean", 0.0)?,
-            fct_p50: m.field_or("fct_p50", 0.0)?,
-            fct_p99: m.field_or("fct_p99", 0.0)?,
-            slowdown_mean: m.field_or("slowdown_mean", 0.0)?,
-            fct_hist: {
-                let buckets: Vec<u64> = m.field_or("fct_buckets", Vec::new())?;
-                let mut fixed = [0u64; 21];
-                for (slot, b) in fixed.iter_mut().zip(&buckets) {
-                    *slot = *b;
-                }
-                let mut hist = LatencyHistogram::from_buckets(fixed);
-                hist.observe_max(m.field_or("fct_max", 0u64)?);
-                // Files written before the FCT-interpolation fix carry no
-                // per-bucket sums; quantiles fall back to bucket bounds.
-                let sums: Vec<u64> = m.field_or("fct_bucket_sums", Vec::new())?;
-                let mut fixed_sums = [0u64; 21];
-                for (slot, s) in fixed_sums.iter_mut().zip(&sums) {
-                    *slot = *s;
-                }
-                hist.restore_bucket_sums(fixed_sums);
-                hist
-            },
-            classes: {
-                let cls: Vec<ClassResult> = m.field_or("classes", Vec::new())?;
-                let mut arr: [ClassResult; 2] = Default::default();
-                for (slot, c) in arr.iter_mut().zip(cls) {
-                    *slot = c;
-                }
-                arr
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
-    use flexvc_core::{Arrangement, RoutingMode};
+    use flexvc_core::Arrangement;
     use flexvc_serde::{from_json, from_toml, to_json, to_json_pretty, to_toml};
-    use flexvc_traffic::{Pattern, Workload};
 
     fn sample_cfg() -> SimConfig {
         let mut cfg = SimConfig::dragonfly_baseline(
@@ -818,27 +500,6 @@ pattern = "adv+1"
             from_toml("[workload]\npattern = \"uniform\"\nreactive = true\n").unwrap();
         assert!(rr.arrangement.has_reply_part());
         rr.validate().unwrap();
-    }
-
-    #[test]
-    fn result_round_trips() {
-        let mut hist = LatencyHistogram::default();
-        hist.record(100);
-        hist.record(3000);
-        let r = SimResult {
-            offered: 0.5,
-            accepted: 0.42,
-            latency: 321.5,
-            latency_p99: 2048.0,
-            local_vc_occupancy: vec![1.5, 0.25],
-            deadlocked: true,
-            latency_hist: hist,
-            ..Default::default()
-        };
-        let back: SimResult = from_json(&to_json(&r)).unwrap();
-        assert_eq!(to_json(&back), to_json(&r));
-        assert_eq!(back.latency_hist.count(), 2);
-        assert_eq!(back.latency_hist.buckets(), r.latency_hist.buckets());
     }
 
     #[test]

@@ -1,31 +1,12 @@
 //! `flexvc_serde` conversions for topology types.
 
 use crate::GlobalArrangement;
-use flexvc_serde::{Deserialize, Error, Serialize, Value};
+use flexvc_serde::keywords;
 
-impl Serialize for GlobalArrangement {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                GlobalArrangement::Consecutive => "consecutive",
-                GlobalArrangement::Palmtree => "palmtree",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for GlobalArrangement {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.as_str()?.to_ascii_lowercase().as_str() {
-            "consecutive" => Ok(GlobalArrangement::Consecutive),
-            "palmtree" => Ok(GlobalArrangement::Palmtree),
-            other => Err(Error::new(format!(
-                "unknown global arrangement `{other}` (expected consecutive or palmtree)"
-            ))),
-        }
-    }
-}
+keywords!(GlobalArrangement, "global arrangement" {
+    Consecutive => "consecutive",
+    Palmtree => "palmtree",
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,199 +1,54 @@
 //! `flexvc_serde` conversions for traffic types.
 //!
-//! [`Pattern`] serializes to the shorthand string `"uniform"` for the
-//! parameterless variant and to `{ kind = ..., ... }` maps for the
-//! parameterized ones; parsing additionally accepts the paper's labels
-//! (`"adv+1"`, `"bursty"`) as shorthands for the default parameters.
+//! The tagged enums ([`Pattern`], [`SizeDist`], [`FlowPattern`]) write a
+//! parameterless variant as its bare tag (`"uniform"`) and the others as
+//! `{ kind = ..., ... }` maps; parsing additionally accepts the paper's
+//! labels (`"adv+1"`, `"bursty"`, `"perm"`) as tags, and a bare tag as
+//! the variant with its default parameters. [`Workload`] is written by
+//! hand: its synthetic form predates `kind` and still omits it.
 
 use crate::flow::{FlowPattern, FlowSpec, SizeDist};
 use crate::pattern::ClassMix;
 use crate::{Pattern, Workload};
-use flexvc_serde::{Deserialize, Error, Map, Serialize, Value};
+use flexvc_serde::{record, tagged, Deserialize, Error, Map, Serialize, Value};
 
-impl Serialize for Pattern {
-    fn to_value(&self) -> Value {
-        match *self {
-            Pattern::Uniform => Value::Str("uniform".to_string()),
-            Pattern::Adversarial { offset } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("adversarial"))
-                    .with("offset", offset.to_value()),
-            ),
-            Pattern::BurstyUniform { mean_burst } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("bursty_uniform"))
-                    .with("mean_burst", mean_burst.to_value()),
-            ),
-        }
-    }
-}
+tagged!(Pattern, "traffic pattern" {
+    Uniform => "uniform" | "un",
+    Adversarial { offset: "offset" = 1 } => "adversarial" | "adv" | "adv+1",
+    BurstyUniform { mean_burst: "mean_burst" = 5.0 } => "bursty_uniform" | "bursty" | "bursty-un",
+});
 
-impl Deserialize for Pattern {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                "uniform" | "un" => Ok(Pattern::Uniform),
-                "adversarial" | "adv" | "adv+1" => Ok(Pattern::adv1()),
-                "bursty_uniform" | "bursty" | "bursty-un" => Ok(Pattern::bursty()),
-                other => Err(Error::new(format!("unknown traffic pattern `{other}`"))),
-            },
-            Value::Map(m) => match m.field::<String>("kind")?.to_ascii_lowercase().as_str() {
-                "uniform" => Ok(Pattern::Uniform),
-                "adversarial" => Ok(Pattern::Adversarial {
-                    offset: m.field_or("offset", 1usize)?,
-                }),
-                "bursty_uniform" => Ok(Pattern::BurstyUniform {
-                    mean_burst: m.field_or("mean_burst", 5.0)?,
-                }),
-                other => Err(Error::new(format!("unknown traffic pattern `{other}`"))),
-            },
-            other => Err(Error::new(format!(
-                "expected string or map for pattern, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
+tagged!(SizeDist, "size distribution" {
+    Fixed { packets: "packets" = 1 } => "fixed",
+    Bimodal {
+        mice: "mice" = 1,
+        elephants: "elephants" = 16,
+        elephant_frac: "elephant_frac" = 0.1,
+    } => "bimodal" | "mice_elephants",
+    Pareto {
+        min: "min" = 1,
+        max: "max" = 64,
+        alpha: "alpha" = 1.5,
+    } => "pareto" | "heavy_tail",
+});
 
-impl Serialize for SizeDist {
-    fn to_value(&self) -> Value {
-        match *self {
-            SizeDist::Fixed { packets } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("fixed"))
-                    .with("packets", packets.to_value()),
-            ),
-            SizeDist::Bimodal {
-                mice,
-                elephants,
-                elephant_frac,
-            } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("bimodal"))
-                    .with("mice", mice.to_value())
-                    .with("elephants", elephants.to_value())
-                    .with("elephant_frac", elephant_frac.to_value()),
-            ),
-            SizeDist::Pareto { min, max, alpha } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("pareto"))
-                    .with("min", min.to_value())
-                    .with("max", max.to_value())
-                    .with("alpha", alpha.to_value()),
-            ),
-        }
-    }
-}
+tagged!(FlowPattern, "flow pattern" {
+    Uniform => "uniform" | "un" | "flows-un",
+    Permutation => "permutation" | "perm",
+    Hotspot {
+        hotspots: "hotspots" = 4,
+        fraction: "fraction" = 0.2,
+    } => "hotspot",
+    Incast {
+        fanin: "fanin" = 4,
+        phase_cycles: "phase_cycles" = 2_000,
+    } => "incast",
+});
 
-impl Deserialize for SizeDist {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                "bimodal" | "mice_elephants" => Ok(SizeDist::mice_elephants()),
-                "pareto" | "heavy_tail" => Ok(SizeDist::heavy_tail()),
-                other => Err(Error::new(format!("unknown size distribution `{other}`"))),
-            },
-            Value::Map(m) => match m.field::<String>("kind")?.to_ascii_lowercase().as_str() {
-                "fixed" => Ok(SizeDist::Fixed {
-                    packets: m.field_or("packets", 1u32)?,
-                }),
-                "bimodal" => Ok(SizeDist::Bimodal {
-                    mice: m.field_or("mice", 1u32)?,
-                    elephants: m.field_or("elephants", 16u32)?,
-                    elephant_frac: m.field_or("elephant_frac", 0.1)?,
-                }),
-                "pareto" => Ok(SizeDist::Pareto {
-                    min: m.field_or("min", 1u32)?,
-                    max: m.field_or("max", 64u32)?,
-                    alpha: m.field_or("alpha", 1.5)?,
-                }),
-                other => Err(Error::new(format!("unknown size distribution `{other}`"))),
-            },
-            other => Err(Error::new(format!(
-                "expected string or map for size distribution, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-impl Serialize for FlowPattern {
-    fn to_value(&self) -> Value {
-        match *self {
-            FlowPattern::Uniform => Value::Str("uniform".to_string()),
-            FlowPattern::Permutation => Value::Str("permutation".to_string()),
-            FlowPattern::Hotspot { hotspots, fraction } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("hotspot"))
-                    .with("hotspots", hotspots.to_value())
-                    .with("fraction", fraction.to_value()),
-            ),
-            FlowPattern::Incast {
-                fanin,
-                phase_cycles,
-            } => Value::Map(
-                Map::new()
-                    .with("kind", Value::from("incast"))
-                    .with("fanin", fanin.to_value())
-                    .with("phase_cycles", phase_cycles.to_value()),
-            ),
-        }
-    }
-}
-
-impl Deserialize for FlowPattern {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                "uniform" | "un" | "flows-un" => Ok(FlowPattern::Uniform),
-                "permutation" | "perm" => Ok(FlowPattern::Permutation),
-                "hotspot" => Ok(FlowPattern::Hotspot {
-                    hotspots: 4,
-                    fraction: 0.2,
-                }),
-                "incast" => Ok(FlowPattern::incast(4)),
-                other => Err(Error::new(format!("unknown flow pattern `{other}`"))),
-            },
-            Value::Map(m) => match m.field::<String>("kind")?.to_ascii_lowercase().as_str() {
-                "uniform" => Ok(FlowPattern::Uniform),
-                "permutation" => Ok(FlowPattern::Permutation),
-                "hotspot" => Ok(FlowPattern::Hotspot {
-                    hotspots: m.field_or("hotspots", 4usize)?,
-                    fraction: m.field_or("fraction", 0.2)?,
-                }),
-                "incast" => Ok(FlowPattern::Incast {
-                    fanin: m.field_or("fanin", 4usize)?,
-                    phase_cycles: m.field_or("phase_cycles", 2_000u64)?,
-                }),
-                other => Err(Error::new(format!("unknown flow pattern `{other}`"))),
-            },
-            other => Err(Error::new(format!(
-                "expected string or map for flow pattern, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-impl Serialize for FlowSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            Map::new()
-                .with("pattern", self.pattern.to_value())
-                .with("sizes", self.sizes.to_value()),
-        )
-    }
-}
-
-impl Deserialize for FlowSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map()?;
-        Ok(FlowSpec {
-            pattern: m.field("pattern")?,
-            sizes: m.field_or("sizes", SizeDist::Fixed { packets: 1 })?,
-        })
-    }
-}
+record!(FlowSpec {
+    pattern: "pattern",
+    sizes: "sizes" = SizeDist::Fixed { packets: 1 },
+});
 
 impl Serialize for Workload {
     fn to_value(&self) -> Value {
@@ -237,18 +92,11 @@ impl Deserialize for Workload {
             "synthetic" => Ok(Workload::Synthetic {
                 pattern: m.field("pattern")?,
                 reactive: m.field_or("reactive", false)?,
-                mix: match m.get("control_fraction") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(ClassMix {
-                        control_fraction: f64::from_value(v)
-                            .map_err(|e| e.context("control_fraction"))?,
-                    }),
-                },
+                mix: m
+                    .opt("control_fraction")?
+                    .map(|control_fraction| ClassMix { control_fraction }),
             }),
-            "flows" => Ok(Workload::Flows(FlowSpec {
-                pattern: m.field("pattern")?,
-                sizes: m.field_or("sizes", SizeDist::Fixed { packets: 1 })?,
-            })),
+            "flows" => Ok(Workload::Flows(FlowSpec::from_value(v)?)),
             other => Err(Error::new(format!("unknown workload kind `{other}`"))),
         }
     }
