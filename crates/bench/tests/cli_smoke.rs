@@ -683,8 +683,9 @@ fn bad_input_fails_with_usage_errors() {
     // DAMQ reservation above the port memory, a burst shorter than one
     // packet and a control fraction above one reached the bank's and the
     // generators' assertions; a NaN Pareto tail index and an infinite mean
-    // burst ran workloads that emitted no traffic at all, and a per-port
-    // budget below one packet per VC ran on silently grown buffers.
+    // burst ran workloads that emitted no traffic at all, a per-port
+    // budget below one packet per VC ran on silently grown buffers, and
+    // buffer totals past 32 bits overflowed building the engine.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
@@ -708,6 +709,16 @@ fn bad_input_fails_with_usage_errors() {
             "0.3",
             "[points.cfg.buffers]\nsizing = { kind = \"per_port\", local = 8, global = 8 }",
             "Local VC capacity below one packet",
+        ),
+        (
+            "0.3",
+            "[points.cfg.buffers]\nsizing = { kind = \"per_vc\", local = 3000000000, global = 256 }",
+            "invalid buffers: a port's total buffer does not fit 32-bit phit arithmetic",
+        ),
+        (
+            "0.3",
+            "[points.cfg.buffers]\ninjection = 2000000000",
+            "invalid buffers: injection x injection_vcs does not fit 32-bit phit arithmetic",
         ),
         (
             "0.3",

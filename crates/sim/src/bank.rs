@@ -155,42 +155,54 @@ impl Occupancy {
 /// Sentinel for "no slot" in the intrusive FIFO links.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: a queued packet and its FIFO successor, or a free slot
+/// One slab entry: a queued entry and its FIFO successor, or a free slot
 /// chained to the next free one.
 #[derive(Debug)]
-struct Slot {
-    pkt: Option<Packet>,
+struct Slot<T> {
+    entry: Option<T>,
     next: u32,
 }
 
-/// A physical input bank: occupancy accounting plus per-VC packet FIFOs.
+/// A physical input bank: occupancy accounting plus per-VC FIFOs of
+/// entries: packets by default, 32-bit handles into its packet arena in
+/// the engine.
 ///
-/// The FIFOs share one index-based slab per bank (packets with intrusive
+/// The FIFOs share one index-based slab per bank (entries with intrusive
 /// `next` links, per-VC head/tail cursors stored inline) instead of a
-/// `Vec<VecDeque<Packet>>`: pushes and pops are O(1) slot relinks, freed
+/// `Vec<VecDeque<T>>`: pushes and pops are O(1) slot relinks, freed
 /// slots are recycled through an intrusive free list, and the whole bank is
 /// one record plus one heap block. The slab is demand-sized: it starts
 /// empty and doubles up to the packet bound given at construction, so a
 /// bank costs what its traffic needs and never more than its worst case.
 #[derive(Debug)]
-pub struct BufferBank {
+pub struct BufferBank<T = Packet> {
     /// Occupancy view (identical accounting to the upstream mirror).
     pub occ: Occupancy,
-    /// Packet slab; `pkt == None` marks a free slot.
-    slots: Vec<Slot>,
+    /// Entry slab; `entry == None` marks a free slot.
+    slots: Vec<Slot<T>>,
     /// Head of the free-slot chain.
     free: u32,
     /// Per-VC FIFO head slot.
     head: [u32; MAX_VCS],
     /// Per-VC FIFO tail slot.
     tail: [u32; MAX_VCS],
-    /// Total queued packets (hot-path skip test for the allocator).
+    /// Total queued entries (hot-path skip test for the allocator).
     total: u32,
     /// Most packets the bank can hold at once (slab growth bound).
     bound: u32,
 }
 
-impl BufferBank {
+impl BufferBank<Packet> {
+    /// Enqueue an arriving packet into VC `vc` (space was guaranteed by the
+    /// upstream credit check), entering it into the buffer (see
+    /// [`Packet::enter_buffer`]) so the eventual release matches this add.
+    pub fn push(&mut self, vc: usize, mut pkt: Packet) {
+        pkt.enter_buffer();
+        self.enqueue(vc, pkt.size, pkt.buffered_class, pkt);
+    }
+}
+
+impl<T> BufferBank<T> {
     /// Build a bank around an occupancy model, its slab bounded only by
     /// what the occupancy admits.
     pub fn new(occ: Occupancy) -> Self {
@@ -213,25 +225,19 @@ impl BufferBank {
         }
     }
 
-    /// Enqueue an arriving packet into VC `vc` (space was guaranteed by the
-    /// upstream credit check). Stamps the packet's `buffered_class` so the
-    /// eventual release matches this add even if the packet's routing type
-    /// changes while buffered.
-    pub fn push(&mut self, vc: usize, mut pkt: Packet) {
-        pkt.buffered_class = pkt.credit_class();
-        // New buffer, new position: any cached lookahead is stale, and the
-        // per-router transit decision (DAL / adaptive copies) re-arms.
-        pkt.flex_opts = None;
-        pkt.hop_decided = false;
-        self.occ.add(vc, pkt.size, pkt.buffered_class);
-        let slot = if self.free != NIL {
+    /// Queue `entry`, a packet of `size` phits entering under credit class
+    /// `class`, at the tail of VC `vc` and account its phits.
+    pub fn enqueue(&mut self, vc: usize, size: u32, class: CreditClass, entry: T) {
+        self.occ.add(vc, size, class);
+        let slot = Slot {
+            entry: Some(entry),
+            next: NIL,
+        };
+        let s = if self.free != NIL {
             let s = self.free;
-            let entry = &mut self.slots[s as usize];
-            self.free = entry.next;
-            *entry = Slot {
-                pkt: Some(pkt),
-                next: NIL,
-            };
+            let old = &mut self.slots[s as usize];
+            self.free = old.next;
+            *old = slot;
             s
         } else {
             let s = self.slots.len();
@@ -239,52 +245,49 @@ impl BufferBank {
                 self.slots
                     .reserve_exact(bounded_growth(s, self.bound as usize));
             }
-            self.slots.push(Slot {
-                pkt: Some(pkt),
-                next: NIL,
-            });
+            self.slots.push(slot);
             s as u32
         };
         if self.tail[vc] == NIL {
-            self.head[vc] = slot;
+            self.head[vc] = s;
         } else {
-            self.slots[self.tail[vc] as usize].next = slot;
+            self.slots[self.tail[vc] as usize].next = s;
         }
-        self.tail[vc] = slot;
+        self.tail[vc] = s;
         self.total += 1;
     }
 
-    /// Head packet of VC `vc`.
-    pub fn head(&self, vc: usize) -> Option<&Packet> {
+    /// Head entry of VC `vc`.
+    pub fn head(&self, vc: usize) -> Option<&T> {
         match self.head[vc] {
             NIL => None,
-            s => self.slots[s as usize].pkt.as_ref(),
+            s => self.slots[s as usize].entry.as_ref(),
         }
     }
 
-    /// Mutable head packet of VC `vc`.
-    pub fn head_mut(&mut self, vc: usize) -> Option<&mut Packet> {
+    /// Mutable head entry of VC `vc`.
+    pub fn head_mut(&mut self, vc: usize) -> Option<&mut T> {
         match self.head[vc] {
             NIL => None,
-            s => self.slots[s as usize].pkt.as_mut(),
+            s => self.slots[s as usize].entry.as_mut(),
         }
     }
 
     /// Dequeue the head of VC `vc`. Occupancy is *not* released here — the
     /// phits drain over the transfer duration; the caller schedules the
     /// release at transfer completion.
-    pub fn pop(&mut self, vc: usize) -> Packet {
+    pub fn pop(&mut self, vc: usize) -> T {
         let s = self.head[vc];
         assert_ne!(s, NIL, "pop on empty VC");
-        let entry = &mut self.slots[s as usize];
-        self.head[vc] = entry.next;
+        let slot = &mut self.slots[s as usize];
+        self.head[vc] = slot.next;
         if self.head[vc] == NIL {
             self.tail[vc] = NIL;
         }
         self.total -= 1;
-        entry.next = self.free;
+        slot.next = self.free;
         self.free = s;
-        entry.pkt.take().expect("occupied slot")
+        slot.entry.take().expect("occupied slot")
     }
 
     /// Release `size` phits of VC `vc` after the transfer completes.
@@ -496,7 +499,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pop on empty VC")]
     fn pop_empty_vc_panics() {
-        let mut bank = BufferBank::new(Occupancy::new_static(1, 32));
+        let mut bank: BufferBank = BufferBank::new(Occupancy::new_static(1, 32));
         let _ = bank.pop(0);
     }
 }

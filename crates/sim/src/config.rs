@@ -843,6 +843,7 @@ impl SimConfig {
                 });
             }
         }
+        self.check_buffer_arithmetic()?;
         let classes: &[MessageClass] = if self.workload.is_reactive() {
             &[MessageClass::Request, MessageClass::Reply]
         } else {
@@ -934,6 +935,47 @@ impl SimConfig {
         }
         if self.buffers.output < self.packet_size || self.buffers.injection < self.packet_size {
             return Err(ConfigError::PortBuffersBelowPacket);
+        }
+        Ok(())
+    }
+
+    /// Buffer accounting is 32-bit phits: every port's total memory, the
+    /// injection queues' total and an output buffer must each still fit in
+    /// a `u32` with one more packet added (the admission checks add the
+    /// packet before comparing). Part of [`SimConfig::validate`], before
+    /// anything multiplies the configured sizes.
+    fn check_buffer_arithmetic(&self) -> Result<(), ConfigError> {
+        let fits = |total: Option<u32>| {
+            total
+                .and_then(|t| t.checked_add(self.packet_size))
+                .is_some()
+        };
+        let (local, global, per_vc) = match self.buffers.sizing {
+            BufferSizing::PerVc { local, global } => (local, global, true),
+            BufferSizing::PerPort { local, global } => (local, global, false),
+        };
+        let port_total = |class: LinkClass, size: u32| {
+            if per_vc {
+                size.checked_mul(self.vcs_for_class(class) as u32)
+            } else {
+                Some(size)
+            }
+        };
+        let fail = |why| Err(ConfigError::InvalidBuffers { why });
+        if !fits(port_total(LinkClass::Local, local))
+            || !fits(port_total(LinkClass::Global, global))
+        {
+            return fail("a port's total buffer does not fit 32-bit phit arithmetic");
+        }
+        if !fits(
+            self.buffers
+                .injection
+                .checked_mul(self.injection_vcs as u32),
+        ) {
+            return fail("injection x injection_vcs does not fit 32-bit phit arithmetic");
+        }
+        if !fits(Some(self.buffers.output)) {
+            return fail("output + packet_size does not fit 32-bit phit arithmetic");
         }
         Ok(())
     }
@@ -1190,6 +1232,50 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::NonPositive { .. })
         ));
+    }
+
+    /// Buffer sizes whose totals overflow 32-bit phit arithmetic are typed
+    /// errors; they once passed `validate`, then panicked building the
+    /// engine (debug) or ran on wrapped bounds (release).
+    #[test]
+    fn buffer_totals_past_u32_are_rejected() {
+        let base = || {
+            SimConfig::dragonfly_baseline(
+                2,
+                RoutingMode::Min,
+                Workload::oblivious(Pattern::Uniform),
+            )
+            .with_flexvc(Arrangement::dragonfly(4, 2))
+        };
+        let per_vc = |local| BufferSizing::PerVc { local, global: 256 };
+        let mut cases = vec![];
+        let mut cfg = base();
+        cfg.buffers.sizing = per_vc(3_000_000_000);
+        cases.push(cfg);
+        let mut cfg = base();
+        cfg.buffers.sizing = BufferSizing::PerPort {
+            local: u32::MAX,
+            global: 512,
+        };
+        cases.push(cfg);
+        let mut cfg = base();
+        cfg.buffers.injection = 2_000_000_000;
+        cases.push(cfg);
+        let mut cfg = base();
+        cfg.buffers.output = u32::MAX - 1;
+        cases.push(cfg);
+        for cfg in cases {
+            let err = cfg.validate();
+            assert!(
+                matches!(err, Err(ConfigError::InvalidBuffers { .. })),
+                "{:?}: {err:?}",
+                cfg.buffers
+            );
+        }
+        // A per-VC size whose port total fits with a packet to spare passes.
+        let mut cfg = base();
+        cfg.buffers.sizing = per_vc(u32::MAX / 4 - 8);
+        cfg.validate().expect("fits with one packet to spare");
     }
 
     /// A DAMQ reservation outside the port memory, a burst shorter than

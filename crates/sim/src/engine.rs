@@ -81,10 +81,24 @@
 //! node, the credit mirrors `out_credit` (their own table because
 //! [`SenseView`] borrows a router's mirrors as a slice) and one wait-list
 //! link per input VC. Everything immutable and topology-derived sits in the
-//! shared `Fabric`. Packet queues (bank slabs, output queues, link
-//! pipelines) are demand-sized: empty at build, doubling under traffic,
-//! never past their worst-case bound — growth moves no packet and reads no
-//! clock, so it cannot change a result.
+//! shared `Fabric`.
+//!
+//! Packets stay put. Each instance (the single engine, or one block of the
+//! shard driver) keeps its packets in one arena: a chunked slab plus a free
+//! list, and a per-slot flow-tag table only when the workload has flows.
+//! A packet is written once at injection, updated in place at every hop
+//! and freed at ejection; bank FIFOs, output queues and link pipelines
+//! carry its 32-bit handle, so a hop copies a small handle record instead
+//! of the 128-byte packet and a queue's high-water mark costs handles, not
+//! packets. Only a
+//! packet crossing to another block moves: out of the sender's arena into
+//! a boundary event, and into the receiver's arena at the exchange. Debug
+//! builds check conservation every cycle — the arena's live slots equal
+//! the handles queued in banks, output queues and link pipelines.
+//!
+//! The arena and the queues are demand-sized: empty at build, growing
+//! under traffic, never past their worst-case bound — growth moves no
+//! packet and reads no clock, so it cannot change a result.
 
 #![allow(clippy::type_complexity)]
 
@@ -94,7 +108,7 @@ use crate::config::{BufferOrg, SensingMode, SimConfig};
 use crate::fabric::Fabric;
 use crate::link::{push_bounded, CreditMsg, LinkState};
 use crate::metrics::{Metrics, SimResult};
-use crate::packet::{Packet, PlannedPath};
+use crate::packet::{Arena, Handle, Packet, PlannedPath};
 use crate::plan::{min_plan, RoutePolicy, SenseView};
 use crate::sensing::{saturated_flags_into, GroupBoard};
 use crate::shard::{BoardEvent, CreditEvent, Outbox, PacketEvent};
@@ -128,10 +142,11 @@ fn mark(list: &mut Vec<u32>, member: &mut bool, id: usize) {
     }
 }
 
-/// A packet queued at an output buffer awaiting link serialization.
+/// A packet (by arena handle) queued at an output buffer awaiting link
+/// serialization.
 #[derive(Debug)]
 struct OutPkt {
-    pkt: Packet,
+    pkt: Handle,
     /// Head reaches the output buffer after the router pipeline.
     ready_at: u64,
     /// Landing VC at the downstream input port.
@@ -178,8 +193,8 @@ struct RouterRec {
 /// Per-input record (`router · n_in + input`): the `pp` network input
 /// ports of a router, then its `pn` injection queues.
 struct InputRec {
-    /// The input's VC buffers.
-    bank: BufferBank,
+    /// The input's VC buffers (handles into [`Network::arena`]).
+    bank: BufferBank<Handle>,
     /// Input feed busy-until.
     busy: u64,
     /// Stage-1 arbiter over the input's VCs.
@@ -227,8 +242,8 @@ struct OutputRec {
     arb: RrArbiter,
     /// Packets awaiting serialization (demand-sized up to `out_bound`).
     queue: VecDeque<OutPkt>,
-    /// The link's packet and credit pipelines.
-    link: LinkState,
+    /// The link's packet (handle) and credit pipelines.
+    link: LinkState<Handle>,
 }
 
 /// Per-node record: the traffic side of an injection queue.
@@ -316,6 +331,9 @@ pub struct Network {
     nodes: Vec<NodeRec>,
     /// Growth bound of every output queue, in packets.
     out_bound: usize,
+    /// Every packet this instance holds; banks, output queues and link
+    /// pipelines queue handles into it.
+    arena: Arena,
     /// Per-group Piggyback boards (empty unless PB routing).
     boards: Vec<GroupBoard>,
     metrics: Metrics,
@@ -384,18 +402,6 @@ pub struct Network {
     /// classifies the first failing gate so the head can sleep until that
     /// gate can actually change.
     eval_block: EvalBlock,
-    /// Whether the workload emits flows (`flow_tags` stays untouched —
-    /// and flow tagging costs nothing — otherwise).
-    has_flows: bool,
-    /// Flow tags of in-flight packets, keyed by `(src node, packet id)`.
-    /// Kept *outside* [`Packet`] so synthetic workloads don't pay for the
-    /// field on every buffer move; tags cross shard boundaries alongside
-    /// their packet's boundary event. Packet ids alone are only unique per
-    /// engine instance — sharded runs allocate them per shard — but a
-    /// packet is generated by exactly one node and each node belongs to
-    /// one shard, so pairing the id with the source node keys migrated
-    /// tags without collisions.
-    flow_tags: std::collections::HashMap<(u32, u64), flexvc_traffic::FlowTag>,
     /// Sensing occupancy scratch.
     occ_scratch: Vec<u32>,
     /// Sensing flag scratch.
@@ -556,6 +562,15 @@ impl Network {
                 [total; 2]
             }
         };
+        // The arena holds at most what every queue that can hold a handle
+        // holds at once.
+        let banks: usize = inputs.iter().map(|i: &InputRec| i.bank.bound()).sum();
+        let links: usize = (0..n_own * pp)
+            .map(|o| o % pp)
+            .chain(replicas.iter().copied())
+            .map(window)
+            .sum();
+        let arena_bound = banks + n_own * pp * out_bound + links;
         let outputs: Vec<OutputRec> = (0..n_own * pp)
             .map(|o| o % pp)
             .chain(replicas)
@@ -655,6 +670,7 @@ impl Network {
             wait_shift,
             nodes,
             out_bound,
+            arena: Arena::new(arena_bound, cfg.workload.flow_spec().is_some()),
             boards,
             metrics: Metrics::default(),
             cycle: 0,
@@ -681,8 +697,6 @@ impl Network {
             cand: vec![None; n_in],
             eval_mutated_here: false,
             eval_block: EvalBlock::Never,
-            has_flows: cfg.workload.flow_spec().is_some(),
-            flow_tags: std::collections::HashMap::new(),
             occ_scratch: Vec::new(),
             flag_scratch: Vec::new(),
             qos_active: qos.is_some(),
@@ -739,6 +753,26 @@ impl Network {
         self.in_flight
     }
 
+    /// Packets stored in this instance's arena. Equal to the packets its
+    /// banks, output queues and link pipelines hold (debug builds assert
+    /// it every cycle), so a drained network holds none.
+    #[cfg(test)]
+    pub(crate) fn live_packets(&self) -> usize {
+        self.arena.live()
+    }
+
+    /// Packets held in banks, output queues and link pipelines, counted
+    /// queue by queue (the conservation check against the arena).
+    fn queued_packets(&self) -> usize {
+        let banks: usize = self.inputs.iter().map(|i| i.bank.queued_packets()).sum();
+        let outputs: usize = self
+            .outputs
+            .iter()
+            .map(|o| o.queue.len() + o.link.packets_in_flight())
+            .sum();
+        banks + outputs
+    }
+
     /// Whether the watchdog flagged a deadlock.
     pub fn deadlocked(&self) -> bool {
         self.metrics.deadlocked
@@ -751,10 +785,12 @@ impl Network {
     }
 
     /// Grow every demand-sized queue (bank slabs, output queues, link
-    /// pipelines) to its bound now, as the engine did at build before
-    /// queues followed the traffic. Results are unaffected — growth moves
-    /// no packet — which is what the equivalence tests use this to show.
+    /// pipelines, the packet arena) to its bound now, as the engine did at
+    /// build before queues followed the traffic. Results are unaffected —
+    /// growth moves no packet — which is what the equivalence tests use
+    /// this to show.
     pub fn pregrow_queues(&mut self) {
+        self.arena.reserve_bound();
         for input in &mut self.inputs {
             input.bank.reserve_bound();
         }
@@ -781,9 +817,11 @@ impl Network {
             .outputs
             .iter()
             .map(|o| (o.link.capacity(), o.link.window()));
+        let arena = (self.arena.capacity(), self.arena.bound());
         banks
             .chain(queues)
             .chain(links)
+            .chain([arena])
             .map(|(capacity, bound)| capacity.saturating_sub(bound))
             .max()
             .unwrap_or(0)
@@ -889,6 +927,13 @@ impl Network {
         if now.is_multiple_of(128) && self.in_window(now) {
             self.sample_occupancy();
         }
+        // Packet conservation: every live arena slot is queued somewhere,
+        // and every queued handle names a live slot.
+        debug_assert_eq!(
+            self.arena.live(),
+            self.queued_packets(),
+            "arena and queues disagree at cycle {now}"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -939,22 +984,19 @@ impl Network {
     /// applying them here — after this block's own phases — is
     /// indistinguishable from the single-engine schedule, where the same
     /// effects were queued during the phases.
-    pub(crate) fn absorb(&mut self, now: u64, mail: &Outbox) {
+    pub(crate) fn absorb(&mut self, now: u64, mail: &mut Outbox) {
         let fab = &*self.fabric;
         let lid0 = self.r0() * fab.pp;
-        for ev in &mail.packets {
+        for ev in mail.packets.drain(..) {
             let at = ev.flight.head_arrival;
             debug_assert!(at > now);
             let (dr, dp) = fab.adj[ev.lid as usize].expect("wired");
             debug_assert!(self.owned_r.contains(&dr));
-            if let Some(tag) = ev.flow {
-                self.flow_tags
-                    .insert((ev.flight.packet.src, ev.flight.packet.id), tag);
-            }
             let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
             self.pkt_wheel.schedule(now, at, input as u32);
             let replica = self.inputs[input].rx as usize;
-            self.outputs[replica].link.receive_flight(ev.flight.clone());
+            let flight = ev.flight.map(|pkt| self.arena.insert(pkt, ev.flow));
+            self.outputs[replica].link.receive_flight(flight);
         }
         for ev in &mail.credits {
             let CreditMsg {
@@ -1115,13 +1157,15 @@ impl Network {
     // Phase 1: arrivals
     // ------------------------------------------------------------------
 
-    /// Queue `pkt` on VC `vc` of unified input `in_idx` of router offset
-    /// `ri`; a new head is awake (empty VCs always are).
-    fn enqueue(&mut self, ri: usize, in_idx: usize, vc: usize, pkt: Packet, now: u64) {
+    /// Queue packet `h` on VC `vc` of unified input `in_idx` of router
+    /// offset `ri`; a new head is awake (empty VCs always are).
+    fn enqueue(&mut self, ri: usize, in_idx: usize, vc: usize, h: Handle, now: u64) {
         debug_assert!(vc < MAX_VCS);
         let input = ri * self.fabric.n_in + in_idx;
         let rec = &mut self.inputs[input];
-        rec.bank.push(vc, pkt);
+        let pkt = &mut self.arena[h];
+        pkt.enter_buffer();
+        rec.bank.enqueue(vc, pkt.size, pkt.buffered_class, h);
         rec.vc_mask |= 1 << vc;
         self.refresh_ready(input, now);
         self.last_progress = now;
@@ -1202,10 +1246,10 @@ impl Network {
             let input = input as usize;
             let link = self.inputs[input].rx as usize;
             while let Some(f) = self.outputs[link].link.pop_arrived(now) {
-                let mut pkt = f.packet;
+                let pkt = &mut self.arena[f.packet];
                 pkt.head_arrival = f.head_arrival;
                 pkt.tail_arrival = f.tail_arrival;
-                self.enqueue(input / n_in, input % n_in, f.vc as usize, pkt, now);
+                self.enqueue(input / n_in, input % n_in, f.vc as usize, f.packet, now);
             }
         }
         self.pkt_wheel.put_back(now, due);
@@ -1339,7 +1383,8 @@ impl Network {
                 // validation rejects: they are always bulk.
                 let n = self.owned_n.start + nl as u32;
                 let pkt = self.new_packet(n, dst, MessageClass::Reply, TrafficClass::Bulk, now);
-                self.inject(ri, in_idx, 1, pkt, now);
+                let h = self.arena.insert(pkt, None);
+                self.inject(ri, in_idx, 1, h, now);
             }
             if self.nodes[nl].staging.is_empty() {
                 self.nodes[nl].reply_in = false;
@@ -1416,11 +1461,9 @@ impl Network {
         if self.inputs[input].bank.occ.can_accept(vc, size) {
             let n = self.owned_n.start + nl as u32;
             let pkt = self.new_packet(n, em.dest as u32, MessageClass::Request, tclass, now);
-            if let Some(tag) = em.flow {
-                self.flow_tags.insert((pkt.src, pkt.id), tag);
-            }
+            let h = self.arena.insert(pkt, em.flow);
             let n_in = self.fabric.n_in;
-            self.inject(input / n_in, input % n_in, vc, pkt, now);
+            self.inject(input / n_in, input % n_in, vc, h, now);
         } else if in_window {
             self.metrics.dropped_packets += 1;
         }
@@ -1428,8 +1471,8 @@ impl Network {
 
     /// Enter a new packet into its injection queue: it may be an unplanned
     /// head, so the router also joins the planning worklist.
-    fn inject(&mut self, ri: usize, in_idx: usize, vc: usize, pkt: Packet, now: u64) {
-        self.enqueue(ri, in_idx, vc, pkt, now);
+    fn inject(&mut self, ri: usize, in_idx: usize, vc: usize, h: Handle, now: u64) {
+        self.enqueue(ri, in_idx, vc, h, now);
         mark(&mut self.plan_list, &mut self.routers[ri].plan_in, ri);
         self.in_flight += 1;
     }
@@ -1493,9 +1536,10 @@ impl Network {
             router.plan_in = false;
             for input in &mut self.inputs[ri * n_in + pp..(ri + 1) * n_in] {
                 for vc in 0..self.cfg.injection_vcs {
-                    let Some(head) = input.bank.head_mut(vc) else {
+                    let Some(&h) = input.bank.head(vc) else {
                         continue;
                     };
+                    let head = &mut self.arena[h];
                     if head.planned {
                         continue;
                     }
@@ -1717,7 +1761,7 @@ impl Network {
         self.inputs[input]
             .bank
             .head(vc)
-            .map_or(TrafficClass::Bulk, |h| h.tclass)
+            .map_or(TrafficClass::Bulk, |&h| self.arena[h].tclass)
     }
 
     /// Evaluate the head of one input VC of router offset `ri`; may mutate
@@ -1729,7 +1773,8 @@ impl Network {
         let size = self.cfg.packet_size;
         self.eval_block = EvalBlock::Never;
 
-        let head = self.inputs[input].bank.head(vc)?;
+        let h = *self.inputs[input].bank.head(vc)?;
+        let head = &self.arena[h];
         if head.head_arrival > now {
             // Cut-through eligibility is time-pure.
             self.eval_block = EvalBlock::Until(head.head_arrival);
@@ -1754,7 +1799,7 @@ impl Network {
         let mut reverted = false;
         loop {
             let fab = &*self.fabric;
-            let head = self.inputs[input].bank.head(vc)?;
+            let head = &self.arena[h];
             // A done plan means ejection (possibly after a reversion of a
             // detour that passed through the destination router).
             if head.plan.is_done() {
@@ -1885,7 +1930,7 @@ impl Network {
                         }
                         None => {
                             let computed = fresh_opts(head);
-                            self.inputs[input].bank.head_mut(vc)?.flex_opts = Some(computed);
+                            self.arena[h].flex_opts = Some(computed);
                             computed
                         }
                     };
@@ -1921,7 +1966,7 @@ impl Network {
                         // Opportunistic hop without downstream space: wait
                         // out the configured patience, then revert.
                         self.eval_mutated_here = true;
-                        let head = self.inputs[input].bank.head_mut(vc)?;
+                        let head = &mut self.arena[h];
                         if head.opp_blocked < self.cfg.revert_patience {
                             head.opp_blocked += 1;
                             return None;
@@ -1935,7 +1980,7 @@ impl Network {
                     }
                     reverted = true;
                     self.eval_mutated_here = true;
-                    let head = self.inputs[input].bank.head_mut(vc)?;
+                    let head = &mut self.arena[h];
                     head.plan = min_plan(&*fab.topo, r, dst_r);
                     head.min_routed = true;
                     head.reverts += 1;
@@ -1953,9 +1998,10 @@ impl Network {
     fn transit_decide(&mut self, ri: usize, in_idx: usize, vc: usize) -> bool {
         let fab = &*self.fabric;
         let pp = fab.pp;
-        let Some(head) = self.inputs[ri * fab.n_in + in_idx].bank.head_mut(vc) else {
+        let Some(&h) = self.inputs[ri * fab.n_in + in_idx].bank.head(vc) else {
             return false;
         };
+        let head = &mut self.arena[h];
         let sense = SenseView {
             out_credit: &self.out_credit[ri * pp..(ri + 1) * pp],
             boards: &self.boards,
@@ -2035,11 +2081,12 @@ impl Network {
         vc_in: usize,
         now: u64,
         t_c: impl FnOnce(&Packet) -> u64,
-    ) -> (Packet, u64) {
+    ) -> (Handle, u64) {
         let input = ri * self.fabric.n_in + in_idx;
         let rec = &mut self.inputs[input];
-        let pkt = rec.bank.pop(vc_in);
-        let t_c = t_c(&pkt);
+        let h = rec.bank.pop(vc_in);
+        let pkt = &self.arena[h];
+        let t_c = t_c(pkt);
         rec.busy = t_c;
         if rec.bank.vc_is_empty(vc_in) {
             rec.vc_mask &= !(1 << vc_in);
@@ -2053,28 +2100,17 @@ impl Network {
             // unplanned head.
             mark(&mut self.plan_list, &mut router.plan_in, ri);
         }
-        self.rel_wheel.schedule(
-            now,
-            t_c,
-            Pending::Input {
-                input: input as u32,
-                vc: vc_in as u8,
-                phits: pkt.size,
-                class: pkt.buffered_class,
-            },
-        );
-        self.return_credit(
-            ri,
-            in_idx,
-            vc_in,
-            pkt.size,
-            pkt.buffered_class,
-            pkt.tclass,
-            t_c,
-            now,
-        );
+        let (phits, class, tclass) = (pkt.size, pkt.buffered_class, pkt.tclass);
+        let release = Pending::Input {
+            input: input as u32,
+            vc: vc_in as u8,
+            phits,
+            class,
+        };
+        self.rel_wheel.schedule(now, t_c, release);
+        self.return_credit(ri, in_idx, vc_in, phits, class, tclass, t_c, now);
         self.last_progress = now;
-        (pkt, t_c)
+        (h, t_c)
     }
 
     #[allow(clippy::too_many_arguments)] // a grant is naturally 7-tuple-shaped
@@ -2094,7 +2130,7 @@ impl Network {
         // Injection transfers serialize at link rate (the node-to-router
         // channel); network transfers run at crossbar speed, bounded by the
         // packet's own tail arrival (cut-through chaining).
-        let (mut pkt, t_c) = self.dequeue(ri, in_idx, vc_in, now, |pkt| {
+        let (h, t_c) = self.dequeue(ri, in_idx, vc_in, now, |pkt| {
             if in_idx < pp {
                 (now + dur as u64).max(pkt.tail_arrival + 1)
             } else {
@@ -2103,6 +2139,7 @@ impl Network {
         });
         let o = ri * pp + port as usize;
         let out = &mut self.outputs[o];
+        let pkt = &mut self.arena[h];
         out.xbar = t_c;
         self.out_credit[o].add(out_vc as usize, size, pkt.credit_class());
         out.occ += size;
@@ -2119,7 +2156,7 @@ impl Network {
             &mut out.queue,
             self.out_bound,
             OutPkt {
-                pkt,
+                pkt: h,
                 ready_at: now + self.cfg.pipeline_latency as u64,
                 vc: out_vc,
             },
@@ -2144,9 +2181,13 @@ impl Network {
     fn grant_eject(&mut self, ri: usize, in_idx: usize, vc_in: usize, channel: u32, now: u64) {
         let size = self.cfg.packet_size;
         let done = now + size as u64; // 1 phit/cycle consumption
-        let (pkt, t_c) = self.dequeue(ri, in_idx, vc_in, now, |pkt| done.max(pkt.tail_arrival + 1));
+        let (h, t_c) = self.dequeue(ri, in_idx, vc_in, now, |pkt| done.max(pkt.tail_arrival + 1));
         *self.eject_busy(channel) = t_c;
         self.in_flight -= 1;
+        // The slot is free, but its fields stay readable until the next
+        // insert.
+        let flow = self.arena.free(h);
+        let pkt = &self.arena[h];
         if self.in_window(now) {
             self.metrics.consume(
                 pkt.class,
@@ -2162,12 +2203,10 @@ impl Network {
         // flow either has every packet tracked or none: completion order
         // may differ from emission order under adaptive routing, but the
         // first-packet emission cycle is shared by the whole train.
-        if self.has_flows {
-            if let Some(tag) = self.flow_tags.remove(&(pkt.src, pkt.id)) {
-                if self.in_window(tag.start) && self.metrics.flow_packet_done(&tag) {
-                    let ideal = self.flow_ideal(&tag, pkt.src, pkt.dst_router, size);
-                    self.metrics.complete_flow(&tag, done, ideal, pkt.tclass);
-                }
+        if let Some(tag) = flow {
+            if self.in_window(tag.start) && self.metrics.flow_packet_done(&tag) {
+                let ideal = self.flow_ideal(&tag, pkt.src, pkt.dst_router, size);
+                self.metrics.complete_flow(&tag, done, ideal, pkt.tclass);
             }
         }
         // Reactive: the destination answers with a reply once the request
@@ -2201,31 +2240,27 @@ impl Network {
                 out.link.is_free(now) && ready_at <= now,
                 "early serialization"
             );
-            let size = pkt.size;
+            let size = self.arena[pkt].size;
             let lat = fab.port_latency[o % fab.pp];
             let (dr, dp) = fab.adj[lid0 + o].expect("transmitting link is wired");
             if self.sharded && !self.owned_r.contains(&dr) {
-                // The receiving router lives on another shard: keep the
-                // serialization state (`busy_until`) here, ship the
-                // in-flight record to the receiver's link replica — with
-                // the packet's flow tag, whose table entry moves to the
-                // receiving shard (the flow ejects there). Its head
-                // arrives at `now + lat`, beyond this cycle, so delivery
-                // timing is identical to the local path.
-                let flow = if self.has_flows {
-                    self.flow_tags.remove(&(pkt.src, pkt.id))
-                } else {
-                    None
-                };
-                let flight = out.link.transmit_boundary(now, lat, vc, pkt);
+                // The receiving router lives on another block: keep the
+                // serialization state (`busy_until`) here and move the
+                // packet, with its flow tag, out of this arena into an
+                // in-flight record for the receiver's link replica. Its
+                // head arrives at `now + lat`, beyond this cycle, so
+                // delivery timing is identical to the local path.
+                let flight = out.link.launch(now, lat, vc, size, pkt);
+                let (pkt, flow) = self.arena.take(pkt);
                 self.outbox.packets.push(PacketEvent {
                     lid: (lid0 + o) as u32,
                     dst: dr,
-                    flight,
+                    flight: flight.map(|_| pkt),
                     flow,
                 });
             } else {
-                out.link.transmit(now, lat, vc, pkt);
+                let flight = out.link.launch(now, lat, vc, size, pkt);
+                out.link.receive_flight(flight);
                 let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
                 self.pkt_wheel.schedule(now, now + lat as u64, input as u32);
             }
@@ -2430,7 +2465,8 @@ mod tests {
         let (dr, _) = fab.adj[0].expect("port 0 is wired");
         let dst = fab.node_base[dr as usize];
         let pkt = net.new_packet(0, dst, MessageClass::Request, TrafficClass::Bulk, 0);
-        net.inject(0, pp, 0, pkt, 0);
+        let h = net.arena.insert(pkt, None);
+        net.inject(0, pp, 0, h, 0);
         net.plan_heads(0);
         // Bulk fills its quota of the downstream buffer; control is idle.
         let out = &mut net.outputs[0];

@@ -10,17 +10,32 @@ use crate::packet::Packet;
 use flexvc_core::{CreditClass, TrafficClass};
 use std::collections::VecDeque;
 
-/// A packet in flight on a link.
+/// A packet in flight on a link: the packet itself by default, its arena
+/// handle in the engine, and the packet again when it crosses a block
+/// boundary (the engine's `PacketEvent`).
 #[derive(Debug, Clone)]
-pub struct InFlight {
-    /// The packet itself.
-    pub packet: Packet,
+pub struct InFlight<T = Packet> {
+    /// The packet (or its handle).
+    pub packet: T,
     /// Destination VC at the receiving input port.
     pub vc: u8,
     /// Cycle the head phit arrives downstream.
     pub head_arrival: u64,
     /// Cycle the tail phit arrives downstream.
     pub tail_arrival: u64,
+}
+
+impl<T> InFlight<T> {
+    /// The same flight carrying `f(packet)` (a handle swapped for its
+    /// packet, or back).
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> InFlight<U> {
+        InFlight {
+            packet: f(self.packet),
+            vc: self.vc,
+            head_arrival: self.head_arrival,
+            tail_arrival: self.tail_arrival,
+        }
+    }
 }
 
 /// A credit message returning upstream.
@@ -44,9 +59,9 @@ pub struct CreditMsg {
 /// Both pipelines are demand-sized: they start empty and double up to the
 /// window given at construction, so an idle link costs only this record.
 #[derive(Debug)]
-pub struct LinkState {
+pub struct LinkState<T = Packet> {
     /// Packets in flight, ordered by arrival.
-    packets: VecDeque<InFlight>,
+    packets: VecDeque<InFlight<T>>,
     /// Credits in flight on the reverse direction, ordered by arrival.
     credits: VecDeque<CreditMsg>,
     /// The link is serializing a packet until this cycle (exclusive).
@@ -55,7 +70,7 @@ pub struct LinkState {
     window: usize,
 }
 
-impl Default for LinkState {
+impl<T> Default for LinkState<T> {
     /// A link whose pipelines are bounded only by what the caller sends.
     fn default() -> Self {
         Self::with_capacity(usize::MAX)
@@ -72,7 +87,18 @@ pub(crate) fn push_bounded<T>(q: &mut VecDeque<T>, window: usize, item: T) {
     q.push_back(item);
 }
 
-impl LinkState {
+impl LinkState<Packet> {
+    /// Begin transmitting `packet` at cycle `now` toward input VC `vc`
+    /// downstream. Returns the tail-arrival cycle.
+    pub fn transmit(&mut self, now: u64, latency: u32, vc: u8, packet: Packet) -> u64 {
+        let flight = self.launch(now, latency, vc, packet.size, packet);
+        let tail_arrival = flight.tail_arrival;
+        self.receive_flight(flight);
+        tail_arrival
+    }
+}
+
+impl<T> LinkState<T> {
     /// A link whose packet and credit pipelines each hold at most
     /// `in_flight` entries (≈ latency / serialization time, per link
     /// class). Nothing is allocated until traffic flows.
@@ -85,31 +111,15 @@ impl LinkState {
         }
     }
 
-    /// Begin transmitting `packet` at cycle `now` toward input VC `vc`
-    /// downstream. Returns the tail-arrival cycle.
-    pub fn transmit(&mut self, now: u64, latency: u32, vc: u8, packet: Packet) -> u64 {
-        let flight = self.transmit_boundary(now, latency, vc, packet);
-        let tail_arrival = flight.tail_arrival;
-        self.receive_flight(flight);
-        tail_arrival
-    }
-
-    /// Begin transmitting `packet` at cycle `now` across a shard boundary.
-    ///
-    /// Identical to [`LinkState::transmit`] except the [`InFlight`] record is
-    /// *returned* instead of queued locally: the transmitting shard keeps only
-    /// the serialization state (`busy_until`), and the record travels to the
-    /// receiving shard's replica of this link as a boundary event, where
-    /// [`LinkState::receive_flight`] enqueues it.
-    pub fn transmit_boundary(
-        &mut self,
-        now: u64,
-        latency: u32,
-        vc: u8,
-        packet: Packet,
-    ) -> InFlight {
+    /// Begin serializing a `size`-phit packet at cycle `now` toward input
+    /// VC `vc` downstream, and return its in-flight record *without*
+    /// queueing it: a local transmit hands it straight to
+    /// [`LinkState::receive_flight`]; across a block boundary only the
+    /// serialization state (`busy_until`) stays here, and the record
+    /// travels to the receiving block's replica of this link.
+    pub fn launch(&mut self, now: u64, latency: u32, vc: u8, size: u32, packet: T) -> InFlight<T> {
         debug_assert!(self.busy_until <= now, "link already serializing");
-        let size = packet.size as u64;
+        let size = size as u64;
         self.busy_until = now + size;
         let head_arrival = now + latency as u64;
         let tail_arrival = head_arrival + size - 1;
@@ -121,11 +131,11 @@ impl LinkState {
         }
     }
 
-    /// Enqueue an in-flight record produced by [`LinkState::transmit_boundary`]
-    /// on the transmitting shard. Each link has a single transmitter, and
+    /// Enqueue an in-flight record produced by [`LinkState::launch`] (here,
+    /// or on the transmitting block). Each link has a single transmitter, and
     /// boundary events are applied in emission order, so a back-push keeps the
     /// queue arrival-sorted exactly as local `transmit` calls would.
-    pub fn receive_flight(&mut self, flight: InFlight) {
+    pub fn receive_flight(&mut self, flight: InFlight<T>) {
         debug_assert!(
             self.packets
                 .back()
@@ -167,7 +177,7 @@ impl LinkState {
     }
 
     /// Pop the next packet whose head has arrived by `now`.
-    pub fn pop_arrived(&mut self, now: u64) -> Option<InFlight> {
+    pub fn pop_arrived(&mut self, now: u64) -> Option<InFlight<T>> {
         if self.packets.front().is_some_and(|f| f.head_arrival <= now) {
             self.packets.pop_front()
         } else {
@@ -206,6 +216,11 @@ impl LinkState {
     /// First cycle the link can start a new serialization.
     pub(crate) fn busy_until(&self) -> u64 {
         self.busy_until
+    }
+
+    /// Packets in flight on the link.
+    pub(crate) fn packets_in_flight(&self) -> usize {
+        self.packets.len()
     }
 
     /// Larger of the two pipelines' allocated capacities (never more than
@@ -288,7 +303,7 @@ mod tests {
 
     #[test]
     fn credits_pop_in_arrival_order() {
-        let mut link = LinkState::default();
+        let mut link: LinkState = LinkState::default();
         link.send_credit(5, 10, 0, 8, CreditClass::NonMinRouted, TrafficClass::Bulk);
         link.send_credit(20, 10, 1, 8, CreditClass::MinRouted, TrafficClass::Control);
         assert!(link.pop_credit(14).is_none());
@@ -302,7 +317,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "monotonic")]
     fn out_of_order_credit_departure_is_a_bug() {
-        let mut link = LinkState::default();
+        let mut link: LinkState = LinkState::default();
         link.send_credit(20, 10, 1, 8, CreditClass::MinRouted, TrafficClass::Bulk);
         link.send_credit(5, 10, 0, 8, CreditClass::NonMinRouted, TrafficClass::Bulk);
     }

@@ -1,7 +1,9 @@
 //! Packets and planned paths.
 
+use crate::bank::bounded_growth;
 use flexvc_core::{CreditClass, HopVcs, MessageClass, TrafficClass};
 use flexvc_topology::{Route, RouteHop};
+use flexvc_traffic::FlowTag;
 
 /// Maximum hops of any plan (the PAR reference path has 7).
 pub const MAX_PLAN: usize = 8;
@@ -84,11 +86,10 @@ impl PlannedPath {
     }
 }
 
-/// A packet in flight. Compact and clone-free on the hot path: the
-/// simulator moves packets between queues by value, so every field rides
-/// along on each buffer move — flow identity deliberately lives in an
-/// engine-side table keyed by packet id instead of here, keeping synthetic
-/// workloads from paying for flow workloads' tagging.
+/// A packet in flight. The engine writes it once into its packet arena at
+/// injection and updates it in place at every hop; its queues hold only
+/// a 32-bit handle. Flow identity lives in the arena's per-slot side
+/// table rather than here, so synthetic workloads do not carry flow tags.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Unique id (monotonic per simulation).
@@ -170,6 +171,135 @@ impl Packet {
     /// Current position as the policy layer's `Pos`.
     pub fn pos(&self) -> Option<usize> {
         self.position.map(|p| p as usize)
+    }
+
+    /// Enter a new buffer: stamp the credit class its release must match
+    /// (even if `min_routed` changes while buffered), and drop the cached
+    /// lookahead and the per-router transit decision, which belong to the
+    /// previous position.
+    pub fn enter_buffer(&mut self) {
+        self.buffered_class = self.credit_class();
+        self.flex_opts = None;
+        self.hop_decided = false;
+    }
+}
+
+/// A packet's slot in its engine's [`Arena`]: what bank FIFOs, output
+/// queues and link pipelines hold instead of the packet itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Handle(u32);
+
+/// One engine instance's packets: a contiguous slab plus a free list, and
+/// — only when the workload has flows — a per-slot flow-tag side table.
+///
+/// A packet is written once at injection (or when a boundary event moves
+/// it in from another block) and freed at ejection (or when it leaves for
+/// another block). The slab is demand-sized like every queue: it starts
+/// empty and doubles up to `bound`, the sum of the bounds of the queues
+/// that can hold a handle, so it costs what the live packets need.
+#[derive(Debug)]
+pub(crate) struct Arena {
+    slots: Vec<Packet>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Flow tag per slot (`None` without flows: the table is never built).
+    flows: Option<Vec<Option<FlowTag>>>,
+    /// Most packets the owning engine can hold at once (growth bound).
+    bound: usize,
+}
+
+impl Arena {
+    /// An empty arena for at most `bound` live packets, with a flow-tag
+    /// table when `flows` is set.
+    pub fn new(bound: usize, flows: bool) -> Self {
+        Arena {
+            slots: Vec::new(),
+            free: Vec::new(),
+            flows: flows.then(Vec::new),
+            bound,
+        }
+    }
+
+    /// Store `pkt` (and its flow tag) in a free slot.
+    pub fn insert(&mut self, pkt: Packet, flow: Option<FlowTag>) -> Handle {
+        debug_assert!(
+            flow.is_none() || self.flows.is_some(),
+            "flow tag without flows"
+        );
+        if let Some(s) = self.free.pop() {
+            self.slots[s as usize] = pkt;
+            if let Some(tags) = &mut self.flows {
+                tags[s as usize] = flow;
+            }
+            return Handle(s);
+        }
+        let s = u32::try_from(self.slots.len()).expect("arena past 2^32 packets");
+        if s as usize == self.slots.capacity() {
+            let grow = bounded_growth(s as usize, self.bound);
+            self.slots.reserve_exact(grow);
+            if let Some(tags) = &mut self.flows {
+                tags.reserve_exact(grow);
+            }
+        }
+        self.slots.push(pkt);
+        if let Some(tags) = &mut self.flows {
+            tags.push(flow);
+        }
+        Handle(s)
+    }
+
+    /// Free `h`'s slot, returning its flow tag. The packet's fields stay
+    /// readable through `h` until the next [`Arena::insert`].
+    pub fn free(&mut self, h: Handle) -> Option<FlowTag> {
+        debug_assert!(self.free.len() < self.slots.len(), "double free");
+        self.free.push(h.0);
+        self.flows
+            .as_mut()
+            .and_then(|tags| tags[h.0 as usize].take())
+    }
+
+    /// Move the packet and its flow tag out (it leaves for another block).
+    pub fn take(&mut self, h: Handle) -> (Packet, Option<FlowTag>) {
+        let pkt = self.slots[h.0 as usize].clone();
+        (pkt, self.free(h))
+    }
+
+    /// Packets currently stored.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Packet slots currently allocated (never more than the bound).
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// Most packets the arena can hold at once.
+    pub fn bound(&self) -> usize {
+        self.bound
+    }
+
+    /// Grow the slab (and the flow table) to the bound now.
+    pub fn reserve_bound(&mut self) {
+        self.slots.reserve_exact(self.bound - self.slots.len());
+        if let Some(tags) = &mut self.flows {
+            tags.reserve_exact(self.bound - tags.len());
+        }
+    }
+}
+
+impl std::ops::Index<Handle> for Arena {
+    type Output = Packet;
+    #[inline]
+    fn index(&self, h: Handle) -> &Packet {
+        &self.slots[h.0 as usize]
+    }
+}
+
+impl std::ops::IndexMut<Handle> for Arena {
+    #[inline]
+    fn index_mut(&mut self, h: Handle) -> &mut Packet {
+        &mut self.slots[h.0 as usize]
     }
 }
 

@@ -28,9 +28,9 @@
 //! docs: iteration order across routers is independent by construction).
 //! The only effects that cross a block cut are:
 //!
-//! * **packet transmits** whose receiving router is foreign — the
-//!   [`InFlight`] record ships to the receiver's link replica, arriving at
-//!   `now + latency`;
+//! * **packet transmits** whose receiving router is foreign — the packet
+//!   leaves the sender's arena in an [`InFlight`] record for the
+//!   receiver's link replica (and arena), arriving at `now + latency`;
 //! * **credit returns** whose upstream router is foreign — the credit
 //!   arrives at `t_c + latency`, strictly beyond the current cycle;
 //! * **Piggyback board publishes** — replicated to every block's board
@@ -146,21 +146,23 @@ use flexvc_core::MessageClass;
 use flexvc_topology::Topology;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, RwLock};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// A packet in flight toward a foreign router's input port.
+/// A packet in flight toward a foreign router's input port. It carries the
+/// packet itself: the sending block moves it out of its arena at transmit,
+/// the receiving block moves it into its own at the exchange.
 #[derive(Debug)]
 pub(crate) struct PacketEvent {
     /// Flat id of the link the packet travels on.
     pub lid: u32,
     /// Receiving router (its owner is the destination block).
     pub dst: u32,
-    /// The in-flight link record (its head arrival is the effect cycle).
+    /// The in-flight link record with the packet (its head arrival is the
+    /// effect cycle).
     pub flight: InFlight,
-    /// The packet's flow tag under flow workloads: flow identity lives in
-    /// an engine-side table, so the tag migrates to the block that will
-    /// eject the packet.
+    /// The packet's flow tag under flow workloads, moved from the sending
+    /// arena's side table to the receiving one's with the packet.
     pub flow: Option<flexvc_traffic::FlowTag>,
 }
 
@@ -200,6 +202,12 @@ pub(crate) struct Outbox {
     pub packets: Vec<PacketEvent>,
     pub credits: Vec<CreditEvent>,
     pub boards: Vec<BoardEvent>,
+}
+
+/// The outbox behind a mail cell of the row a worker holds for writing
+/// (no locking: the row lock already excludes every reader).
+fn cell(c: &mut Mutex<Outbox>) -> &mut Outbox {
+    c.get_mut().expect("mail cell poisoned")
 }
 
 impl Outbox {
@@ -425,8 +433,9 @@ struct Exchange {
     lambda: u64,
     /// Mail, `[source worker][destination block]`: a worker holds its row
     /// for writing while it steps, every worker reads every row while it
-    /// absorbs; the barriers keep the two apart.
-    mail: Vec<RwLock<Vec<Outbox>>>,
+    /// absorbs, locking only the cells of its own blocks (whose packets it
+    /// moves out); the barriers keep the two apart.
+    mail: Vec<RwLock<Vec<Mutex<Outbox>>>>,
     /// Per-worker packets-in-flight contribution (signed: a block ejecting
     /// packets injected elsewhere counts negative).
     in_flight: Vec<AtomicI64>,
@@ -562,7 +571,7 @@ impl Worker {
     /// mail row, and publish the worker's share of the global reductions.
     fn step_epoch(&mut self, w: usize, ex: &Exchange, now: u64, len: u64) {
         let mut row = ex.mail[w].write().expect("mail row poisoned");
-        row.iter_mut().for_each(Outbox::clear);
+        row.iter_mut().for_each(|c| cell(c).clear());
         let (mut in_flight, mut progress) = (0, 0);
         for (i, net) in self.blocks.iter_mut().enumerate() {
             net.swap_outbox(&mut self.outbox);
@@ -576,17 +585,17 @@ impl Worker {
             for ev in out.packets.drain(..) {
                 let d = ex.owner[ev.dst as usize] as usize;
                 debug_assert_ne!(d, s, "boundary packet addressed to its own block");
-                row[d].packets.push(ev);
+                cell(&mut row[d]).packets.push(ev);
             }
             for ev in out.credits.drain(..) {
                 let d = ex.owner[ev.dst as usize] as usize;
                 debug_assert_ne!(d, s, "boundary credit addressed to its own block");
-                row[d].credits.push(ev);
+                cell(&mut row[d]).credits.push(ev);
             }
             for ev in out.boards.drain(..) {
-                for (d, cell) in row.iter_mut().enumerate() {
+                for (d, c) in row.iter_mut().enumerate() {
                     if d != s {
-                        cell.boards.push(ev);
+                        cell(c).boards.push(ev);
                     }
                 }
             }
@@ -613,7 +622,8 @@ impl Worker {
         for (i, net) in self.blocks.iter_mut().enumerate() {
             for row in &ex.mail {
                 let row = row.read().expect("mail row poisoned");
-                net.absorb(last, &row[self.first + i]);
+                let mut mail = row[self.first + i].lock().expect("mail cell poisoned");
+                net.absorb(last, &mut mail);
             }
             net.finish_cycle_shard(last, self.in_flight, self.progress);
         }
@@ -713,7 +723,7 @@ impl ShardedNetwork {
                 work_seconds: 0.0,
             });
         }
-        let cells = || (0..first).map(|_| Outbox::default()).collect();
+        let cells = || (0..first).map(|_| Mutex::default()).collect();
         let ex = Exchange {
             lambda: epoch_lambda(&cfg, topo.as_ref(), &owner, first),
             owner,
@@ -832,6 +842,48 @@ impl ShardedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimConfig;
+    use flexvc_core::{Arrangement, RoutingMode};
+    use flexvc_traffic::{FlowSpec, Pattern, SizeDist, Workload};
+
+    /// Packet conservation through the arenas: after a saturated run, a
+    /// drained single engine and every block of a drained two-worker,
+    /// one-unit-block driver hold zero live packet slots — with replies
+    /// (packets created at the destination) and with flows (packets
+    /// carrying flow tags), whose packets cross block cuts both ways.
+    #[test]
+    fn drained_arenas_hold_no_packets() {
+        let replies = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::reactive(Pattern::Uniform),
+        )
+        .with_flexvc(Arrangement::dragonfly_rr((3, 2), (2, 1)));
+        let flows = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::flows(FlowSpec::uniform(SizeDist::mice_elephants())),
+        )
+        .with_flexvc(Arrangement::dragonfly(4, 2));
+        for (name, mut cfg) in [("replies", replies), ("flows", flows)] {
+            (cfg.warmup, cfg.measure) = (300, 700);
+            let mut net = Network::new(cfg.clone(), 1.0, 3).unwrap();
+            assert!(!net.run().deadlocked, "{name}: deadlocked");
+            assert!(net.live_packets() > 0, "{name}: not saturated");
+            assert_eq!(net.drain(20_000), 0, "{name}: packets left");
+            assert_eq!(net.live_packets(), 0, "{name}: live arena slots");
+
+            cfg.shards = 2;
+            let mut net = ShardedNetwork::with_block_budget(cfg, 1.0, 3, 0).unwrap();
+            assert!(!net.run().deadlocked, "{name}: sharded run deadlocked");
+            assert!(net.boundary_events().packets > 0, "{name}: nothing crossed");
+            assert!(net.blocks().map(Network::live_packets).sum::<usize>() > 0);
+            assert_eq!(net.drain(20_000), 0, "{name}: sharded packets left");
+            for (b, block) in net.blocks().enumerate() {
+                assert_eq!(block.live_packets(), 0, "{name}: block {b} holds packets");
+            }
+        }
+    }
 
     #[test]
     fn partition_is_contiguous_and_balanced() {

@@ -9,7 +9,10 @@
 //! * build-time bytes grow no faster than the network's unified inputs
 //!   (router ports + nodes);
 //! * queues grow on demand and never past the worst-case bound the engine
-//!   used to preallocate.
+//!   used to preallocate;
+//! * a run's peak heap growth follows the packets alive at once (one
+//!   arena slot each), not the high-water marks of every queue they
+//!   passed through.
 //!
 //! Run in release mode on CI as well: the bound checks at the growth sites
 //! are `debug_assert`s, the capacity probe works in both.
@@ -27,6 +30,19 @@ thread_local! {
     // allocator neither allocates nor registers a TLS destructor.
     static COUNT: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated and not yet freed, and their running maximum. A
+    // reallocation counts its old and new blocks together at its peak: a
+    // moving `realloc` holds both while it copies.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Add `delta` live bytes after a moment at which `transient` more were
+/// held.
+fn track(transient: usize, delta: i64) {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(p.get().max(live + transient as i64)));
+    LIVE.with(|l| l.set(live + delta));
 }
 
 // SAFETY: defers every operation to `System` unchanged; the counters are
@@ -35,11 +51,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         COUNT.with(|c| c.set(c.get() + 1));
         BYTES.with(|b| b.set(b.get() + layout.size() as u64));
+        track(layout.size(), layout.size() as i64);
         // SAFETY: same layout, forwarded to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -47,6 +65,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         COUNT.with(|c| c.set(c.get() + 1));
         BYTES.with(|b| b.set(b.get() + new_size.saturating_sub(layout.size()) as u64));
+        track(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,6 +79,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let (c0, b0) = (COUNT.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
     (out, COUNT.with(Cell::get) - c0, BYTES.with(Cell::get) - b0)
+}
+
+/// `f`'s result and how far this thread's live heap rose above its level
+/// at the call, at the peak.
+fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let live0 = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live0));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - live0) as u64)
 }
 
 /// The paper's FlexVC 4/2 MIN/UN configuration on a balanced Dragonfly.
@@ -127,5 +155,26 @@ fn saturated_queues_grow_on_demand_and_stay_within_their_bounds() {
         net.queue_overshoot(),
         0,
         "a queue outgrew its worst-case bound"
+    );
+}
+
+#[test]
+fn sub_saturation_heap_growth_tracks_live_packets() {
+    // The parent commit queued whole packets in every bank slab, output
+    // queue and link pipeline, each growing to its own high-water mark:
+    // this h = 3 run at 0.3 load grew the heap by 1,835,120 bytes at its
+    // peak. Queues of 32-bit handles into one packet arena need less than
+    // half of that.
+    const PARENT_H3_RUN_PEAK_GROWTH: u64 = 1_835_120;
+    let mut cfg = flexvc_4_2(3);
+    cfg.warmup = 1_000;
+    cfg.measure = 3_000;
+    let mut net = Network::new(cfg, 0.3, 3).unwrap();
+    let (result, growth) = peak_growth(|| net.run());
+    assert!(!result.deadlocked);
+    assert!(result.accepted > 0.25, "accepted {}", result.accepted);
+    assert!(
+        growth <= PARENT_H3_RUN_PEAK_GROWTH / 2,
+        "peak heap growth {growth} B"
     );
 }
