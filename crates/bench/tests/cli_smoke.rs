@@ -684,8 +684,9 @@ fn bad_input_fails_with_usage_errors() {
     // packet and a control fraction above one reached the bank's and the
     // generators' assertions; a NaN Pareto tail index and an infinite mean
     // burst ran workloads that emitted no traffic at all, a per-port
-    // budget below one packet per VC ran on silently grown buffers, and
-    // buffer totals past 32 bits overflowed building the engine.
+    // budget below one packet per VC ran on silently grown buffers,
+    // buffer totals past 32 bits overflowed building the engine, and a
+    // latency of four billion cycles aborted allocating its timing wheels.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
@@ -719,6 +720,16 @@ fn bad_input_fails_with_usage_errors() {
             "0.3",
             "[points.cfg.buffers]\ninjection = 2000000000",
             "invalid buffers: injection x injection_vcs does not fit 32-bit phit arithmetic",
+        ),
+        (
+            "0.3",
+            "global_latency = 4000000000",
+            "the link event horizon of 4000000010 cycles",
+        ),
+        (
+            "0.3",
+            "pipeline_latency = 4000000000",
+            "the pipeline event horizon of 4000000010 cycles",
         ),
         (
             "0.3",

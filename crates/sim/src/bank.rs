@@ -20,9 +20,12 @@ use flexvc_core::{CreditClass, SplitOccupancy};
 
 /// Most VCs one port class (request + reply) or one injection queue may
 /// carry. [`SimConfig::validate`](crate::SimConfig::validate) rejects
-/// larger arrangements; the per-VC state of [`Occupancy`] and
-/// [`BufferBank`] is stored inline in arrays of this width, and the
-/// engine's VC bitmasks and candidate scratch rely on it.
+/// larger arrangements, and the engine's 16-bit VC masks rely on it.
+///
+/// It is also the default width of the inline per-VC arrays of
+/// [`Occupancy`] and [`BufferBank`]. The engine instantiates them at the
+/// narrowest of 4, 8 and 16 that covers the configuration's widest port,
+/// so an arrangement of 4 VCs per port stores 4-entry arrays.
 pub const MAX_VCS: usize = 16;
 
 /// Capacity a demand-sized queue holding `len` entries at full capacity
@@ -35,12 +38,13 @@ pub(crate) fn bounded_growth(len: usize, bound: usize) -> usize {
     (len * 2).clamp(1, bound.max(len + 1)) - len
 }
 
-/// Pure occupancy accounting for one port's VCs (static or DAMQ).
+/// Pure occupancy accounting for one port's VCs (static or DAMQ), with
+/// per-VC state for at most `W` VCs.
 #[derive(Debug, Clone)]
-pub struct Occupancy {
+pub struct Occupancy<const W: usize = MAX_VCS> {
     /// Phits resident per VC, split by routing type (minCred); a VC's
     /// occupancy is the split's total.
-    split: [SplitOccupancy; MAX_VCS],
+    split: [SplitOccupancy; W],
     /// Number of VCs in use.
     vcs: u8,
     /// Private reservation of every VC (the per-VC capacity of a static
@@ -50,12 +54,12 @@ pub struct Occupancy {
     shared_cap: u32,
 }
 
-impl Occupancy {
+impl<const W: usize> Occupancy<W> {
     /// Statically partitioned: `vcs` private FIFOs of `per_vc` phits.
     pub fn new_static(vcs: usize, per_vc: u32) -> Self {
-        assert!(vcs <= MAX_VCS, "{vcs} VCs exceed MAX_VCS = {MAX_VCS}");
+        assert!(vcs <= W, "{vcs} VCs exceed MAX_VCS or the width W = {W}");
         Occupancy {
-            split: [SplitOccupancy::new(); MAX_VCS],
+            split: [SplitOccupancy::new(); W],
             vcs: vcs as u8,
             resv: per_vc,
             shared_cap: 0,
@@ -164,8 +168,8 @@ struct Slot<T> {
 }
 
 /// A physical input bank: occupancy accounting plus per-VC FIFOs of
-/// entries: packets by default, 32-bit handles into its packet arena in
-/// the engine.
+/// entries (packets by default, 32-bit handles into its packet arena in
+/// the engine) for at most `W` VCs.
 ///
 /// The FIFOs share one index-based slab per bank (entries with intrusive
 /// `next` links, per-VC head/tail cursors stored inline) instead of a
@@ -175,24 +179,24 @@ struct Slot<T> {
 /// empty and doubles up to the packet bound given at construction, so a
 /// bank costs what its traffic needs and never more than its worst case.
 #[derive(Debug)]
-pub struct BufferBank<T = Packet> {
+pub struct BufferBank<T = Packet, const W: usize = MAX_VCS> {
     /// Occupancy view (identical accounting to the upstream mirror).
-    pub occ: Occupancy,
+    pub occ: Occupancy<W>,
     /// Entry slab; `entry == None` marks a free slot.
     slots: Vec<Slot<T>>,
     /// Head of the free-slot chain.
     free: u32,
     /// Per-VC FIFO head slot.
-    head: [u32; MAX_VCS],
+    head: [u32; W],
     /// Per-VC FIFO tail slot.
-    tail: [u32; MAX_VCS],
+    tail: [u32; W],
     /// Total queued entries (hot-path skip test for the allocator).
     total: u32,
     /// Most packets the bank can hold at once (slab growth bound).
     bound: u32,
 }
 
-impl BufferBank<Packet> {
+impl<const W: usize> BufferBank<Packet, W> {
     /// Enqueue an arriving packet into VC `vc` (space was guaranteed by the
     /// upstream credit check), entering it into the buffer (see
     /// [`Packet::enter_buffer`]) so the eventual release matches this add.
@@ -202,10 +206,10 @@ impl BufferBank<Packet> {
     }
 }
 
-impl<T> BufferBank<T> {
+impl<T, const W: usize> BufferBank<T, W> {
     /// Build a bank around an occupancy model, its slab bounded only by
     /// what the occupancy admits.
-    pub fn new(occ: Occupancy) -> Self {
+    pub fn new(occ: Occupancy<W>) -> Self {
         Self::with_packet_capacity(occ, NIL as usize)
     }
 
@@ -213,13 +217,13 @@ impl<T> BufferBank<T> {
     /// engine passes the port capacity in packets). Nothing is allocated
     /// until packets arrive; the slab then grows geometrically up to
     /// `packets` slots.
-    pub fn with_packet_capacity(occ: Occupancy, packets: usize) -> Self {
+    pub fn with_packet_capacity(occ: Occupancy<W>, packets: usize) -> Self {
         BufferBank {
             occ,
             slots: Vec::new(),
             free: NIL,
-            head: [NIL; MAX_VCS],
-            tail: [NIL; MAX_VCS],
+            head: [NIL; W],
+            tail: [NIL; W],
             total: 0,
             bound: packets.min(NIL as usize) as u32,
         }
@@ -336,7 +340,7 @@ mod tests {
 
     #[test]
     fn static_bank_private_capacity() {
-        let mut o = Occupancy::new_static(2, 32);
+        let mut o: Occupancy = Occupancy::new_static(2, 32);
         assert!(o.can_accept(0, 32));
         assert!(!o.can_accept(0, 33));
         o.add(0, 32, MinRouted);
@@ -352,7 +356,7 @@ mod tests {
     #[test]
     fn damq_shares_pool() {
         // 2 VCs, 64 total, 16 private each => 32 shared.
-        let mut o = Occupancy::new_damq(2, 64, 16);
+        let mut o: Occupancy = Occupancy::new_damq(2, 64, 16);
         // VC0 can take its 16 private + all 32 shared.
         assert!(o.can_accept(0, 48));
         assert!(!o.can_accept(0, 49));
@@ -365,7 +369,7 @@ mod tests {
 
     #[test]
     fn damq_zero_private_lets_one_vc_hog_everything() {
-        let mut o = Occupancy::new_damq(2, 64, 0);
+        let mut o: Occupancy = Occupancy::new_damq(2, 64, 0);
         o.add(0, 64, NonMinRouted);
         // The pathological state behind Fig. 10's deadlock:
         assert!(!o.can_accept(1, 8));
@@ -374,8 +378,8 @@ mod tests {
 
     #[test]
     fn damq_full_private_equals_static() {
-        let damq = Occupancy::new_damq(2, 64, 32);
-        let stat = Occupancy::new_static(2, 32);
+        let damq: Occupancy = Occupancy::new_damq(2, 64, 32);
+        let stat: Occupancy = Occupancy::new_static(2, 32);
         for vc in 0..2 {
             for size in [1, 8, 32, 33] {
                 assert_eq!(damq.can_accept(vc, size), stat.can_accept(vc, size));
@@ -386,7 +390,7 @@ mod tests {
 
     #[test]
     fn mincred_split_tracks_classes() {
-        let mut o = Occupancy::new_static(1, 64);
+        let mut o: Occupancy = Occupancy::new_static(1, 64);
         o.add(0, 8, MinRouted);
         o.add(0, 16, NonMinRouted);
         assert_eq!(o.split(0).min_occupancy(), 8);
@@ -399,7 +403,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds port memory")]
     fn damq_overreservation_rejected() {
-        let _ = Occupancy::new_damq(4, 64, 32);
+        let _: Occupancy = Occupancy::new_damq(4, 64, 32);
     }
 
     fn mk_packet(id: u64, size: u32) -> Packet {
@@ -432,7 +436,7 @@ mod tests {
 
     #[test]
     fn bank_push_pop_release() {
-        let mut bank = BufferBank::new(Occupancy::new_static(2, 32));
+        let mut bank: BufferBank = BufferBank::new(Occupancy::new_static(2, 32));
         bank.push(0, mk_packet(1, 8));
         bank.push(0, mk_packet(2, 8));
         assert_eq!(bank.head(0).unwrap().id, 1);
@@ -453,7 +457,8 @@ mod tests {
     fn slab_interleaves_vcs_and_recycles_slots() {
         // Two VCs share one slab; FIFO order per VC must survive arbitrary
         // interleaving and slot reuse.
-        let mut bank = BufferBank::with_packet_capacity(Occupancy::new_static(2, 64), 8);
+        let mut bank: BufferBank =
+            BufferBank::with_packet_capacity(Occupancy::new_static(2, 64), 8);
         for round in 0u64..50 {
             bank.push(0, mk_packet(round * 10 + 1, 8));
             bank.push(1, mk_packet(round * 10 + 2, 8));
@@ -474,7 +479,8 @@ mod tests {
 
     #[test]
     fn slab_is_demand_sized_and_bounded() {
-        let mut bank = BufferBank::with_packet_capacity(Occupancy::new_static(1, 48), 6);
+        let mut bank: BufferBank =
+            BufferBank::with_packet_capacity(Occupancy::new_static(1, 48), 6);
         assert_eq!(bank.capacity(), 0, "nothing allocated before traffic");
         let mut seen = vec![];
         for id in 0..6 {
@@ -493,7 +499,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceed MAX_VCS")]
     fn more_than_max_vcs_rejected() {
-        let _ = Occupancy::new_static(MAX_VCS + 1, 32);
+        let _: Occupancy = Occupancy::new_static(MAX_VCS + 1, 32);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::bank::MAX_VCS;
 use crate::engine::MAX_ROUTER_INPUTS;
 use crate::error::ConfigError;
+use crate::wheel::MAX_WHEEL_HORIZON;
 use flexvc_core::classify::{classify, NetworkFamily, Support};
 use flexvc_core::policy::supports_baseline;
 use flexvc_core::{
@@ -770,9 +771,23 @@ impl SimConfig {
         }
     }
 
+    /// Event horizons of the engine's timing wheels, in cycles: `(link,
+    /// release)`. A credit departs at most `packet_size` cycles after its
+    /// grant and arrives one link latency later, and a packet head one
+    /// latency after transmit; release-wheel events fall at most one
+    /// transfer or one router pipeline ahead. [`SimConfig::validate`]
+    /// caps both at [`MAX_WHEEL_HORIZON`].
+    pub(crate) fn wheel_horizons(&self) -> (u64, u64) {
+        let size = self.packet_size.max(1) as u64;
+        let link = self.local_latency.max(self.global_latency) as u64 + size + 2;
+        (link, self.pipeline_latency as u64 + size + 2)
+    }
+
     /// Validate the configuration; returns a typed [`ConfigError`] when the
     /// policy cannot operate deadlock-free on the arrangement (or the
-    /// configuration cannot be simulated at all).
+    /// configuration cannot be simulated at all). Latencies are capped so
+    /// that every wheel horizon stays within 2^20 cycles: the engine
+    /// allocates one slot per cycle of horizon.
     pub fn validate(&self) -> Result<(), ConfigError> {
         // Checked before the shape: a single-node topology would pass the
         // per-parameter minimums of some families, then panic inside the
@@ -844,6 +859,16 @@ impl SimConfig {
             }
         }
         self.check_buffer_arithmetic()?;
+        let (link, release) = self.wheel_horizons();
+        for (what, cycles) in [("link", link), ("pipeline", release)] {
+            if cycles > MAX_WHEEL_HORIZON {
+                return Err(ConfigError::HorizonTooLong {
+                    what,
+                    cycles,
+                    max: MAX_WHEEL_HORIZON,
+                });
+            }
+        }
         let classes: &[MessageClass] = if self.workload.is_reactive() {
             &[MessageClass::Request, MessageClass::Reply]
         } else {
@@ -1276,6 +1301,49 @@ mod tests {
         let mut cfg = base();
         cfg.buffers.sizing = per_vc(u32::MAX / 4 - 8);
         cfg.validate().expect("fits with one packet to spare");
+    }
+
+    /// A latency or packet size that puts engine events more than 2^20
+    /// cycles ahead is a typed error, not a wheel of billions of slots
+    /// (4,000,000,000 cycles once aborted the process allocating 96 GiB).
+    #[test]
+    fn wheel_horizons_past_the_cap_are_rejected() {
+        let base = || {
+            SimConfig::dragonfly_baseline(
+                2,
+                RoutingMode::Min,
+                Workload::oblivious(Pattern::Uniform),
+            )
+        };
+        let too_long = |what: &'static str, cycles: u64| ConfigError::HorizonTooLong {
+            what,
+            cycles,
+            max: MAX_WHEEL_HORIZON,
+        };
+        let mut cfg = base();
+        cfg.global_latency = 4_000_000_000;
+        assert_eq!(cfg.validate(), Err(too_long("link", 4_000_000_010)));
+        let mut cfg = base();
+        cfg.pipeline_latency = 4_000_000_000;
+        assert_eq!(cfg.validate(), Err(too_long("pipeline", 4_000_000_010)));
+        // The packet size counts too: 2^20 phits of per-VC buffer hold one
+        // such packet, so only the horizon stops it.
+        let mut cfg = base();
+        cfg.packet_size = 1 << 20;
+        cfg.buffers.sizing = BufferSizing::PerVc {
+            local: 1 << 20,
+            global: 1 << 20,
+        };
+        (cfg.buffers.output, cfg.buffers.injection) = (1 << 20, 1 << 20);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::HorizonTooLong { what: "link", .. })
+        ));
+        // Exactly at the cap passes.
+        let mut cfg = base();
+        cfg.global_latency = (MAX_WHEEL_HORIZON - 10) as u32;
+        assert_eq!(cfg.wheel_horizons().0, MAX_WHEEL_HORIZON);
+        cfg.validate().expect("a horizon at the cap is accepted");
     }
 
     /// A DAMQ reservation outside the port memory, a burst shorter than

@@ -83,8 +83,17 @@
 //! link per input VC. Everything immutable and topology-derived sits in the
 //! shared `Fabric`.
 //!
+//! Per-VC state is as wide as the configuration. Bank occupancy splits,
+//! FIFO heads and tails, credit mirrors and the allocator's request and
+//! candidate scratch are inline arrays of `W` entries, and the engine is
+//! one source, `Engine<W>`, built at `W` = 4, 8 and 16. A [`Network`]
+//! holds the instance at the narrowest width that covers its widest port
+//! and delegates to it: h = 8 FlexVC 4/2 with 3 injection VCs runs 4
+//! wide, at 10,132 bytes of record tables per router where 16-wide state
+//! took 18,292.
+//!
 //! Packets stay put. Each instance (the single engine, or one block of the
-//! shard driver) keeps its packets in one arena: a chunked slab plus a free
+//! shard driver) keeps its packets in one arena: a contiguous slab plus a free
 //! list, and a per-slot flow-tag table only when the workload has flows.
 //! A packet is written once at injection, updated in place at every hop
 //! and freed at ejection; bank FIFOs, output queues and link pipelines
@@ -105,6 +114,7 @@
 use crate::arbiter::RrArbiter;
 use crate::bank::{BufferBank, Occupancy, MAX_VCS};
 use crate::config::{BufferOrg, SensingMode, SimConfig};
+use crate::error::ConfigError;
 use crate::fabric::Fabric;
 use crate::link::{push_bounded, CreditMsg, LinkState};
 use crate::metrics::{Metrics, SimResult};
@@ -192,9 +202,9 @@ struct RouterRec {
 
 /// Per-input record (`router · n_in + input`): the `pp` network input
 /// ports of a router, then its `pn` injection queues.
-struct InputRec {
-    /// The input's VC buffers (handles into [`Network::arena`]).
-    bank: BufferBank<Handle>,
+struct InputRec<const W: usize> {
+    /// The input's VC buffers (handles into [`Engine::arena`]).
+    bank: BufferBank<Handle, W>,
     /// Input feed busy-until.
     busy: u64,
     /// Stage-1 arbiter over the input's VCs.
@@ -220,7 +230,7 @@ struct OutputRec {
     xbar: u64,
     /// Head of the intrusive list of input VCs asleep on
     /// [`EvalBlock::Event`] for this port (`NIL` when empty; entries are
-    /// `input << wait_shift | vc`, linked through `Network::wait_next`).
+    /// `input << wait_shift | vc`, linked through `Engine::wait_next`).
     /// Drained — every head woken — at the only events that can flip one
     /// of its gates from blocking to passing: a credit return (`deliver`),
     /// an output-buffer release (`process_pending`) and a per-class quota
@@ -235,7 +245,7 @@ struct OutputRec {
     /// when the matching credit returns (credits carry the packet's class).
     cls_occ: [u32; 2],
     /// Per-class phit quotas. The two sum to the port capacity and each
-    /// stays at least one packet; [`Network::repartition`] shifts them
+    /// stays at least one packet; [`Engine::repartition`] shifts them
     /// under occupancy pressure.
     cls_quota: [u32; 2],
     /// Stage-2 arbiter over the router's unified inputs.
@@ -250,7 +260,7 @@ struct OutputRec {
 struct NodeRec {
     gen: NodeTraffic,
     /// First cycle `gen` has not been stepped for: it is drawn ahead of
-    /// the clock (see [`Network::draw_ahead`]).
+    /// the clock (see [`Engine::draw_ahead`]).
     drawn: u64,
     /// The emission drawn for cycle `drawn - 1`, awaiting that cycle.
     due: Option<Emission>,
@@ -304,8 +314,297 @@ enum EvalBlock {
     Event(u16),
 }
 
+/// Per-VC widths an engine is built at, narrowest first: every width a
+/// workload needs (4 for the paper's FlexVC 4/2, 8 for the 8/4 series),
+/// and [`MAX_VCS`] for the widest arrangement validation admits.
+const WIDTHS: [usize; 3] = [4, 8, 16];
+const _: () = assert!(WIDTHS[2] == MAX_VCS);
+
 /// The simulation network.
-pub struct Network {
+///
+/// The engine stores per-VC state (bank occupancy splits, FIFO cursors,
+/// credit mirrors, allocator scratch) in inline arrays. A network is built
+/// at the narrowest width in `{4, 8, 16}` that covers its widest port —
+/// 4 for FlexVC 4/2 with 3 injection VCs — so VCs the configuration does
+/// not have cost no memory. The width decides storage only: results are
+/// identical at every width that covers the configuration.
+pub struct Network(ByWidth);
+
+/// The engine instance inside a [`Network`], by per-VC width.
+enum ByWidth {
+    W4(Engine<4>),
+    W8(Engine<8>),
+    W16(Engine<16>),
+}
+
+/// Evaluate `$body` with `$e` bound to the engine inside a [`ByWidth`],
+/// whatever its width.
+macro_rules! with_engine {
+    ($by_width:expr, $e:ident => $body:expr) => {
+        match $by_width {
+            ByWidth::W4($e) => $body,
+            ByWidth::W8($e) => $body,
+            ByWidth::W16($e) => $body,
+        }
+    };
+}
+
+impl Network {
+    /// Build a network for `cfg` at offered load `load` (phits/node/cycle)
+    /// with deterministic `seed`. Fails with a typed [`ConfigError`] when
+    /// the configuration or the load does not pass
+    /// [`SimConfig::validate_point`].
+    pub fn new(cfg: SimConfig, load: f64, seed: u64) -> Result<Self, ConfigError> {
+        cfg.validate_point(load)?;
+        let topo = cfg.topology.build();
+        Ok(Self::build(cfg, load, seed, topo, None))
+    }
+
+    /// Like [`Network::new`] but reusing a pre-built topology instance,
+    /// which must match `cfg.topology` — the sweep runner and the bench
+    /// harness build each distinct topology once and share the `Arc` across
+    /// all points that use it instead of rebuilding per point.
+    pub fn with_topology(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        topo: Arc<dyn Topology>,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate_point(load)?;
+        debug_assert_eq!(
+            topo.num_routers(),
+            cfg.topology.num_routers(),
+            "shared topology does not match cfg.topology"
+        );
+        Ok(Self::build(cfg, load, seed, topo, None))
+    }
+
+    /// [`Network::new`] at per-VC width `width` instead of the narrowest
+    /// (tests: results do not depend on the width).
+    #[cfg(test)]
+    pub(crate) fn at_width(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        width: usize,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate_point(load)?;
+        let topo = cfg.topology.build();
+        Ok(Self::build(cfg, load, seed, topo, Some(width)))
+    }
+
+    /// The whole network over `topo` (`cfg` and `load` are validated) at
+    /// `width`, or the narrowest width when `None`.
+    fn build(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        topo: Arc<dyn Topology>,
+        width: Option<usize>,
+    ) -> Self {
+        let fabric = Arc::new(Fabric::new(&cfg, topo, seed));
+        let width = width.unwrap_or_else(|| Self::width(&fabric));
+        Self::new_shard(cfg, load, seed, fabric, None, width)
+    }
+
+    /// The narrowest engine width that holds the widest port's VCs
+    /// (network ports and injection queues alike).
+    pub(crate) fn width(fab: &Fabric) -> usize {
+        let widest = fab.vcs_by_in.iter().copied().max().unwrap_or(1) as usize;
+        WIDTHS
+            .into_iter()
+            .find(|&w| w >= widest)
+            .expect("validation caps every port at MAX_VCS")
+    }
+
+    /// Build the engine instance owning the contiguous router range
+    /// `owned` — `None` for the whole network — over a shared fabric, at
+    /// per-VC width `width`, one of the widths that cover the fabric's
+    /// ports (crate API for [`crate::shard::ShardedNetwork`]; `cfg` is
+    /// pre-validated).
+    pub(crate) fn new_shard(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        fabric: Arc<Fabric>,
+        owned: Option<std::ops::Range<u32>>,
+        width: usize,
+    ) -> Self {
+        debug_assert!(width >= Self::width(&fabric), "width {width} too narrow");
+        Network(match width {
+            4 => ByWidth::W4(Engine::new_shard(cfg, load, seed, fabric, owned)),
+            8 => ByWidth::W8(Engine::new_shard(cfg, load, seed, fabric, owned)),
+            16 => ByWidth::W16(Engine::new_shard(cfg, load, seed, fabric, owned)),
+            _ => unreachable!("no engine of width {width}"),
+        })
+    }
+
+    /// Bytes of record tables (inputs, outputs, credit mirrors, wait-list
+    /// links) one owned router adds to an engine instance of per-VC width
+    /// `width`: what the phases of a cycle touch, and so what the shard
+    /// driver sizes its blocks by. Queue contents are excluded — they
+    /// follow the traffic.
+    pub(crate) fn router_table_bytes(fab: &Fabric, width: usize) -> usize {
+        match width {
+            4 => Engine::<4>::router_table_bytes(fab),
+            8 => Engine::<8>::router_table_bytes(fab),
+            16 => Engine::<16>::router_table_bytes(fab),
+            _ => unreachable!("no engine of width {width}"),
+        }
+    }
+
+    /// Per-VC width of this instance's state.
+    #[cfg(test)]
+    pub(crate) fn vc_width(&self) -> usize {
+        match self.0 {
+            ByWidth::W4(_) => 4,
+            ByWidth::W8(_) => 8,
+            ByWidth::W16(_) => 16,
+        }
+    }
+
+    /// Offered load this network was built with.
+    pub fn offered(&self) -> f64 {
+        with_engine!(&self.0, e => e.offered)
+    }
+
+    /// Current cycle.
+    pub fn cycle(&self) -> u64 {
+        with_engine!(&self.0, e => e.cycle)
+    }
+
+    /// Packets currently in queues, buffers or links.
+    pub fn packets_in_flight(&self) -> i64 {
+        with_engine!(&self.0, e => e.in_flight)
+    }
+
+    /// Whether the watchdog flagged a deadlock.
+    pub fn deadlocked(&self) -> bool {
+        with_engine!(&self.0, e => e.metrics.deadlocked)
+    }
+
+    /// Last cycle the watchdog observed forward progress (packet motion,
+    /// link serialization, or a credit return). Diagnostics only.
+    pub fn last_progress(&self) -> u64 {
+        with_engine!(&self.0, e => e.last_progress)
+    }
+
+    /// Grow every demand-sized queue (bank slabs, output queues, link
+    /// pipelines, the packet arena) to its bound now, as the engine did at
+    /// build before queues followed the traffic. Results are unaffected —
+    /// growth moves no packet — which is what the equivalence tests use
+    /// this to show.
+    pub fn pregrow_queues(&mut self) {
+        with_engine!(&mut self.0, e => e.pregrow_queues())
+    }
+
+    /// The largest number of entries by which any demand-sized queue's
+    /// allocated capacity exceeds its bound: 0 on a correct engine, whose
+    /// queues never outgrow what it preallocated before they followed the
+    /// traffic (debug builds also assert this at every growth site).
+    pub fn queue_overshoot(&self) -> usize {
+        with_engine!(&self.0, e => e.queue_overshoot())
+    }
+
+    /// Mute the traffic generators and step until every in-flight packet
+    /// has been consumed — including replies still staged at their NIC,
+    /// which are not in flight until injected — or `max_cycles` elapse, or
+    /// the watchdog fires. Returns the packets still pending (in flight +
+    /// staged): 0 proves the conservation property "injected = consumed at
+    /// drain": nothing the network accepted is stranded in a buffer,
+    /// queue, link or reply-staging slot.
+    pub fn drain(&mut self, max_cycles: u64) -> i64 {
+        with_engine!(&mut self.0, e => e.drain(max_cycles))
+    }
+
+    /// Run to completion and aggregate the result.
+    pub fn run(&mut self) -> SimResult {
+        with_engine!(&mut self.0, e => e.run())
+    }
+
+    /// Advance one cycle.
+    pub fn step(&mut self) {
+        with_engine!(&mut self.0, e => e.step())
+    }
+
+    /// Free-run `len` cycles from `t0` between boundary exchanges (see
+    /// `Engine::step_epoch_shard`).
+    pub(crate) fn step_epoch_shard(&mut self, t0: u64, len: u64) {
+        with_engine!(&mut self.0, e => e.step_epoch_shard(t0, len))
+    }
+
+    /// Exchange the outbox with `other`: the shard driver lends one buffer
+    /// to whichever of its blocks is stepping and takes it back, filled
+    /// with the epoch's boundary events, to dispatch.
+    pub(crate) fn swap_outbox(&mut self, other: &mut Outbox) {
+        with_engine!(&mut self.0, e => std::mem::swap(&mut e.outbox, other))
+    }
+
+    /// Absorb the boundary events another block addressed to this one
+    /// during the epoch ending at cycle `now` (see `Engine::absorb`).
+    pub(crate) fn absorb(&mut self, now: u64, mail: &mut Outbox) {
+        with_engine!(&mut self.0, e => e.absorb(now, mail))
+    }
+
+    /// Complete cycle `now` after the boundary exchange with the global
+    /// reductions (see `Engine::finish_cycle_shard`).
+    pub(crate) fn finish_cycle_shard(&mut self, now: u64, in_flight: i64, progress: u64) {
+        with_engine!(&mut self.0, e => e.finish_cycle_shard(now, in_flight, progress))
+    }
+
+    /// This shard's measurement counters (merged exactly by the driver).
+    pub(crate) fn metrics(&self) -> &Metrics {
+        with_engine!(&self.0, e => &e.metrics)
+    }
+
+    /// The configuration (driver access for windows and shard resolution).
+    pub(crate) fn config(&self) -> &SimConfig {
+        with_engine!(&self.0, e => &e.cfg)
+    }
+
+    /// Replies staged at owned nodes but not yet injected (the drain
+    /// conservation check counts them as pending).
+    pub(crate) fn staged_pending(&self) -> i64 {
+        with_engine!(&self.0, e => e.staged_pending())
+    }
+
+    /// Mute the owned traffic generators (sharded drain).
+    pub(crate) fn begin_drain(&mut self) {
+        with_engine!(&mut self.0, e => e.draining = true)
+    }
+
+    /// Packets stored in this instance's arena. Equal to the packets its
+    /// banks, output queues and link pipelines hold (debug builds assert
+    /// it every cycle), so a drained network holds none.
+    #[cfg(test)]
+    pub(crate) fn live_packets(&self) -> usize {
+        with_engine!(&self.0, e => e.arena.live())
+    }
+
+    /// The shared immutable tables (tests: every shard holds the same one).
+    #[cfg(test)]
+    pub(crate) fn fabric(&self) -> &Arc<Fabric> {
+        with_engine!(&self.0, e => &e.fabric)
+    }
+
+    /// Lengths of the input, output (replicas included) and credit-mirror
+    /// tables (tests: a shard's state is sized to what it owns).
+    #[cfg(test)]
+    pub(crate) fn table_sizes(&self) -> (usize, usize, usize) {
+        with_engine!(&self.0, e => (e.inputs.len(), e.outputs.len(), e.out_credit.len()))
+    }
+
+    /// Outstanding wake-up bookkeeping and router visits (see
+    /// `Engine::scheduled`).
+    #[cfg(test)]
+    fn scheduled(&self) -> (usize, u64) {
+        with_engine!(&self.0, e => e.scheduled())
+    }
+}
+
+/// One engine instance whose per-VC state is `W` entries wide (see
+/// [`Network`], which picks `W`).
+struct Engine<const W: usize> {
     cfg: SimConfig,
     /// Immutable topology-derived tables, shared with every other shard.
     fabric: Arc<Fabric>,
@@ -318,11 +617,11 @@ pub struct Network {
     transit_decisions: bool,
     // --- record tables, indexed by offset into the owned ranges ---
     routers: Vec<RouterRec>,
-    inputs: Vec<InputRec>,
+    inputs: Vec<InputRec<W>>,
     outputs: Vec<OutputRec>,
     /// Credit mirrors of the downstream input banks, indexed like the
     /// owned part of `outputs`.
-    out_credit: Vec<Occupancy>,
+    out_credit: Vec<Occupancy<W>>,
     /// Wait-list links, one per (input, VC) slot `input << wait_shift |
     /// vc` (see [`OutputRec::waiters`]).
     wait_next: Vec<u32>,
@@ -424,44 +723,13 @@ pub struct Network {
     repart: bool,
 }
 
-impl Network {
-    /// Build a network for `cfg` at offered load `load` (phits/node/cycle)
-    /// with deterministic `seed`. Fails with a typed
-    /// [`ConfigError`](crate::error::ConfigError) when
-    /// the configuration or the load does not pass
-    /// [`SimConfig::validate_point`].
-    pub fn new(cfg: SimConfig, load: f64, seed: u64) -> Result<Self, crate::error::ConfigError> {
-        cfg.validate_point(load)?;
-        let fabric = Arc::new(Fabric::new(&cfg, cfg.topology.build(), seed));
-        Ok(Self::new_shard(cfg, load, seed, fabric, None))
-    }
-
-    /// Like [`Network::new`] but reusing a pre-built topology instance,
-    /// which must match `cfg.topology` — the sweep runner and the bench
-    /// harness build each distinct topology once and share the `Arc` across
-    /// all points that use it instead of rebuilding per point.
-    pub fn with_topology(
-        cfg: SimConfig,
-        load: f64,
-        seed: u64,
-        topo: Arc<dyn Topology>,
-    ) -> Result<Self, crate::error::ConfigError> {
-        cfg.validate_point(load)?;
-        debug_assert_eq!(
-            topo.num_routers(),
-            cfg.topology.num_routers(),
-            "shared topology does not match cfg.topology"
-        );
-        let fabric = Arc::new(Fabric::new(&cfg, topo, seed));
-        Ok(Self::new_shard(cfg, load, seed, fabric, None))
-    }
-
+impl<const W: usize> Engine<W> {
     /// Build the engine instance owning the contiguous router range
     /// `owned` — `None` for the whole network — over a shared fabric
-    /// (crate API for [`crate::shard::ShardedNetwork`]; `cfg` is
-    /// pre-validated). Mutable state is allocated for owned routers only,
-    /// plus one link replica per cut link the range receives on.
-    pub(crate) fn new_shard(
+    /// (`cfg` is pre-validated). Mutable state is allocated for owned
+    /// routers only, plus one link replica per cut link the range
+    /// receives on.
+    fn new_shard(
         cfg: SimConfig,
         load: f64,
         seed: u64,
@@ -477,7 +745,7 @@ impl Network {
         let owned_n = fab.node_base[owned_r.start as usize]..fab.node_end(owned_r.end as usize);
         let (r0, n_own) = (owned_r.start as usize, owned_r.len());
 
-        let make_occ = |class: LinkClass| -> Occupancy {
+        let make_occ = |class: LinkClass| -> Occupancy<W> {
             let vcs = cfg.vcs_for_class(class).max(1);
             match cfg.buffers.organization {
                 BufferOrg::Static => Occupancy::new_static(vcs, cfg.vc_capacity(class)),
@@ -564,7 +832,7 @@ impl Network {
         };
         // The arena holds at most what every queue that can hold a handle
         // holds at once.
-        let banks: usize = inputs.iter().map(|i: &InputRec| i.bank.bound()).sum();
+        let banks: usize = inputs.iter().map(|i: &InputRec<W>| i.bank.bound()).sum();
         let links: usize = (0..n_own * pp)
             .map(|o| o % pp)
             .chain(replicas.iter().copied())
@@ -644,13 +912,8 @@ impl Network {
             Vec::new()
         };
 
-        // Worst-case link event horizon: a credit departs at most
-        // `packet_size` cycles after its grant and arrives one link latency
-        // later; packet heads arrive one latency after transmit.
-        let horizon = cfg.local_latency.max(cfg.global_latency) as u64 + size as u64 + 2;
-        // Release-wheel events fall at most one transfer (`packet_size`) or
-        // one router pipeline ahead; generators re-arm at its reach.
-        let rel_horizon = cfg.pipeline_latency as u64 + size as u64 + 2;
+        // Generators re-arm at the release wheel's reach.
+        let (horizon, rel_horizon) = cfg.wheel_horizons();
         let wait_shift = Self::wait_shift(fab);
         let policy = RoutePolicy::new(&cfg);
         let masks = |class| {
@@ -659,7 +922,7 @@ impl Network {
                 cfg.qos_vc_mask(class, TrafficClass::Bulk),
             ]
         };
-        Network {
+        Engine {
             transit_decisions: policy.decides_in_transit(),
             policy,
             routers,
@@ -712,11 +975,11 @@ impl Network {
     /// links) one owned router adds to an engine instance: what the phases
     /// of a cycle touch, and so what the shard driver sizes its blocks by.
     /// Queue contents are excluded — they follow the traffic.
-    pub(crate) fn router_table_bytes(fab: &Fabric) -> usize {
+    fn router_table_bytes(fab: &Fabric) -> usize {
         use std::mem::size_of;
         size_of::<RouterRec>()
-            + fab.n_in * size_of::<InputRec>()
-            + fab.pp * (size_of::<OutputRec>() + size_of::<Occupancy>())
+            + fab.n_in * size_of::<InputRec<W>>()
+            + fab.pp * (size_of::<OutputRec>() + size_of::<Occupancy<W>>())
             + (fab.n_in << Self::wait_shift(fab)) * size_of::<u32>()
     }
 
@@ -738,29 +1001,6 @@ impl Network {
         self.owned_r.start as usize
     }
 
-    /// Offered load this network was built with.
-    pub fn offered(&self) -> f64 {
-        self.offered
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Packets currently in queues, buffers or links.
-    pub fn packets_in_flight(&self) -> i64 {
-        self.in_flight
-    }
-
-    /// Packets stored in this instance's arena. Equal to the packets its
-    /// banks, output queues and link pipelines hold (debug builds assert
-    /// it every cycle), so a drained network holds none.
-    #[cfg(test)]
-    pub(crate) fn live_packets(&self) -> usize {
-        self.arena.live()
-    }
-
     /// Packets held in banks, output queues and link pipelines, counted
     /// queue by queue (the conservation check against the arena).
     fn queued_packets(&self) -> usize {
@@ -773,23 +1013,8 @@ impl Network {
         banks + outputs
     }
 
-    /// Whether the watchdog flagged a deadlock.
-    pub fn deadlocked(&self) -> bool {
-        self.metrics.deadlocked
-    }
-
-    /// Last cycle the watchdog observed forward progress (packet motion,
-    /// link serialization, or a credit return). Diagnostics only.
-    pub fn last_progress(&self) -> u64 {
-        self.last_progress
-    }
-
-    /// Grow every demand-sized queue (bank slabs, output queues, link
-    /// pipelines, the packet arena) to its bound now, as the engine did at
-    /// build before queues followed the traffic. Results are unaffected —
-    /// growth moves no packet — which is what the equivalence tests use
-    /// this to show.
-    pub fn pregrow_queues(&mut self) {
+    /// See [`Network::pregrow_queues`].
+    fn pregrow_queues(&mut self) {
         self.arena.reserve_bound();
         for input in &mut self.inputs {
             input.bank.reserve_bound();
@@ -800,11 +1025,8 @@ impl Network {
         }
     }
 
-    /// The largest number of entries by which any demand-sized queue's
-    /// allocated capacity exceeds its bound: 0 on a correct engine, whose
-    /// queues never outgrow what it preallocated before they followed the
-    /// traffic (debug builds also assert this at every growth site).
-    pub fn queue_overshoot(&self) -> usize {
+    /// See [`Network::queue_overshoot`].
+    fn queue_overshoot(&self) -> usize {
         let banks = self
             .inputs
             .iter()
@@ -853,14 +1075,8 @@ impl Network {
         tag.len as u64 * size as u64 + unloaded
     }
 
-    /// Mute the traffic generators and step until every in-flight packet
-    /// has been consumed — including replies still staged at their NIC,
-    /// which are not in `in_flight` until injected — or `max_cycles`
-    /// elapse, or the watchdog fires. Returns the packets still pending
-    /// (in flight + staged): 0 proves the conservation property
-    /// "injected = consumed at drain": nothing the network accepted is
-    /// stranded in a buffer, queue, link or reply-staging slot.
-    pub fn drain(&mut self, max_cycles: u64) -> i64 {
+    /// See [`Network::drain`].
+    fn drain(&mut self, max_cycles: u64) -> i64 {
         self.draining = true;
         let end = self.cycle.saturating_add(max_cycles);
         loop {
@@ -879,8 +1095,8 @@ impl Network {
         }
     }
 
-    /// Run to completion and aggregate the result.
-    pub fn run(&mut self) -> SimResult {
+    /// See [`Network::run`].
+    fn run(&mut self) -> SimResult {
         let end = self.cfg.warmup + self.cfg.measure;
         while self.cycle < end && !self.metrics.deadlocked {
             self.step();
@@ -892,8 +1108,8 @@ impl Network {
         SimResult::from_metrics(&self.metrics, self.offered, self.fabric.space.num_nodes)
     }
 
-    /// Advance one cycle.
-    pub fn step(&mut self) {
+    /// See [`Network::step`].
+    fn step(&mut self) {
         let now = self.cycle;
         self.step_phases(now);
         for b in &mut self.boards {
@@ -904,8 +1120,8 @@ impl Network {
     }
 
     /// Phases 1–7 of one cycle (everything router-local). The board tick,
-    /// the watchdog and the cycle advance live in [`Network::step`] /
-    /// [`Network::finish_cycle_shard`] because a shard must first absorb
+    /// the watchdog and the cycle advance live in [`Engine::step`] /
+    /// [`Engine::finish_cycle_shard`] because a shard must first absorb
     /// the cycle's foreign boundary events (which carry board publishes and
     /// feed the watchdog's global reductions).
     fn step_phases(&mut self, now: u64) {
@@ -942,7 +1158,7 @@ impl Network {
 
     /// Free-run `len` cycles starting at `t0` without an intervening
     /// boundary exchange, leaving the last cycle open for the exchange and
-    /// [`Network::finish_cycle_shard`]. Sound only when the driver caps
+    /// [`Engine::finish_cycle_shard`]. Sound only when the driver caps
     /// `len` at the epoch bound (minimum cut-link latency; see
     /// `crate::shard`): then no foreign effect can land inside `t0 ..
     /// t0 + len`, so intermediate cycles need no absorb. Intermediate
@@ -952,7 +1168,7 @@ impl Network {
     /// would miss their swap if applied late) but skip the watchdog check
     /// (the driver's epoch bound proves those cycles cannot fire; the
     /// epoch's last cycle runs the exact global check as usual).
-    pub(crate) fn step_epoch_shard(&mut self, t0: u64, len: u64) {
+    fn step_epoch_shard(&mut self, t0: u64, len: u64) {
         debug_assert!(len >= 1);
         debug_assert!(
             len == 1 || self.boards.is_empty() || !self.sharded,
@@ -968,13 +1184,6 @@ impl Network {
         self.step_phases(t0 + len - 1);
     }
 
-    /// Exchange the outbox with `other`: the shard driver lends one buffer
-    /// to whichever of its blocks is stepping and takes it back, filled
-    /// with the epoch's boundary events, to dispatch.
-    pub(crate) fn swap_outbox(&mut self, other: &mut Outbox) {
-        std::mem::swap(&mut self.outbox, other);
-    }
-
     /// Absorb the boundary events another block addressed to this one
     /// during the epoch ending at cycle `now`. Every event's effect cycle
     /// is strictly in the future (packet heads arrive one link latency
@@ -984,7 +1193,7 @@ impl Network {
     /// applying them here — after this block's own phases — is
     /// indistinguishable from the single-engine schedule, where the same
     /// effects were queued during the phases.
-    pub(crate) fn absorb(&mut self, now: u64, mail: &mut Outbox) {
+    fn absorb(&mut self, now: u64, mail: &mut Outbox) {
         let fab = &*self.fabric;
         let lid0 = self.r0() * fab.pp;
         for ev in mail.packets.drain(..) {
@@ -1030,7 +1239,7 @@ impl Network {
     /// across all shards — and advance the cycle counter. Every shard
     /// receives identical globals, so the deadlock flag flips on all shards
     /// in the same cycle and the drivers' stop predicates stay in lockstep.
-    pub(crate) fn finish_cycle_shard(&mut self, now: u64, in_flight: i64, progress: u64) {
+    fn finish_cycle_shard(&mut self, now: u64, in_flight: i64, progress: u64) {
         debug_assert!(progress >= self.last_progress);
         self.last_progress = progress;
         for b in &mut self.boards {
@@ -1040,29 +1249,6 @@ impl Network {
             self.metrics.deadlocked = true;
         }
         self.cycle += 1;
-    }
-
-    /// This shard's measurement counters (merged exactly by the driver).
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The configuration (driver access for windows and shard resolution).
-    pub(crate) fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The shared immutable tables (tests: every shard holds the same one).
-    #[cfg(test)]
-    pub(crate) fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
-    }
-
-    /// Lengths of the input, output (replicas included) and credit-mirror
-    /// tables (tests: a shard's state is sized to what it owns).
-    #[cfg(test)]
-    pub(crate) fn table_sizes(&self) -> (usize, usize, usize) {
-        (self.inputs.len(), self.outputs.len(), self.out_credit.len())
     }
 
     /// Outstanding wake-up bookkeeping — non-empty wait lists, worklist
@@ -1079,13 +1265,8 @@ impl Network {
 
     /// Replies staged at owned nodes but not yet injected (the drain
     /// conservation check counts them as pending).
-    pub(crate) fn staged_pending(&self) -> i64 {
+    fn staged_pending(&self) -> i64 {
         self.nodes.iter().map(|n| n.staging.len()).sum::<usize>() as i64
-    }
-
-    /// Mute the owned traffic generators (sharded drain).
-    pub(crate) fn begin_drain(&mut self) {
-        self.draining = true;
     }
 
     /// Periodic per-VC occupancy sampling (the §III-D sensing signal).
@@ -1160,7 +1341,7 @@ impl Network {
     /// Queue packet `h` on VC `vc` of unified input `in_idx` of router
     /// offset `ri`; a new head is awake (empty VCs always are).
     fn enqueue(&mut self, ri: usize, in_idx: usize, vc: usize, h: Handle, now: u64) {
-        debug_assert!(vc < MAX_VCS);
+        debug_assert!(vc < W);
         let input = ri * self.fabric.n_in + in_idx;
         let rec = &mut self.inputs[input];
         let pkt = &mut self.arena[h];
@@ -1592,7 +1773,7 @@ impl Network {
         // per input, `cand` by the nomination mask (cleared selectively),
         // `port_req` consumed (zeroed) by stage 2 — so nothing is
         // re-initialized per router.
-        let mut reqs: [Option<Decision>; MAX_VCS] = [None; MAX_VCS];
+        let mut reqs: [Option<Decision>; W] = [None; W];
         let mut port_req = [0u64; MAX_ROUTER_INPUTS];
         while li < list.len() {
             let ri = list[li] as usize;
@@ -1935,7 +2116,7 @@ impl Network {
                         }
                     };
                     if let Some(opts) = opts {
-                        let mut cands: [(usize, usize); MAX_VCS] = [(0, 0); MAX_VCS];
+                        let mut cands: [(usize, usize); W] = [(0, 0); W];
                         let mut nc = 0;
                         for v in opts.lo..=opts.hi {
                             if qmask & (1 << v) != 0 && credit.can_accept(v, size) {
@@ -2390,6 +2571,14 @@ mod tests {
     use flexvc_core::{Arrangement, RoutingMode};
     use flexvc_traffic::{Pattern, Workload};
 
+    /// The whole-network engine of `cfg` at per-VC width `W`, for tests
+    /// that reach into its state.
+    fn engine<const W: usize>(cfg: SimConfig, load: f64, seed: u64) -> Engine<W> {
+        cfg.validate_point(load).unwrap();
+        let fabric = Arc::new(Fabric::new(&cfg, cfg.topology.build(), seed));
+        Engine::new_shard(cfg, load, seed, fabric, None)
+    }
+
     /// Nothing sleeps, waits or stays scheduled past the traffic: once a
     /// drained network has been quiet for 1,000 cycles, every wait list,
     /// worklist and wheel is empty, and 1,000 more cycles visit no router.
@@ -2457,7 +2646,7 @@ mod tests {
         )
         .with_flexvc(Arrangement::generic(4))
         .with_qos(QosConfig::shared().with_repartition());
-        let mut net = Network::new(cfg, 0.0, 1).unwrap();
+        let mut net = engine::<4>(cfg, 0.0, 1);
         let fab = Arc::clone(&net.fabric);
         let (pp, size, total) = (fab.pp, net.cfg.packet_size, fab.port_total[0]);
         // A bulk packet on router 0's first injection queue, bound for the
@@ -2471,7 +2660,7 @@ mod tests {
         // Bulk fills its quota of the downstream buffer; control is idle.
         let out = &mut net.outputs[0];
         (out.cls_quota, out.cls_occ) = ([total - size, size], [0, size]);
-        let asleep = |net: &Network| net.inputs[pp].awake & 1 == 0;
+        let asleep = |net: &Engine<4>| net.inputs[pp].awake & 1 == 0;
         net.allocate(0);
         assert!(asleep(&net), "the head should sleep on its class quota");
         net.repartition(0);

@@ -76,8 +76,9 @@ pub enum ConfigError {
         why: &'static str,
     },
     /// A port class (request + reply VCs together) or the injection queues
-    /// carry more VCs than [`MAX_VCS`](crate::MAX_VCS), the width of the
-    /// engine's inline per-VC state and VC bitmasks.
+    /// carry more VCs than [`MAX_VCS`](crate::MAX_VCS): the width of the
+    /// engine's VC bitmasks and of its widest per-VC state (each network
+    /// is built at the narrowest width that covers its ports).
     TooManyVcs {
         /// Which VC set: `"local"`, `"global"` or `"injection"`.
         what: &'static str,
@@ -94,6 +95,18 @@ pub enum ConfigError {
         inputs: usize,
         /// The supported maximum.
         max: usize,
+    },
+    /// A latency plus the packet size puts engine events further ahead
+    /// than its timing wheels reach (2^20 cycles; see
+    /// [`SimConfig::validate`](crate::SimConfig::validate)).
+    HorizonTooLong {
+        /// Which horizon: `"link"` (the longer link latency) or
+        /// `"pipeline"` (the router pipeline latency).
+        what: &'static str,
+        /// Latency + packet size + 2, in cycles.
+        cycles: u64,
+        /// The supported maximum.
+        max: u64,
     },
     /// The topology parameters describe a shape the simulator cannot build
     /// (e.g. a HyperX with more than 3 dimensions or a degenerate axis).
@@ -207,6 +220,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "routers with {inputs} inputs (network ports + terminals) exceed \
                  the supported maximum of {max}"
+            ),
+            ConfigError::HorizonTooLong { what, cycles, max } => write!(
+                f,
+                "the {what} event horizon of {cycles} cycles (latency + packet size + 2) \
+                 exceeds the supported maximum of {max}"
             ),
             ConfigError::InvalidTopology { why } => {
                 write!(f, "invalid topology: {why}")

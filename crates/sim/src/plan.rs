@@ -50,7 +50,7 @@
 //!   slot and its correction the odd one — so any divert pattern yields
 //!   strictly increasing slots within the `T^2d` reference.
 
-use crate::bank::Occupancy;
+use crate::bank::{Occupancy, MAX_VCS};
 use crate::config::SimConfig;
 use crate::packet::{Packet, PlannedPath};
 use crate::sensing::GroupBoard;
@@ -213,10 +213,10 @@ fn remap_par_min_slots(route: &mut Route, family: NetworkFamily) {
 /// The engine's congestion view at one router, handed to the decision
 /// layer: credit mirrors of the router's output ports, the per-group
 /// piggyback boards, and the wiring needed to walk a minimal route to its
-/// first sensed channel.
-pub struct SenseView<'a> {
+/// first sensed channel. `W` is the per-VC width of the mirrors.
+pub struct SenseView<'a, const W: usize = MAX_VCS> {
     /// Credit mirrors of the deciding router's network output ports.
-    pub out_credit: &'a [Occupancy],
+    pub out_credit: &'a [Occupancy<W>],
     /// Per-group saturation boards (empty unless the mode publishes them).
     pub boards: &'a [GroupBoard],
     /// Ports whose occupancy the sensing phase publishes.
@@ -231,7 +231,7 @@ pub struct SenseView<'a> {
     pub port_class: &'a [LinkClass],
 }
 
-impl SenseView<'_> {
+impl<const W: usize> SenseView<'_, W> {
     /// Raw total occupancy of an output port (PAR's divert metric, which
     /// predates minCred and always reads the full counter).
     #[inline]
@@ -307,7 +307,7 @@ impl SenseView<'_> {
     }
 }
 
-impl SensedState for SenseView<'_> {
+impl<const W: usize> SensedState for SenseView<'_, W> {
     /// Sensed occupancy after the configured credit metric (minCred splits
     /// min/non-min accounting, plain mode reads the total).
     fn port_occupancy(&self, port: u16) -> u32 {
@@ -379,10 +379,10 @@ impl RoutePolicy {
     /// `sense`; random draws (Valiant intermediates) come from the
     /// deciding router's RNG, preserving the pre-refactor draw order.
     #[allow(clippy::too_many_arguments)]
-    pub fn plan_injection(
+    pub fn plan_injection<const W: usize>(
         &mut self,
         topo: &dyn Topology,
-        sense: &SenseView<'_>,
+        sense: &SenseView<'_, W>,
         rng: &mut SmallRng,
         r: usize,
         dst_r: usize,
@@ -474,10 +474,10 @@ impl RoutePolicy {
     /// `par_evaluated` flipped). Every later call on the same head in the
     /// same buffer reads and draws nothing: it returns `false` untouched.
     #[allow(clippy::too_many_arguments)]
-    pub fn transit_update(
+    pub fn transit_update<const W: usize>(
         &mut self,
         topo: &dyn Topology,
-        sense: &SenseView<'_>,
+        sense: &SenseView<'_, W>,
         rng: &mut SmallRng,
         r: usize,
         head: &mut Packet,
@@ -518,10 +518,10 @@ impl RoutePolicy {
     /// (the divert slots l1.. lie between l0 and g2 in the reference;
     /// diverting after a global hop would descend positions). Returns
     /// whether the head was evaluated (and latched) by this call.
-    fn maybe_par_divert(
+    fn maybe_par_divert<const W: usize>(
         &mut self,
         topo: &dyn Topology,
-        sense: &SenseView<'_>,
+        sense: &SenseView<'_, W>,
         rng: &mut SmallRng,
         r: usize,
         head: &mut Packet,
@@ -560,10 +560,10 @@ impl RoutePolicy {
     /// congested enough. Only fresh-dimension hops (even slots) are
     /// eligible — a correction hop (odd slot) is committed, which bounds
     /// the detour to one misroute per dimension.
-    fn maybe_dal_divert(
+    fn maybe_dal_divert<const W: usize>(
         &mut self,
         topo: &dyn Topology,
-        sense: &SenseView<'_>,
+        sense: &SenseView<'_, W>,
         r: usize,
         dst_r: usize,
         plan: &mut PlannedPath,
@@ -599,10 +599,10 @@ impl RoutePolicy {
     /// Adaptive `k > 1` copy selection: re-route the plan's next hop over
     /// the least-occupied parallel copy of its link (deterministic JSQ,
     /// ties to the lowest port). Returns whether the port changed.
-    fn repick_copy(
+    fn repick_copy<const W: usize>(
         &mut self,
         topo: &dyn Topology,
-        sense: &SenseView<'_>,
+        sense: &SenseView<'_, W>,
         r: usize,
         plan: &mut PlannedPath,
     ) -> bool {

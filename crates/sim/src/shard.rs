@@ -660,7 +660,7 @@ impl ShardedNetwork {
         topo: Arc<dyn Topology>,
     ) -> Result<Self, ConfigError> {
         cfg.validate_point(load)?;
-        Ok(Self::build(cfg, load, seed, topo, BLOCK_BUDGET_BYTES))
+        Ok(Self::build(cfg, load, seed, topo, BLOCK_BUDGET_BYTES, None))
     }
 
     /// [`ShardedNetwork::new`] with another block budget than
@@ -675,10 +675,41 @@ impl ShardedNetwork {
     ) -> Result<Self, ConfigError> {
         cfg.validate_point(load)?;
         let topo = cfg.topology.build();
-        Ok(Self::build(cfg, load, seed, topo, budget))
+        Ok(Self::build(cfg, load, seed, topo, budget, None))
     }
 
-    fn build(cfg: SimConfig, load: f64, seed: u64, topo: Arc<dyn Topology>, budget: usize) -> Self {
+    /// [`ShardedNetwork::new`] with every block at per-VC width `width`
+    /// instead of the narrowest (tests: results do not depend on the
+    /// width).
+    #[cfg(test)]
+    pub(crate) fn at_width(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        width: usize,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate_point(load)?;
+        let topo = cfg.topology.build();
+        Ok(Self::build(
+            cfg,
+            load,
+            seed,
+            topo,
+            BLOCK_BUDGET_BYTES,
+            Some(width),
+        ))
+    }
+
+    /// The driver over `topo` (`cfg` and `load` are validated), its blocks
+    /// at per-VC `width`, or at the narrowest width when `None`.
+    fn build(
+        cfg: SimConfig,
+        load: f64,
+        seed: u64,
+        topo: Arc<dyn Topology>,
+        budget: usize,
+        width: Option<usize>,
+    ) -> Self {
         let nr = topo.num_routers();
         let n = resolve_shards(cfg.shards, nr);
         let fabric = Arc::new(Fabric::new(&cfg, Arc::clone(&topo), seed));
@@ -689,7 +720,8 @@ impl ShardedNetwork {
         } else {
             budget
         };
-        let router_bytes = Network::router_table_bytes(&fabric);
+        let width = width.unwrap_or_else(|| Network::width(&fabric));
+        let router_bytes = Network::router_table_bytes(&fabric, width);
         let mut owner = vec![0u32; nr];
         let mut workers = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);
@@ -706,7 +738,8 @@ impl ShardedNetwork {
                     .iter()
                     .map(|b| {
                         let fabric = Arc::clone(&fabric);
-                        Network::new_shard(cfg.clone(), load, seed, fabric, Some(b.clone()))
+                        let owned = Some(b.clone());
+                        Network::new_shard(cfg.clone(), load, seed, fabric, owned, width)
                     })
                     .collect(),
                 outbox: Outbox::default(),
@@ -883,6 +916,94 @@ mod tests {
                 assert_eq!(block.live_packets(), 0, "{name}: block {b} holds packets");
             }
         }
+    }
+
+    /// The per-VC width changes storage, never a result: every golden
+    /// point, rerun at each width wider than the one it is built at, on
+    /// the single engine and on the two-worker driver, serializes to the
+    /// same `SimResult` JSON as the single engine at its own width.
+    #[test]
+    fn cross_width_goldens_are_bit_identical() {
+        let mut natural = std::collections::BTreeSet::new();
+        let mut wider_runs = 0;
+        for (name, cfg, load, seed) in crate::equivalence::points() {
+            let mut net = Network::new(cfg.clone(), load, seed).unwrap();
+            let width = net.vc_width();
+            natural.insert(width);
+            let reference = flexvc_serde::to_json(&net.run());
+            for wider in [8, 16].into_iter().filter(|&w| w > width) {
+                let mut single = Network::at_width(cfg.clone(), load, seed, wider).unwrap();
+                let mut sharded_cfg = cfg.clone();
+                sharded_cfg.shards = 2;
+                let mut sharded = ShardedNetwork::at_width(sharded_cfg, load, seed, wider).unwrap();
+                assert!(sharded.blocks().all(|b| b.vc_width() == wider));
+                for (driver, result) in [
+                    ("single engine", single.run()),
+                    ("2 workers", sharded.run()),
+                ] {
+                    assert_eq!(
+                        reference,
+                        flexvc_serde::to_json(&result),
+                        "{name}: {driver} at width {wider} diverged from width {width}"
+                    );
+                }
+                wider_runs += 1;
+            }
+        }
+        // The goldens are built at both narrow widths, and every one of
+        // them reruns at 16.
+        assert_eq!(natural.into_iter().collect::<Vec<_>>(), [4, 8]);
+        assert!(wider_runs > crate::equivalence::points().len());
+    }
+
+    /// The 16-wide engine under load: a saturated FlexVC configuration
+    /// with 16 local VCs, which only the widest engine holds, drains the
+    /// single engine and every block of a two-worker, one-unit-block
+    /// driver to zero live packets.
+    #[test]
+    fn cross_width_sixteen_vc_flexvc_drains_every_arena() {
+        let mut cfg = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::oblivious(Pattern::Uniform),
+        )
+        .with_flexvc(Arrangement::dragonfly(16, 8));
+        (cfg.warmup, cfg.measure) = (300, 700);
+        let mut net = Network::new(cfg.clone(), 1.0, 3).unwrap();
+        assert_eq!(net.vc_width(), 16);
+        assert!(!net.run().deadlocked);
+        assert!(net.live_packets() > 0, "not saturated");
+        assert_eq!(net.drain(20_000), 0);
+        assert_eq!(net.live_packets(), 0);
+
+        cfg.shards = 2;
+        let mut net = ShardedNetwork::with_block_budget(cfg, 1.0, 3, 0).unwrap();
+        assert!(net.blocks().all(|b| b.vc_width() == 16));
+        assert!(!net.run().deadlocked);
+        assert!(net.blocks().map(Network::live_packets).sum::<usize>() > 0);
+        assert_eq!(net.drain(20_000), 0);
+        for (b, block) in net.blocks().enumerate() {
+            assert_eq!(block.live_packets(), 0, "block {b} holds packets");
+        }
+    }
+
+    /// At `paper_h8`'s configuration (FlexVC 4/2, 3 injection VCs) every
+    /// port fits the 4-wide engine, whose record tables take at most
+    /// 10.5 KB per router (18,292 B when all per-VC state was 16 wide).
+    #[test]
+    fn paper_h8_router_tables_are_four_vcs_wide() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmark/workloads/paper_h8.toml"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let root = flexvc_serde::toml::parse(&text).unwrap();
+        let points: Vec<flexvc_serde::Value> = root.field("points").unwrap();
+        let cfg: SimConfig = points[0].as_map().unwrap().field("cfg").unwrap();
+        let fabric = Fabric::new(&cfg, cfg.topology.build(), 1);
+        assert_eq!(Network::width(&fabric), 4);
+        let bytes = Network::router_table_bytes(&fabric, 4);
+        assert!(bytes <= 10_500, "{bytes} B of record tables per router");
     }
 
     #[test]

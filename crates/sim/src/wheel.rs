@@ -1,5 +1,11 @@
 //! The engine's timing wheel: a calendar queue of events due at a cycle.
 
+/// Most cycles ahead an engine wheel may have to reach. A wheel holds one
+/// slot per cycle of horizon, so configurations past this are rejected by
+/// [`SimConfig::validate`](crate::SimConfig::validate) instead of
+/// allocating gigabytes of slots.
+pub(crate) const MAX_WHEEL_HORIZON: u64 = 1 << 20;
+
 /// A power-of-two timing wheel mapping future cycles to ids with an event
 /// due. Slots are reused (taken, drained, put back) so the steady state
 /// allocates nothing. Events may be scheduled at most [`Wheel::reach`] =

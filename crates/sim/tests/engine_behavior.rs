@@ -348,8 +348,10 @@ fn flexvc_opportunistic_3_2_reverts_under_pressure() {
 #[test]
 fn more_vcs_than_the_engine_tracks_is_a_typed_error() {
     // Regression: this arrangement (19 local VCs) used to pass `validate`
-    // and then index past the allocator's 16-entry candidate scratch at
-    // load 0.9 — VCs >= 16 were also invisible to the `u16` VC mask.
+    // and then index past the allocator's candidate scratch, then 16
+    // entries wide, at load 0.9 — VCs >= 16 were also invisible to the
+    // `u16` VC mask. The engine's per-VC state is now as wide as the
+    // widest port (4, 8 or 16 entries), never wider than MAX_VCS.
     let seq: Vec<LinkClass> = "L G L L L L L L L L L L L L L L L L L G L"
         .split(' ')
         .map(|t| match t {
@@ -370,7 +372,8 @@ fn more_vcs_than_the_engine_tracks_is_a_typed_error() {
     );
     assert_eq!(Network::new(cfg, 0.9, 1).err(), Some(too_many("local", 19)));
 
-    // The bound covers the injection queues, and is inclusive.
+    // The bound covers the injection queues, and is inclusive: 16
+    // injection VCs build the 16-wide engine.
     let mut cfg = base(RoutingMode::Min, Pattern::Uniform);
     cfg.injection_vcs = MAX_VCS + 1;
     assert_eq!(cfg.validate(), Err(too_many("injection", MAX_VCS + 1)));
