@@ -685,8 +685,9 @@ fn bad_input_fails_with_usage_errors() {
     // generators' assertions; a NaN Pareto tail index and an infinite mean
     // burst ran workloads that emitted no traffic at all, a per-port
     // budget below one packet per VC ran on silently grown buffers,
-    // buffer totals past 32 bits overflowed building the engine, and a
-    // latency of four billion cycles aborted allocating its timing wheels.
+    // buffer totals past 32 bits overflowed building the engine, a
+    // latency of four billion cycles aborted allocating its timing wheels,
+    // and a speedup of four billion ran as many allocator rounds a cycle.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
@@ -725,6 +726,11 @@ fn bad_input_fails_with_usage_errors() {
             "0.3",
             "global_latency = 4000000000",
             "the link event horizon of 4000000010 cycles",
+        ),
+        (
+            "0.3",
+            "speedup = 4000000000",
+            "speedup 4000000000 exceeds the packet size of 8 phits",
         ),
         (
             "0.3",

@@ -451,7 +451,8 @@ pub struct SimConfig {
     pub global_latency: u32,
     /// Router pipeline latency in cycles (Table V: 5).
     pub pipeline_latency: u32,
-    /// Internal crossbar frequency speedup (Table V: 2; Fig. 11 uses 1).
+    /// Internal crossbar frequency speedup (Table V: 2; Fig. 11 uses 1);
+    /// at most `packet_size`, where a packet already crosses in one cycle.
     pub speedup: u32,
     /// Buffers.
     pub buffers: BufferConfig,
@@ -839,6 +840,10 @@ impl SimConfig {
         }
         if self.speedup == 0 {
             return Err(ConfigError::NonPositive { what: "speedup" });
+        }
+        if self.speedup > self.packet_size {
+            let (speedup, size) = (self.speedup, self.packet_size);
+            return Err(ConfigError::SpeedupPastPacket { speedup, size });
         }
         if self.injection_vcs == 0 {
             return Err(ConfigError::NonPositive {
@@ -1301,6 +1306,24 @@ mod tests {
         let mut cfg = base();
         cfg.buffers.sizing = per_vc(u32::MAX / 4 - 8);
         cfg.validate().expect("fits with one packet to spare");
+    }
+
+    /// A speedup above the packet size buys no faster crossbar, only more
+    /// allocator rounds a cycle (4,000,000,000 of them once hung a run):
+    /// it is a typed error naming both values.
+    #[test]
+    fn speedup_past_the_packet_size_is_rejected() {
+        let mut cfg = SimConfig::dragonfly_baseline(
+            2,
+            RoutingMode::Min,
+            Workload::oblivious(Pattern::Uniform),
+        );
+        cfg.speedup = cfg.packet_size;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.speedup = 4_000_000_000;
+        let msg = cfg.validate().unwrap_err().to_string();
+        let both = "speedup 4000000000 exceeds the packet size of 8 phits";
+        assert!(msg.contains(both), "{msg}");
     }
 
     /// A latency or packet size that puts engine events more than 2^20

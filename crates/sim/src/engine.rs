@@ -439,20 +439,6 @@ impl Network {
         })
     }
 
-    /// Bytes of record tables (inputs, outputs, credit mirrors, wait-list
-    /// links) one owned router adds to an engine instance of per-VC width
-    /// `width`: what the phases of a cycle touch, and so what the shard
-    /// driver sizes its blocks by. Queue contents are excluded — they
-    /// follow the traffic.
-    pub(crate) fn router_table_bytes(fab: &Fabric, width: usize) -> usize {
-        match width {
-            4 => Engine::<4>::router_table_bytes(fab),
-            8 => Engine::<8>::router_table_bytes(fab),
-            16 => Engine::<16>::router_table_bytes(fab),
-            _ => unreachable!("no engine of width {width}"),
-        }
-    }
-
     /// Per-VC width of this instance's state.
     #[cfg(test)]
     pub(crate) fn vc_width(&self) -> usize {
@@ -547,9 +533,9 @@ impl Network {
     }
 
     /// Complete cycle `now` after the boundary exchange with the global
-    /// reductions (see `Engine::finish_cycle_shard`).
-    pub(crate) fn finish_cycle_shard(&mut self, now: u64, in_flight: i64, progress: u64) {
-        with_engine!(&mut self.0, e => e.finish_cycle_shard(now, in_flight, progress))
+    /// reductions (see `Engine::finish_cycle`).
+    pub(crate) fn finish_cycle(&mut self, now: u64, in_flight: i64, progress: u64) {
+        with_engine!(&mut self.0, e => e.finish_cycle(now, in_flight, progress))
     }
 
     /// This shard's measurement counters (merged exactly by the driver).
@@ -604,7 +590,7 @@ impl Network {
 
 /// One engine instance whose per-VC state is `W` entries wide (see
 /// [`Network`], which picks `W`).
-struct Engine<const W: usize> {
+pub(crate) struct Engine<const W: usize> {
     cfg: SimConfig,
     /// Immutable topology-derived tables, shared with every other shard.
     fabric: Arc<Fabric>,
@@ -973,9 +959,10 @@ impl<const W: usize> Engine<W> {
 
     /// Bytes of record tables (inputs, outputs, credit mirrors, wait-list
     /// links) one owned router adds to an engine instance: what the phases
-    /// of a cycle touch, and so what the shard driver sizes its blocks by.
-    /// Queue contents are excluded — they follow the traffic.
-    fn router_table_bytes(fab: &Fabric) -> usize {
+    /// of a cycle touch (tests pin it at paper scale). Queue contents are
+    /// excluded — they follow the traffic.
+    #[cfg(test)]
+    pub(crate) fn router_table_bytes(fab: &Fabric) -> usize {
         use std::mem::size_of;
         size_of::<RouterRec>()
             + fab.n_in * size_of::<InputRec<W>>()
@@ -1112,18 +1099,13 @@ impl<const W: usize> Engine<W> {
     fn step(&mut self) {
         let now = self.cycle;
         self.step_phases(now);
-        for b in &mut self.boards {
-            b.tick(now);
-        }
-        self.watchdog(now);
-        self.cycle += 1;
+        self.finish_cycle(now, self.in_flight, self.last_progress);
     }
 
     /// Phases 1–7 of one cycle (everything router-local). The board tick,
-    /// the watchdog and the cycle advance live in [`Engine::step`] /
-    /// [`Engine::finish_cycle_shard`] because a shard must first absorb
-    /// the cycle's foreign boundary events (which carry board publishes and
-    /// feed the watchdog's global reductions).
+    /// the watchdog and the cycle advance are [`Engine::finish_cycle`]'s:
+    /// a block must first absorb the cycle's boundary events (board
+    /// publishes, the watchdog's global reductions).
     fn step_phases(&mut self, now: u64) {
         debug_assert_eq!(now, self.cycle);
         self.deliver(now);
@@ -1158,7 +1140,7 @@ impl<const W: usize> Engine<W> {
 
     /// Free-run `len` cycles starting at `t0` without an intervening
     /// boundary exchange, leaving the last cycle open for the exchange and
-    /// [`Engine::finish_cycle_shard`]. Sound only when the driver caps
+    /// [`Engine::finish_cycle`]. Sound only when the driver caps
     /// `len` at the epoch bound (minimum cut-link latency; see
     /// `crate::shard`): then no foreign effect can land inside `t0 ..
     /// t0 + len`, so intermediate cycles need no absorb. Intermediate
@@ -1176,10 +1158,8 @@ impl<const W: usize> Engine<W> {
         );
         for c in t0..t0 + len - 1 {
             self.step_phases(c);
-            for b in &mut self.boards {
-                b.tick(c);
-            }
-            self.cycle += 1;
+            // The epoch bound proves the watchdog cannot fire: skip it.
+            self.finish_cycle(c, 0, self.last_progress);
         }
         self.step_phases(t0 + len - 1);
     }
@@ -1233,13 +1213,13 @@ impl<const W: usize> Engine<W> {
         }
     }
 
-    /// Complete cycle `now` after the boundary exchange: tick the (now
-    /// fully published) boards, run the watchdog against the *global*
-    /// reductions — total packets in flight and the latest progress cycle
-    /// across all shards — and advance the cycle counter. Every shard
-    /// receives identical globals, so the deadlock flag flips on all shards
+    /// Complete cycle `now`: tick the (now fully published) boards, run
+    /// the watchdog against the *global* reductions — packets in flight and
+    /// the latest progress cycle across all blocks (the engine's own when
+    /// it is the whole network) — and advance the cycle counter. Every block
+    /// receives identical globals, so the deadlock flag flips on all blocks
     /// in the same cycle and the drivers' stop predicates stay in lockstep.
-    fn finish_cycle_shard(&mut self, now: u64, in_flight: i64, progress: u64) {
+    fn finish_cycle(&mut self, now: u64, in_flight: i64, progress: u64) {
         debug_assert!(progress >= self.last_progress);
         self.last_progress = progress;
         for b in &mut self.boards {
@@ -2551,16 +2531,6 @@ impl<const W: usize> Engine<W> {
         self.sense_list = list;
         self.occ_scratch = occs;
         self.flag_scratch = flags;
-    }
-
-    // ------------------------------------------------------------------
-    // Phase 8: watchdog
-    // ------------------------------------------------------------------
-
-    fn watchdog(&mut self, now: u64) {
-        if self.in_flight > 0 && now.saturating_sub(self.last_progress) > self.cfg.watchdog {
-            self.metrics.deadlocked = true;
-        }
     }
 }
 

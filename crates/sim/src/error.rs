@@ -96,6 +96,14 @@ pub enum ConfigError {
         /// The supported maximum.
         max: usize,
     },
+    /// A crossbar speedup above the packet size, which already moves a
+    /// packet in one cycle (the allocator runs `speedup` rounds a cycle).
+    SpeedupPastPacket {
+        /// Configured speedup.
+        speedup: u32,
+        /// Configured packet size in phits.
+        size: u32,
+    },
     /// A latency plus the packet size puts engine events further ahead
     /// than its timing wheels reach (2^20 cycles; see
     /// [`SimConfig::validate`](crate::SimConfig::validate)).
@@ -220,6 +228,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "routers with {inputs} inputs (network ports + terminals) exceed \
                  the supported maximum of {max}"
+            ),
+            ConfigError::SpeedupPastPacket { speedup, size } => write!(
+                f,
+                "speedup {speedup} exceeds the packet size of {size} phits \
+                 (a packet crosses the crossbar in one cycle from speedup = packet size)"
             ),
             ConfigError::HorizonTooLong { what, cycles, max } => write!(
                 f,

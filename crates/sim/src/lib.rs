@@ -56,8 +56,8 @@ pub use engine::Network;
 pub use error::{ConfigError, RunError};
 pub use metrics::{Metrics, SimResult};
 pub use runner::{
-    load_sweep, run_averaged, run_one, run_points, run_points_with_progress,
-    run_points_with_threads, saturation_throughput, Point, PointProgress,
+    run_averaged, run_one, run_points, run_points_with_progress, run_points_with_threads,
+    saturation_throughput, Point, PointProgress,
 };
 pub use shard::{BoundaryCounts, ShardStats, ShardedNetwork};
 
@@ -71,8 +71,8 @@ pub mod prelude {
     pub use crate::error::{ConfigError, RunError};
     pub use crate::metrics::SimResult;
     pub use crate::runner::{
-        load_sweep, run_averaged, run_one, run_points, run_points_with_progress,
-        run_points_with_threads, saturation_throughput, Point, PointProgress,
+        run_averaged, run_one, run_points, run_points_with_progress, run_points_with_threads,
+        saturation_throughput, Point, PointProgress,
     };
     pub use crate::shard::{ShardStats, ShardedNetwork};
 }

@@ -185,37 +185,6 @@ pub fn run_averaged(cfg: &SimConfig, load: f64, seeds: &[u64]) -> Result<SimResu
     Ok(SimResult::average(&run_points(&points)?))
 }
 
-/// Sweep offered loads for one configuration, averaging over `seeds`;
-/// returns `(load, result)` pairs in load order.
-pub fn load_sweep(
-    cfg: &SimConfig,
-    loads: &[f64],
-    seeds: &[u64],
-) -> Result<Vec<(f64, SimResult)>, RunError> {
-    if seeds.is_empty() {
-        return Err(RunError::EmptyBatch);
-    }
-    let points: Vec<Point> = loads
-        .iter()
-        .flat_map(|&load| {
-            seeds.iter().map(move |&seed| Point {
-                cfg: cfg.clone(),
-                load,
-                seed,
-            })
-        })
-        .collect();
-    let results = run_points(&points)?;
-    Ok(loads
-        .iter()
-        .enumerate()
-        .map(|(i, &load)| {
-            let chunk = &results[i * seeds.len()..(i + 1) * seeds.len()];
-            (load, SimResult::average(chunk))
-        })
-        .collect())
-}
-
 /// Saturation throughput: accepted load at 100% offered load (the paper's
 /// "maximum throughput" metric of Figs. 6 and 11).
 pub fn saturation_throughput(cfg: &SimConfig, seeds: &[u64]) -> Result<SimResult, RunError> {
@@ -312,16 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn load_sweep_orders_results() {
-        let cfg = tiny_cfg();
-        let sweep = load_sweep(&cfg, &[0.1, 0.3], &[1, 2]).unwrap();
-        assert_eq!(sweep.len(), 2);
-        assert!(sweep[0].0 < sweep[1].0);
-        assert!(sweep[0].1.accepted > 0.0);
-        assert!(sweep[1].1.accepted > sweep[0].1.accepted);
-    }
-
-    #[test]
     fn invalid_point_reports_index_instead_of_panicking() {
         let good = tiny_cfg();
         let mut bad = tiny_cfg();
@@ -415,10 +374,6 @@ mod tests {
         let cfg = tiny_cfg();
         assert_eq!(
             run_averaged(&cfg, 0.2, &[]).unwrap_err(),
-            RunError::EmptyBatch
-        );
-        assert_eq!(
-            load_sweep(&cfg, &[0.1], &[]).unwrap_err(),
             RunError::EmptyBatch
         );
     }

@@ -7,11 +7,11 @@
 //! * into one contiguous range per **worker** thread (`cfg.shards` of them;
 //!   [`partition_topology`]) — how much of the host is used;
 //! * and each worker's range into **blocks** ([`partition_blocks`]) whose
-//!   record tables fit [`BLOCK_BUDGET_BYTES`] — how much of the network is
-//!   stepped at once. A worker steps its blocks one after the other, each
-//!   for a whole epoch, so a block's tables stay cache-resident across the
-//!   epoch's cycles instead of being streamed through the cache once per
-//!   phase per cycle (temporal cache blocking).
+//!   weight fits [`BLOCK_BUDGET`] — how much of the network is stepped at
+//!   once. A worker steps its blocks one after the other, each for a whole
+//!   epoch, so a block's state stays cache-resident across the epoch's
+//!   cycles instead of being streamed through the cache once per phase per
+//!   cycle (temporal cache blocking).
 //!
 //! Each block is a [`Network`] instance that owns a contiguous router
 //! range: it allocates record tables, timing wheels, worklists, buffer
@@ -97,19 +97,18 @@
 //!
 //! [`partition_topology`] aligns worker boundaries with the topology's
 //! natural unit ([`Topology::partition_unit`]): Dragonfly/Dragonfly+
-//! groups, HyperX last-dimension hyperplanes. Aligned
-//! cuts sever only inter-group (global) links, which both shrinks the cut
-//! and raises λ to the global-link latency — an order of magnitude more
-//! free-running per barrier under the default `local=10 / global=100`
-//! latencies. Units are weighted by [`Topology::router_weight`] (ports +
-//! attached terminals, so host-free Dragonfly+ spines don't skew the
-//! balance) and packed into contiguous runs minimizing the maximum worker
-//! weight (exact min-max via binary search over the bottleneck capacity).
-//! When there are fewer units than workers the partitioner falls back to
-//! the count-balanced router split ([`partition`]). [`partition_blocks`]
-//! then cuts a worker's range at unit boundaries only, so blocks keep the
-//! same λ, and only where the range outgrows the byte budget: a range that
-//! fits is one block and runs exactly as an unblocked shard would.
+//! groups, HyperX last-dimension hyperplanes. Aligned cuts sever only
+//! inter-group (global) links, which both shrinks the cut and raises λ to
+//! the global-link latency — an order of magnitude more free-running per
+//! barrier under the default `local=10 / global=100` latencies. Units are
+//! weighted by [`cumulative_weights`] (ports + attached terminals, so
+//! host-free Dragonfly+ spines don't skew the balance) and packed into
+//! contiguous runs minimizing the maximum worker weight exactly. With
+//! fewer units than workers the partitioner falls back to the
+//! count-balanced router split ([`partition`]). [`partition_blocks`] then
+//! fills blocks by the same weights, cutting at unit boundaries only (so
+//! blocks keep the same λ) and only where a worker's range outgrows
+//! [`BLOCK_BUDGET`]: a range that fits is one block.
 //!
 //! # Why results are bit-identical to the single engine
 //!
@@ -218,15 +217,17 @@ impl Outbox {
     }
 }
 
-/// Record-table bytes one block may hold (see the module docs): a quarter
-/// of a typical 4 MiB L2, leaving room for the queues the tables point to
-/// and for the shared fabric tables. Measured on one worker at h = 8
-/// (21 KB of tables per router, 328 KiB per 16-router group): one group per
-/// block steps 590 cycles/s, three (what this budget gives) 560, six 450,
-/// twelve 350, the unblocked engine 220 — while an h = 3 Dragonfly
-/// (826 KiB in all) forced to split in two loses a tenth, so a range that
-/// already fits is left whole (DESIGN.md §5 has the table).
-pub const BLOCK_BUDGET_BYTES: usize = 1 << 20;
+/// Weight (see [`cumulative_weights`]) one block may hold: a block's
+/// tables, queues and packets all scale with its ports and terminals, and
+/// this unit, which also balances the workers, does not move with the
+/// per-VC width. An h = 8 Dragonfly group weighs 496, so blocks hold 3
+/// groups (any budget in [1,488, 1,984) gives 3), at h = 6 and h = 4 they
+/// hold 5 and 12, and a whole h = 3 Dragonfly (1,254) is one block. On one
+/// worker at h = 8, one group per block stepped 590 cycles/s, three 560,
+/// six 450, twelve 350, the unblocked engine 220; an h = 3 Dragonfly
+/// split in two loses a tenth, so a range that fits is left whole
+/// (DESIGN.md §5).
+pub const BLOCK_BUDGET: u64 = 1_536;
 
 /// Resolve a configured shard count: `0` auto-detects from the host's
 /// available parallelism; any request is clamped to the router count
@@ -261,14 +262,26 @@ pub fn partition(routers: usize, shards: usize) -> Vec<Range<u32>> {
     ranges
 }
 
+/// The partition cost model: [`Topology::router_weight`] (ports +
+/// attached terminals) summed along router ids. `w[r]` weighs routers
+/// `0..r`, so a range weighs `w[end] - w[start]`. Worker ranges are
+/// balanced by it and blocks are filled by it.
+pub fn cumulative_weights(topo: &dyn Topology) -> Vec<u64> {
+    let mut w = vec![0];
+    for r in 0..topo.num_routers() {
+        w.push(w[r] + topo.router_weight(r));
+    }
+    w
+}
+
 /// Topology-aware shard partition: contiguous router ranges whose
 /// boundaries land on [`Topology::partition_unit`] multiples (group /
 /// plane boundaries, so no intra-group local link crosses a shard cut),
-/// balanced by [`Topology::router_weight`] (ports + terminals) rather
+/// balanced by weight (`w`: the [`cumulative_weights`] of `topo`) rather
 /// than router count. Falls back to the count-balanced [`partition`] when
 /// the topology offers no alignment or has fewer units than shards.
 /// Deterministic in its inputs, like [`partition`].
-pub fn partition_topology(topo: &dyn Topology, shards: usize) -> Vec<Range<u32>> {
+pub fn partition_topology(topo: &dyn Topology, w: &[u64], shards: usize) -> Vec<Range<u32>> {
     let nr = topo.num_routers();
     debug_assert!(shards >= 1 && shards <= nr);
     let unit = topo.partition_unit();
@@ -285,11 +298,7 @@ pub fn partition_topology(topo: &dyn Topology, shards: usize) -> Vec<Range<u32>>
         );
     }
     let weights: Vec<u64> = (0..units)
-        .map(|u| {
-            (u * unit..(u + 1) * unit)
-                .map(|r| topo.router_weight(r))
-                .sum()
-        })
+        .map(|u| w[(u + 1) * unit] - w[u * unit])
         .collect();
     balanced_units(&weights, shards)
         .into_iter()
@@ -354,25 +363,20 @@ fn balanced_units(weights: &[u64], k: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Cut a worker's router range into blocks whose record tables
-/// (`router_bytes` per router) fit `budget` bytes, cutting only at
-/// multiples of `unit` (so a block cut severs the same link classes as a
-/// worker cut) and never below one unit: blocks are filled greedily, and a
-/// single unit larger than the budget stays whole. A range that fits is
-/// returned as one block.
-pub fn partition_blocks(
-    range: Range<u32>,
-    unit: usize,
-    router_bytes: usize,
-    budget: usize,
-) -> Vec<Range<u32>> {
+/// Cut a worker's router range into blocks of at most `budget` weight
+/// (`w`: [`cumulative_weights`]), cutting only at multiples of `unit` (so
+/// a block cut severs the same link classes as a worker cut) and never
+/// below one unit: blocks are filled greedily, and a single unit heavier
+/// than the budget stays whole. A range that fits is returned as one
+/// block.
+pub fn partition_blocks(w: &[u64], unit: usize, range: Range<u32>, budget: u64) -> Vec<Range<u32>> {
     let unit = unit.max(1) as u32;
     let mut blocks = Vec::new();
     let mut start = range.start;
     let mut cut = (start / unit + 1) * unit;
     while cut < range.end {
         let next = (cut + unit).min(range.end);
-        if (next - start) as usize * router_bytes > budget {
+        if w[next as usize] - w[start as usize] > budget {
             blocks.push(start..cut);
             start = cut;
         }
@@ -625,7 +629,7 @@ impl Worker {
                 let mut mail = row[self.first + i].lock().expect("mail cell poisoned");
                 net.absorb(last, &mut mail);
             }
-            net.finish_cycle_shard(last, self.in_flight, self.progress);
+            net.finish_cycle(last, self.in_flight, self.progress);
         }
     }
 }
@@ -648,7 +652,7 @@ impl ShardedNetwork {
     /// offered load `load` with deterministic `seed`. Results do not depend
     /// on the worker count; wall-clock time does.
     pub fn new(cfg: SimConfig, load: f64, seed: u64) -> Result<Self, ConfigError> {
-        Self::with_block_budget(cfg, load, seed, BLOCK_BUDGET_BYTES)
+        Self::with_block_budget(cfg, load, seed, BLOCK_BUDGET)
     }
 
     /// Like [`ShardedNetwork::new`] with a pre-built topology (shared, not
@@ -660,18 +664,18 @@ impl ShardedNetwork {
         topo: Arc<dyn Topology>,
     ) -> Result<Self, ConfigError> {
         cfg.validate_point(load)?;
-        Ok(Self::build(cfg, load, seed, topo, BLOCK_BUDGET_BYTES, None))
+        Ok(Self::build(cfg, load, seed, topo, BLOCK_BUDGET, None))
     }
 
     /// [`ShardedNetwork::new`] with another block budget than
-    /// [`BLOCK_BUDGET_BYTES`] — for the tests that show blocks are
-    /// unobservable (`0` forces one block per partition unit).
+    /// [`BLOCK_BUDGET`] — for the tests that show blocks are unobservable
+    /// (`0` forces one block per partition unit).
     #[doc(hidden)]
     pub fn with_block_budget(
         cfg: SimConfig,
         load: f64,
         seed: u64,
-        budget: usize,
+        budget: u64,
     ) -> Result<Self, ConfigError> {
         cfg.validate_point(load)?;
         let topo = cfg.topology.build();
@@ -695,7 +699,7 @@ impl ShardedNetwork {
             load,
             seed,
             topo,
-            BLOCK_BUDGET_BYTES,
+            BLOCK_BUDGET,
             Some(width),
         ))
     }
@@ -707,7 +711,7 @@ impl ShardedNetwork {
         load: f64,
         seed: u64,
         topo: Arc<dyn Topology>,
-        budget: usize,
+        budget: u64,
         width: Option<usize>,
     ) -> Self {
         let nr = topo.num_routers();
@@ -716,19 +720,18 @@ impl ShardedNetwork {
         // Board users exchange every cycle: nothing stays cached across a
         // one-cycle epoch, so more blocks would only add exchange work.
         let budget = if cfg.routing.uses_boards() {
-            usize::MAX
+            u64::MAX
         } else {
             budget
         };
         let width = width.unwrap_or_else(|| Network::width(&fabric));
-        let router_bytes = Network::router_table_bytes(&fabric, width);
+        let weights = cumulative_weights(topo.as_ref());
         let mut owner = vec![0u32; nr];
         let mut workers = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);
         let mut first = 0;
-        for range in partition_topology(topo.as_ref(), n) {
-            let blocks =
-                partition_blocks(range.clone(), topo.partition_unit(), router_bytes, budget);
+        for range in partition_topology(topo.as_ref(), &weights, n) {
+            let blocks = partition_blocks(&weights, topo.partition_unit(), range.clone(), budget);
             for (i, block) in blocks.iter().enumerate() {
                 owner[block.start as usize..block.end as usize].fill((first + i) as u32);
             }
@@ -750,7 +753,7 @@ impl ShardedNetwork {
             });
             first += blocks.len();
             stats.push(ShardStats {
-                weight: range.clone().map(|r| topo.router_weight(r as usize)).sum(),
+                weight: weights[range.end as usize] - weights[range.start as usize],
                 routers: range,
                 blocks,
                 work_seconds: 0.0,
@@ -987,11 +990,8 @@ mod tests {
         }
     }
 
-    /// At `paper_h8`'s configuration (FlexVC 4/2, 3 injection VCs) every
-    /// port fits the 4-wide engine, whose record tables take at most
-    /// 10.5 KB per router (18,292 B when all per-VC state was 16 wide).
-    #[test]
-    fn paper_h8_router_tables_are_four_vcs_wide() {
+    /// The first point of the repo benchmark's `paper_h8` (h = 8, FlexVC 4/2).
+    fn paper_h8() -> SimConfig {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../benchmark/workloads/paper_h8.toml"
@@ -999,11 +999,42 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let root = flexvc_serde::toml::parse(&text).unwrap();
         let points: Vec<flexvc_serde::Value> = root.field("points").unwrap();
-        let cfg: SimConfig = points[0].as_map().unwrap().field("cfg").unwrap();
+        points[0].as_map().unwrap().field("cfg").unwrap()
+    }
+
+    /// At `paper_h8`'s configuration every port fits the 4-wide engine,
+    /// whose record tables take at most 10.5 KB per router (18,292 B when
+    /// all per-VC state was 16 wide).
+    #[test]
+    fn paper_h8_router_tables_are_four_vcs_wide() {
+        let cfg = paper_h8();
         let fabric = Fabric::new(&cfg, cfg.topology.build(), 1);
         assert_eq!(Network::width(&fabric), 4);
-        let bytes = Network::router_table_bytes(&fabric, 4);
+        let bytes = crate::engine::Engine::<4>::router_table_bytes(&fabric);
         assert!(bytes <= 10_500, "{bytes} B of record tables per router");
+    }
+
+    /// Blocks are cut by partition weight, which does not depend on the
+    /// per-VC width: at `paper_h8`'s shape every width gives the same
+    /// blocks, 3 whole groups each but a shorter last one per worker.
+    #[test]
+    fn paper_h8_blocks_are_three_groups_at_every_width() {
+        let mut cfg = paper_h8();
+        let group = cfg.topology.build().routers_per_group() as u32;
+        for (shards, width) in [1, 2].into_iter().flat_map(|n| [(n, 4), (n, 8), (n, 16)]) {
+            cfg.shards = shards;
+            let net = ShardedNetwork::at_width(cfg.clone(), 0.3, 1, width).unwrap();
+            assert_eq!(net.shard_stats().len(), shards);
+            for s in net.shard_stats() {
+                let r = &s.routers;
+                assert_eq!((r.start % group, r.end % group), (0, 0), "{r:?}");
+                let three: Vec<_> = (r.start..r.end)
+                    .step_by(3 * group as usize)
+                    .map(|b| b..(b + 3 * group).min(r.end))
+                    .collect();
+                assert_eq!(s.blocks, three, "width {width} on {shards} workers");
+            }
+        }
     }
 
     #[test]
@@ -1057,8 +1088,6 @@ mod tests {
 
     #[test]
     fn shards_share_one_fabric_and_hold_state_for_owned_routers_only() {
-        use flexvc_core::RoutingMode;
-        use flexvc_traffic::{Pattern, Workload};
         let mut cfg = SimConfig::dragonfly_baseline(
             2,
             RoutingMode::Min,
@@ -1099,19 +1128,25 @@ mod tests {
 
     #[test]
     fn blocks_are_cut_greedily_on_unit_multiples() {
-        // 2 units of 4 routers fit a 100-byte budget at 10 bytes/router.
+        // 2 units of 4 routers fit a budget of 100 at weight 10 a router.
+        let w: Vec<u64> = (0..=20).map(|r| 10 * r).collect();
         assert_eq!(
-            partition_blocks(0..20, 4, 10, 100),
+            partition_blocks(&w, 4, 0..20, 100),
             vec![0..8, 8..16, 16..20]
         );
-        // A range that fits is one block; so is a lone oversized unit.
-        assert_eq!(partition_blocks(8..20, 4, 10, 120), vec![8..20]);
-        assert_eq!(partition_blocks(4..8, 4, 10, 0), vec![4..8]);
+        // A range that fits is one block; so is a lone overweight unit.
+        assert_eq!(partition_blocks(&w, 4, 8..20, 120), vec![8..20]);
+        assert_eq!(partition_blocks(&w, 4, 4..8, 0), vec![4..8]);
         // No budget at all: one block per unit, partial units at the ends
         // of an unaligned range included.
-        assert_eq!(partition_blocks(2..11, 4, 10, 0), vec![2..4, 4..8, 8..11]);
+        assert_eq!(partition_blocks(&w, 4, 2..11, 0), vec![2..4, 4..8, 8..11]);
         // No alignment offered: every router is a unit.
-        assert_eq!(partition_blocks(0..3, 1, 10, 20), vec![0..2, 2..3]);
+        assert_eq!(partition_blocks(&w, 1, 0..3, 20), vec![0..2, 2..3]);
+        // Blocks follow the weights, not the router count: with router
+        // weights 1, 1, 1, 1, 9, 9, 9, 9, 1, 1, 1, 1 the heavy middle unit
+        // fills its block early.
+        let w = [0, 1, 2, 3, 4, 13, 22, 31, 40, 41, 42, 43, 44];
+        assert_eq!(partition_blocks(&w, 4, 0..12, 40), vec![0..8, 8..12]);
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!
 //! (d) **a tiling** — contiguous, non-empty blocks covering the range, cut
 //!     only on unit multiples;
-//! (e) **budgeted, no finer than needed** — a block exceeds the byte budget
-//!     only when it lies within a single unit, and no two neighbours would
-//!     have fitted together.
+//! (e) **budgeted, no finer than needed** — a block exceeds the weight
+//!     budget only when it lies within a single unit, and no two
+//!     neighbours would have fitted together.
+//!
+//! Both are cut by one cost model, [`cumulative_weights`]: ports +
+//! terminals per router.
 //!
 //! The fixed-shape tests then pin what the production budget does to the
 //! shapes the repo benchmark runs: one block per worker (today's path) on
@@ -29,7 +32,7 @@
 
 use flexvc_core::{Arrangement, RoutingMode};
 use flexvc_serde::Value;
-use flexvc_sim::shard::{partition, partition_blocks, partition_topology};
+use flexvc_sim::shard::{cumulative_weights, partition, partition_blocks, partition_topology};
 use flexvc_sim::{ShardedNetwork, SimConfig};
 use flexvc_topology::{Dragonfly, DragonflyPlus, HyperX, Topology};
 use flexvc_traffic::{Pattern, Workload};
@@ -113,7 +116,8 @@ proptest! {
         let topo = shape.build();
         let nr = topo.num_routers();
         let shards = shards.min(nr);
-        let ranges = partition_topology(topo.as_ref(), shards);
+        let w = cumulative_weights(topo.as_ref());
+        let ranges = partition_topology(topo.as_ref(), &w, shards);
 
         // (a) Exactly `shards` contiguous, non-empty ranges covering 0..nr.
         prop_assert_eq!(ranges.len(), shards);
@@ -183,14 +187,14 @@ proptest! {
     fn blocks_tile_align_and_respect_the_budget(
         shape in arb_shape(),
         shards in 1usize..=4,
-        router_bytes in 1usize..=64,
-        budget in 0usize..=2_000,
+        budget in 0u64..=1_600,
     ) {
         let topo = shape.build();
         let shards = shards.min(topo.num_routers());
         let unit = topo.partition_unit().max(1) as u32;
-        for range in partition_topology(topo.as_ref(), shards) {
-            let blocks = partition_blocks(range.clone(), unit as usize, router_bytes, budget);
+        let w = cumulative_weights(topo.as_ref());
+        for range in partition_topology(topo.as_ref(), &w, shards) {
+            let blocks = partition_blocks(&w, unit as usize, range.clone(), budget);
             // (d) A tiling of the range, cut on unit multiples only.
             prop_assert_eq!(blocks[0].start, range.start);
             prop_assert_eq!(blocks[blocks.len() - 1].end, range.end);
@@ -201,16 +205,20 @@ proptest! {
                     prop_assert_eq!(b.start % unit, 0, "block cut off the unit grid");
                 }
             }
-            // (e) Over budget only within one unit; no needless cut.
-            let bytes = |b: &std::ops::Range<u32>| b.len() * router_bytes;
+            // (e) Over budget only within one unit; no needless cut. The
+            // weight is summed here router by router, independently of
+            // the model's running sums.
+            let weight = |b: std::ops::Range<u32>| -> u64 {
+                b.map(|r| topo.router_weight(r as usize)).sum()
+            };
             for (i, b) in blocks.iter().enumerate() {
                 prop_assert!(
-                    bytes(b) <= budget || b.start / unit == (b.end - 1) / unit,
+                    weight(b.clone()) <= budget || b.start / unit == (b.end - 1) / unit,
                     "block {b:?} is over budget and spans units"
                 );
                 if i > 0 {
                     prop_assert!(
-                        bytes(&(blocks[i - 1].start..b.end)) > budget,
+                        weight(blocks[i - 1].start..b.end) > budget,
                         "blocks {i}-1 and {i} would have fitted together"
                     );
                 }
