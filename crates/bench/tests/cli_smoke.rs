@@ -687,7 +687,8 @@ fn bad_input_fails_with_usage_errors() {
     // budget below one packet per VC ran on silently grown buffers,
     // buffer totals past 32 bits overflowed building the engine, a
     // latency of four billion cycles aborted allocating its timing wheels,
-    // and a speedup of four billion ran as many allocator rounds a cycle.
+    // a speedup of four billion ran as many allocator rounds a cycle, and
+    // shapes of billions of routers overflowed counting their nodes.
     for (i, (load, cfg, needle)) in [
         ("1.5", "", "offered load 1.5 is outside [0, 1]"),
         ("-0.1", "", "offered load -0.1 is outside [0, 1]"),
@@ -731,6 +732,17 @@ fn bad_input_fails_with_usage_errors() {
             "0.3",
             "speedup = 4000000000",
             "speedup 4000000000 exceeds the packet size of 8 phits",
+        ),
+        (
+            "0.3",
+            "topology = { kind = \"dragonfly_balanced\", h = 4000000 }",
+            "routers with 15999999 inputs",
+        ),
+        (
+            "0.3",
+            "topology = { kind = \"dragonfly\", p = 4000000000, a = 4000000000, h = 1, \
+             g = 4000000000 }",
+            "routers with 8000000000 inputs",
         ),
         (
             "0.3",

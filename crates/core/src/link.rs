@@ -16,10 +16,11 @@
 /// Dragonfly local/global links, flattened-butterfly X/Y dimensions
 /// (mapped to `Local`/`Global`), and single-class diameter-2 networks
 /// (everything `Local`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LinkClass {
     /// Intra-group (Dragonfly) links, first dimension (FB), or the single
     /// class of a generic network.
+    #[default]
     Local,
     /// Inter-group (Dragonfly) links or second dimension (FB).
     Global,

@@ -269,14 +269,6 @@ impl<T, const W: usize> BufferBank<T, W> {
         }
     }
 
-    /// Mutable head entry of VC `vc`.
-    pub fn head_mut(&mut self, vc: usize) -> Option<&mut T> {
-        match self.head[vc] {
-            NIL => None,
-            s => self.slots[s as usize].entry.as_mut(),
-        }
-    }
-
     /// Dequeue the head of VC `vc`. Occupancy is *not* released here — the
     /// phits drain over the transfer duration; the caller schedules the
     /// release at transfer completion.

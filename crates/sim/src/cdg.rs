@@ -30,7 +30,7 @@ fn route_positions(
     arr: &Arrangement,
     msg: MessageClass,
     reference: &[flexvc_core::LinkClass],
-    route: &flexvc_topology::Route,
+    route: &[flexvc_topology::RouteHop],
 ) -> Vec<usize> {
     route
         .iter()
@@ -96,7 +96,7 @@ pub fn check_baseline_routes(
                 // replanning the engine performs in transit.
                 let mut cur = s;
                 let mut plan = crate::plan::dal_plan(topo, s, d);
-                let mut route: flexvc_topology::Route = Vec::new();
+                let mut route = flexvc_topology::Route::new();
                 let mut cands = Vec::new();
                 while let Some(next) = plan.next_hop().copied() {
                     if next.slot % 2 == 0
@@ -151,8 +151,7 @@ pub fn check_baseline_routes(
             }
             RoutingMode::Min => unreachable!(),
         };
-        let route: flexvc_topology::Route = plan.remaining().to_vec();
-        let pos = route_positions(arr, msg, reference, &route);
+        let pos = route_positions(arr, msg, reference, plan.remaining());
         if !strictly_increasing(&pos) {
             return Err(format!("{routing} {s}->{d} via {via}: positions {pos:?}"));
         }

@@ -117,18 +117,25 @@ impl TopologySpec {
 
     /// Router count of the topology, computed from the shape parameters
     /// alone (no instantiation) — the bound the shard count is validated
-    /// against, since every shard must own at least one router.
+    /// against, since every shard must own at least one router. Like every
+    /// shape count here it saturates at `usize::MAX`, so an absurd shape
+    /// reaches its typed error instead of overflowing.
     pub fn num_routers(&self) -> usize {
         match self {
-            TopologySpec::DragonflyBalanced { h, .. } => 2 * h * (2 * h * h + 1),
-            TopologySpec::Dragonfly { a, g, .. } => a * g,
-            TopologySpec::HyperX { dims, .. } => dims.iter().map(|&(s, _)| s).product(),
+            &TopologySpec::DragonflyBalanced { h, .. } => {
+                let a = h.saturating_mul(2);
+                a.saturating_mul(a.saturating_mul(h).saturating_add(1))
+            }
+            TopologySpec::Dragonfly { a, g, .. } => a.saturating_mul(*g),
+            TopologySpec::HyperX { dims, .. } => {
+                dims.iter().fold(1, |n: usize, &(s, _)| n.saturating_mul(s))
+            }
             TopologySpec::DragonflyPlus {
                 leaves,
                 spines,
                 groups,
                 ..
-            } => (leaves + spines) * groups,
+            } => leaves.saturating_add(*spines).saturating_mul(*groups),
         }
     }
 
@@ -138,15 +145,17 @@ impl TopologySpec {
     /// enforces.
     pub fn num_nodes(&self) -> usize {
         match self {
-            TopologySpec::DragonflyBalanced { h, .. } => h * 2 * h * (2 * h * h + 1),
-            TopologySpec::Dragonfly { p, a, g, .. } => p * a * g,
-            TopologySpec::HyperX { dims, p } => dims.iter().map(|&(s, _)| s).product::<usize>() * p,
+            TopologySpec::DragonflyBalanced { h: p, .. }
+            | TopologySpec::Dragonfly { p, .. }
+            | TopologySpec::HyperX { p, .. } => self.num_routers().saturating_mul(*p),
             TopologySpec::DragonflyPlus {
                 leaves,
                 hosts_per_leaf,
                 groups,
                 ..
-            } => leaves * hosts_per_leaf * groups,
+            } => leaves
+                .saturating_mul(*hosts_per_leaf)
+                .saturating_mul(*groups),
         }
     }
 
@@ -156,18 +165,23 @@ impl TopologySpec {
     /// [`ConfigError::TooManyInputs`]).
     pub fn router_inputs(&self) -> usize {
         match self {
-            TopologySpec::DragonflyBalanced { h, .. } => (2 * h - 1) + h + h,
-            TopologySpec::Dragonfly { p, a, h, .. } => (a - 1) + h + p,
-            TopologySpec::HyperX { dims, p } => {
-                dims.iter().map(|&(s, k)| (s - 1) * k).sum::<usize>() + p
+            TopologySpec::DragonflyBalanced { h, .. } => h.saturating_mul(4).saturating_sub(1),
+            TopologySpec::Dragonfly { p, a, h, .. } => {
+                a.saturating_sub(1).saturating_add(*h).saturating_add(*p)
             }
+            TopologySpec::HyperX { dims, p } => dims.iter().fold(*p, |n: usize, &(s, k)| {
+                n.saturating_add(s.saturating_sub(1).saturating_mul(k))
+            }),
             TopologySpec::DragonflyPlus {
                 leaves,
                 spines,
                 hosts_per_leaf,
                 global_mult,
                 groups,
-            } => leaves.max(spines) + global_mult * (groups - 1) / spines + hosts_per_leaf,
+            } => leaves
+                .max(spines)
+                .saturating_add(global_mult.saturating_mul(groups - 1) / spines)
+                .saturating_add(*hosts_per_leaf),
         }
     }
 
@@ -194,7 +208,7 @@ impl TopologySpec {
                 if *p < 1 || *a < 2 || *h < 1 {
                     return fail("Dragonfly needs p >= 1, a >= 2, h >= 1");
                 }
-                if *g < 2 || *g > a * h + 1 {
+                if *g < 2 || *g > a.saturating_mul(*h).saturating_add(1) {
                     return fail("Dragonfly group count must be in 2..=a*h+1");
                 }
             }
@@ -243,7 +257,10 @@ impl TopologySpec {
                 if *groups < 2 {
                     return fail("Dragonfly+ `groups` must be >= 2");
                 }
-                if !(global_mult * (groups - 1)).is_multiple_of(*spines) {
+                if !global_mult
+                    .saturating_mul(groups - 1)
+                    .is_multiple_of(*spines)
+                {
                     return fail(
                         "Dragonfly+ shape must satisfy `global_mult * (groups - 1) \
                          % spines == 0` (every spine gets an equal share of its \
@@ -1324,6 +1341,71 @@ mod tests {
         let msg = cfg.validate().unwrap_err().to_string();
         let both = "speedup 4000000000 exceeds the packet size of 8 phits";
         assert!(msg.contains(both), "{msg}");
+    }
+
+    /// Shape counts saturate, so a shape whose router or node count
+    /// overflows `usize` reaches its typed error instead of panicking
+    /// (debug) or wrapping (release) in the arithmetic.
+    #[test]
+    fn huge_shapes_are_typed_errors_not_overflows() {
+        let with = |topology| {
+            let mut cfg = SimConfig::dragonfly_baseline(
+                2,
+                RoutingMode::Min,
+                Workload::oblivious(Pattern::Uniform),
+            );
+            cfg.topology = topology;
+            cfg.validate()
+        };
+        let big = 4_000_000_000;
+        let balanced = TopologySpec::DragonflyBalanced {
+            h: 4_000_000,
+            arrangement: GlobalArrangement::default(),
+        };
+        assert_eq!(balanced.num_nodes(), usize::MAX);
+        assert_eq!(
+            with(balanced),
+            Err(ConfigError::TooManyInputs {
+                inputs: 15_999_999,
+                max: MAX_ROUTER_INPUTS,
+            })
+        );
+        let dragonfly = TopologySpec::Dragonfly {
+            p: big,
+            a: big,
+            h: 1,
+            g: big,
+            arrangement: GlobalArrangement::default(),
+        };
+        assert_eq!(dragonfly.num_routers(), 16_000_000_000_000_000_000);
+        assert_eq!(
+            with(dragonfly),
+            Err(ConfigError::TooManyInputs {
+                inputs: 8_000_000_000,
+                max: MAX_ROUTER_INPUTS,
+            })
+        );
+        let hyperx = TopologySpec::HyperX {
+            dims: vec![(big, 1); 3],
+            p: 1,
+        };
+        assert_eq!(hyperx.num_nodes(), usize::MAX);
+        assert!(matches!(
+            with(hyperx),
+            Err(ConfigError::TooManyInputs { .. })
+        ));
+        let dfplus = TopologySpec::DragonflyPlus {
+            leaves: big,
+            spines: 1,
+            hosts_per_leaf: big,
+            global_mult: big,
+            groups: big,
+        };
+        assert_eq!(dfplus.num_nodes(), usize::MAX);
+        assert!(matches!(
+            with(dfplus),
+            Err(ConfigError::TooManyInputs { .. })
+        ));
     }
 
     /// A latency or packet size that puts engine events more than 2^20

@@ -125,7 +125,7 @@ use crate::shard::{BoardEvent, CreditEvent, Outbox, PacketEvent};
 use crate::wheel::Wheel;
 use flexvc_core::policy::{baseline_vc, flexvc_options_lookahead};
 use flexvc_core::{CreditClass, HopKind, LinkClass, MessageClass, TrafficClass, VcPolicy};
-use flexvc_topology::Topology;
+use flexvc_topology::{ClassPath, Topology, MAX_HOPS};
 use flexvc_traffic::{Emission, NodeTraffic};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -447,11 +447,6 @@ impl Network {
             ByWidth::W8(_) => 8,
             ByWidth::W16(_) => 16,
         }
-    }
-
-    /// Offered load this network was built with.
-    pub fn offered(&self) -> f64 {
-        with_engine!(&self.0, e => e.offered)
     }
 
     /// Current cycle.
@@ -2050,14 +2045,9 @@ impl<const W: usize> Engine<W> {
                     // not once per allocation round.
                     let arr = &self.cfg.arrangement;
                     let fresh_opts = |head: &Packet| {
-                        let mut planned: [LinkClass; 8] = [LinkClass::Local; 8];
                         let rem = head.plan.remaining();
-                        let nrem = rem.len();
-                        for (i, h) in rem.iter().enumerate() {
-                            planned[i] = h.class;
-                        }
-                        let mut esc_store: [flexvc_topology::ClassPath; 8] =
-                            [flexvc_topology::ClassPath::new(); 8];
+                        let planned: ClassPath = rem.iter().map(|h| h.class).collect();
+                        let mut esc_store = [ClassPath::new(); MAX_HOPS];
                         let mut cur_router = r;
                         for (i, h) in rem.iter().enumerate() {
                             let next = fab.adj[cur_router * pp + h.port as usize]
@@ -2066,13 +2056,14 @@ impl<const W: usize> Engine<W> {
                             esc_store[i] = fab.topo.min_classes(next, head.dst_router as usize);
                             cur_router = next;
                         }
-                        let escapes: [&[LinkClass]; 8] = std::array::from_fn(|i| &esc_store[i][..]);
+                        let escapes: [&[LinkClass]; MAX_HOPS] =
+                            std::array::from_fn(|i| &esc_store[i][..]);
                         flexvc_options_lookahead(
                             arr,
                             head.class,
                             head.pos(),
-                            &planned[..nrem],
-                            &escapes[..nrem],
+                            &planned,
+                            &escapes[..planned.len()],
                         )
                     };
                     // Allowed-VC mask for the head's traffic class on this

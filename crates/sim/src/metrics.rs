@@ -498,11 +498,7 @@ impl SimResult {
                         m.class_latency_sum[t] as f64 / m.class_packets[t] as f64
                     },
                     latency_p99: hist.quantile(0.99) as f64,
-                    fct_p99: if fct.count() == 0 {
-                        0.0
-                    } else {
-                        fct.quantile_interp(0.99)
-                    },
+                    fct_p99: fct.quantile_interp(0.99),
                     latency_hist: hist,
                     fct_hist: fct,
                 }
@@ -520,10 +516,9 @@ impl SimResult {
     /// Occupancy vectors are reconciled by index: seeds whose vector is
     /// shorter (e.g. a run that deadlocked before the first occupancy
     /// sample) simply don't contribute to the missing indices instead of
-    /// panicking. The p99 is re-derived from the merged latency histograms;
-    /// only when no run carries histogram data (results deserialized from
-    /// an old file) does it fall back to the arithmetic mean of per-seed
-    /// quantiles.
+    /// panicking. Every quantile is re-derived from the merged histograms
+    /// (an empty one reads 0, as it does in [`SimResult::from_metrics`]),
+    /// never averaged across seeds.
     pub fn average(results: &[SimResult]) -> SimResult {
         assert!(!results.is_empty());
         let n = results.len() as f64;
@@ -542,14 +537,8 @@ impl SimResult {
         };
         out.local_vc_occupancy = vec_avg(|r| &r.local_vc_occupancy);
         out.global_vc_occupancy = vec_avg(|r| &r.global_vc_occupancy);
-        let mut p99_mean = 0.0;
-        let mut fct_p50_mean = 0.0;
-        let mut fct_p99_mean = 0.0;
-        let mut class_p99_mean = [0.0f64; 2];
-        let mut class_fct_p99_mean = [0.0f64; 2];
         for r in results {
             out.offered += r.offered / n;
-            p99_mean += r.latency_p99 / n;
             out.accepted += r.accepted / n;
             out.latency += r.latency / n;
             out.latency_req += r.latency_req / n;
@@ -563,44 +552,22 @@ impl SimResult {
             out.flows_completed += r.flows_completed / n;
             out.fct_mean += r.fct_mean / n;
             out.slowdown_mean += r.slowdown_mean / n;
-            fct_p50_mean += r.fct_p50 / n;
-            fct_p99_mean += r.fct_p99 / n;
             out.fct_hist.merge(&r.fct_hist);
             for t in 0..2 {
                 out.classes[t].accepted += r.classes[t].accepted / n;
                 out.classes[t].latency += r.classes[t].latency / n;
-                class_p99_mean[t] += r.classes[t].latency_p99 / n;
-                class_fct_p99_mean[t] += r.classes[t].fct_p99 / n;
                 out.classes[t]
                     .latency_hist
                     .merge(&r.classes[t].latency_hist);
                 out.classes[t].fct_hist.merge(&r.classes[t].fct_hist);
             }
         }
-        out.latency_p99 = if out.latency_hist.count() > 0 {
-            out.latency_hist.quantile(0.99) as f64
-        } else {
-            p99_mean
-        };
-        (out.fct_p50, out.fct_p99) = if out.fct_hist.count() > 0 {
-            (
-                out.fct_hist.quantile_interp(0.5),
-                out.fct_hist.quantile_interp(0.99),
-            )
-        } else {
-            (fct_p50_mean, fct_p99_mean)
-        };
-        for t in 0..2 {
-            out.classes[t].latency_p99 = if out.classes[t].latency_hist.count() > 0 {
-                out.classes[t].latency_hist.quantile(0.99) as f64
-            } else {
-                class_p99_mean[t]
-            };
-            out.classes[t].fct_p99 = if out.classes[t].fct_hist.count() > 0 {
-                out.classes[t].fct_hist.quantile_interp(0.99)
-            } else {
-                class_fct_p99_mean[t]
-            };
+        out.latency_p99 = out.latency_hist.quantile(0.99) as f64;
+        out.fct_p50 = out.fct_hist.quantile_interp(0.5);
+        out.fct_p99 = out.fct_hist.quantile_interp(0.99);
+        for class in &mut out.classes {
+            class.latency_p99 = class.latency_hist.quantile(0.99) as f64;
+            class.fct_p99 = class.fct_hist.quantile_interp(0.99);
         }
         out
     }
@@ -862,18 +829,6 @@ mod tests {
         // (64 + 65536) / 2 = 32800, wildly wrong.
         assert_eq!(avg.latency_p99, 64.0);
         assert_eq!(avg.latency_hist.count(), 199);
-        // Results without histogram data (old serialized files) fall back
-        // to the arithmetic mean.
-        let bare1 = SimResult {
-            latency_p99: 100.0,
-            ..Default::default()
-        };
-        let bare2 = SimResult {
-            latency_p99: 300.0,
-            ..Default::default()
-        };
-        let bare_avg = SimResult::average(&[bare1, bare2]);
-        assert!((bare_avg.latency_p99 - 200.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1078,16 +1033,6 @@ mod tests {
         // mean of per-seed p99s and not the bucket's lower bound 64.
         assert_eq!(avg.fct_p99, 100.0);
         assert!((avg.flows_completed - 99.5).abs() < 1e-12);
-        // Without histogram data the quantiles fall back to the mean.
-        let bare = SimResult {
-            fct_p99: 100.0,
-            ..Default::default()
-        };
-        let bare2 = SimResult {
-            fct_p99: 300.0,
-            ..Default::default()
-        };
-        assert!((SimResult::average(&[bare, bare2]).fct_p99 - 200.0).abs() < 1e-12);
     }
 
     /// Regression for the power-of-two FCT quantization bug: quantiles used

@@ -5,45 +5,31 @@ use flexvc_core::{CreditClass, HopVcs, MessageClass, TrafficClass};
 use flexvc_topology::{Route, RouteHop};
 use flexvc_traffic::FlowTag;
 
-/// Maximum hops of any plan (the PAR reference path has 7).
-pub const MAX_PLAN: usize = 8;
-
-/// A packet's planned path: fixed-capacity, copy-friendly.
+/// A packet's planned path: the route it follows and how far along it
+/// the packet is. Inline and `Copy`, like every path.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedPath {
-    hops: [RouteHop; MAX_PLAN],
-    len: u8,
-    idx: u8,
+    route: Route,
+    next: u8,
 }
 
 impl PlannedPath {
     /// Empty plan (packet already at its destination router).
     pub fn empty() -> Self {
-        PlannedPath {
-            hops: [RouteHop {
-                port: 0,
-                class: flexvc_core::LinkClass::Local,
-                slot: 0,
-            }; MAX_PLAN],
-            len: 0,
-            idx: 0,
-        }
+        Self::from_route(&Route::new())
     }
 
-    /// Build from a computed route.
+    /// Follow a computed route from its first hop.
     pub fn from_route(route: &Route) -> Self {
-        assert!(route.len() <= MAX_PLAN, "route exceeds plan capacity");
-        let mut p = Self::empty();
-        for (i, h) in route.iter().enumerate() {
-            p.hops[i] = *h;
+        PlannedPath {
+            route: *route,
+            next: 0,
         }
-        p.len = route.len() as u8;
-        p
     }
 
     /// Remaining hops (including the next one).
     pub fn remaining(&self) -> &[RouteHop] {
-        &self.hops[self.idx as usize..self.len as usize]
+        &self.route[self.next as usize..]
     }
 
     /// Next hop, if any.
@@ -53,36 +39,26 @@ impl PlannedPath {
 
     /// Number of remaining hops.
     pub fn remaining_len(&self) -> usize {
-        (self.len - self.idx) as usize
+        self.route.len() - self.next as usize
     }
 
     /// `true` when no hops remain.
     pub fn is_done(&self) -> bool {
-        self.idx == self.len
+        self.remaining_len() == 0
     }
 
     /// Advance past the next hop (called when a hop is granted).
     pub fn advance(&mut self) {
-        debug_assert!(self.idx < self.len);
-        self.idx += 1;
-    }
-
-    /// Replace the remaining plan (reversion to an escape path).
-    pub fn replace(&mut self, route: &Route) {
-        *self = Self::from_route(route);
+        debug_assert!(!self.is_done());
+        self.next += 1;
     }
 
     /// Redirect the next hop over a parallel copy of its link (adaptive
     /// `k > 1` copy selection): same neighbor, same class and slot, a
     /// different physical port.
     pub fn set_next_port(&mut self, port: u16) {
-        debug_assert!(self.idx < self.len, "no next hop to redirect");
-        self.hops[self.idx as usize].port = port;
-    }
-
-    /// Hops consumed so far.
-    pub fn hops_taken(&self) -> usize {
-        self.idx as usize
+        debug_assert!(!self.is_done(), "no next hop to redirect");
+        self.route[self.next as usize].port = port;
     }
 }
 
@@ -157,6 +133,9 @@ pub struct Packet {
     /// Times the packet reverted from an opportunistic plan (statistics).
     pub reverts: u16,
 }
+
+// Arena bytes scale with the packet's size.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 128);
 
 impl Packet {
     /// Credit class for minCred accounting.
@@ -307,6 +286,7 @@ impl std::ops::IndexMut<Handle> for Arena {
 mod tests {
     use super::*;
     use flexvc_core::LinkClass;
+    use flexvc_topology::MAX_HOPS;
 
     fn hop(port: u16, slot: u8) -> RouteHop {
         RouteHop {
@@ -318,27 +298,19 @@ mod tests {
 
     #[test]
     fn planned_path_lifecycle() {
-        let route = vec![hop(1, 0), hop(2, 1), hop(3, 2)];
+        let route: Route = [hop(1, 0), hop(2, 1), hop(3, 2)].into_iter().collect();
         let mut p = PlannedPath::from_route(&route);
         assert_eq!(p.remaining_len(), 3);
         assert_eq!(p.next_hop().unwrap().port, 1);
         p.advance();
         assert_eq!(p.next_hop().unwrap().port, 2);
-        assert_eq!(p.hops_taken(), 1);
+        p.set_next_port(7);
+        assert_eq!(p.remaining()[0].port, 7);
+        assert_eq!(p.remaining_len(), 2);
         p.advance();
         p.advance();
         assert!(p.is_done());
         assert!(p.next_hop().is_none());
-    }
-
-    #[test]
-    fn replace_resets_progress() {
-        let mut p = PlannedPath::from_route(&vec![hop(1, 0), hop(2, 1)]);
-        p.advance();
-        p.replace(&vec![hop(9, 0)]);
-        assert_eq!(p.remaining_len(), 1);
-        assert_eq!(p.next_hop().unwrap().port, 9);
-        assert_eq!(p.hops_taken(), 0);
     }
 
     #[test]
@@ -348,10 +320,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "route exceeds plan capacity")]
+    #[should_panic(expected = "overflow")]
     fn oversized_route_rejected() {
-        let route: Vec<_> = (0..9).map(|i| hop(i, 0)).collect();
-        let _ = PlannedPath::from_route(&route);
+        let _: Route = (0..=MAX_HOPS as u16).map(|i| hop(i, 0)).collect();
     }
 
     #[test]

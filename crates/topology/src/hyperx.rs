@@ -26,15 +26,18 @@
 //! single last-dimension link of each router pair — the DAL-style
 //! bottleneck Valiant routing spreads.
 
-use crate::route::{ClassPath, Route, RouteHop};
+use crate::route::{Route, RouteHop};
 use crate::Topology;
 use flexvc_core::classify::NetworkFamily;
 use flexvc_core::LinkClass;
 
 /// Maximum supported dimensionality: the PAR reference path `T^(2n+1)` must
-/// fit the 8-slot [`ClassPath`]/plan capacity, so `n ≤ 3`. Re-exported from
-/// the reference-sequence source of truth in `flexvc_core::routing`.
+/// fit a path's [`MAX_HOPS`](crate::MAX_HOPS) capacity, so `n ≤ 3`.
+/// Re-exported from the reference-sequence source of truth in
+/// `flexvc_core::routing`.
 pub const MAX_DIMS: usize = flexvc_core::routing::MAX_GENERIC_DIAMETER;
+// The PAR reference of the widest HyperX, `2n + 1` hops, fits a path.
+const _: () = assert!(2 * MAX_DIMS < crate::MAX_HOPS);
 
 /// An `n`-dimensional HyperX with per-dimension shape `(s, k)` —
 /// `s` routers along the dimension, `k` parallel links per peer pair —
@@ -198,16 +201,6 @@ impl Topology for HyperX {
             }
         }
         route
-    }
-
-    fn min_classes(&self, from: usize, to: usize) -> ClassPath {
-        let mut path = ClassPath::new();
-        for dim in 0..self.num_dims() {
-            if self.coord(from, dim) != self.coord(to, dim) {
-                path.push(LinkClass::Local);
-            }
-        }
-        path
     }
 
     fn diameter(&self) -> usize {
@@ -430,9 +423,6 @@ mod tests {
                         }
                         fn min_route(&self, a: usize, b: usize) -> Route {
                             self.0.min_route(a, b)
-                        }
-                        fn min_classes(&self, a: usize, b: usize) -> ClassPath {
-                            self.0.min_classes(a, b)
                         }
                         fn diameter(&self) -> usize {
                             self.0.diameter()

@@ -41,7 +41,7 @@ pub mod validate;
 pub use dragonfly::{Dragonfly, GlobalArrangement};
 pub use dragonflyplus::DragonflyPlus;
 pub use hyperx::HyperX;
-pub use route::{offset_slots, ClassPath, Route, RouteHop};
+pub use route::{offset_slots, ClassPath, Route, RouteHop, MAX_HOPS};
 
 use flexvc_core::classify::NetworkFamily;
 use flexvc_core::LinkClass;
@@ -72,10 +72,6 @@ pub trait Topology: Send + Sync {
     /// Minimal route between two routers, annotated with baseline
     /// reference-path slots. Empty when `from == to`.
     fn min_route(&self, from: usize, to: usize) -> Route;
-
-    /// Link classes of the minimal route, without computing ports. Used on
-    /// the simulator's hot path for escape-path checks.
-    fn min_classes(&self, from: usize, to: usize) -> ClassPath;
 
     /// Network diameter in hops.
     fn diameter(&self) -> usize;
@@ -189,6 +185,15 @@ pub trait Topology: Send + Sync {
             }
         }
         (local, global)
+    }
+
+    /// Link classes of the minimal route: the FlexVC escape path the
+    /// simulator's lookahead asks for from every router along a plan.
+    /// Derived from [`Topology::min_route`], so the two cannot disagree.
+    /// Only the Dragonfly overrides it, skipping the port arithmetic: its
+    /// h = 2 FlexVC kernels ran 2–4 % slower with the derived version.
+    fn min_classes(&self, from: usize, to: usize) -> ClassPath {
+        self.min_route(from, to).iter().map(|h| h.class).collect()
     }
 
     /// Minimal distance in hops between two routers.
