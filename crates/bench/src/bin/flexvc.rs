@@ -1,7 +1,7 @@
 //! `flexvc` — the unified experiment CLI.
 //!
-//! Replaces the nine per-figure binaries with one scenario-driven front
-//! end (see `flexvc help` or the crate docs of `flexvc-bench`):
+//! One scenario-driven front end for every built-in scenario and every
+//! scenario file (see `flexvc help` or the crate docs of `flexvc-bench`):
 //!
 //! ```text
 //! flexvc list
@@ -11,7 +11,7 @@
 //! ```
 
 use flexvc_bench::scenario::{
-    render_csv, render_markdown, run_scenario, Scenario, ScenarioRegistry, ScenarioReport,
+    lookup, render_csv, render_markdown, run_scenario, Scenario, ScenarioReport, CATALOGUE,
 };
 use flexvc_bench::Scale;
 use flexvc_serde::{from_json, from_toml, to_json_pretty, to_toml};
@@ -30,11 +30,11 @@ USAGE:
     flexvc help                       this text
 
 SHOW OPTIONS:
-    --file <path>          load the scenario from a file instead of the registry
+    --file <path>          load the scenario from a file instead of the catalogue
     --format toml|json     output format (default: toml)
 
 RUN OPTIONS:
-    --file <path>          load the scenario from a file instead of the registry
+    --file <path>          load the scenario from a file instead of the catalogue
     --threads <n>          worker threads, one simulation each (default: all cores)
     --shards <n>           engine threads per simulation (0 = auto-detect;
                            default: the scenario's `shards` field, usually 1).
@@ -65,6 +65,24 @@ struct Options {
     scale: Scale,
 }
 
+/// Write `text` to stdout. A reader that closed the pipe early
+/// (`flexvc show fig5 | head -1`) has read all it wants, so that ends the
+/// command quietly with success; any other write error is a failure.
+fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!("run `flexvc help` for usage");
@@ -79,7 +97,7 @@ fn main() -> ExitCode {
     };
     match command {
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            emit(USAGE);
             ExitCode::SUCCESS
         }
         "list" => list(),
@@ -191,18 +209,17 @@ fn parse_options(command: &str, accepted: &[&str], args: &[String]) -> Result<Op
 }
 
 fn list() -> ExitCode {
-    let registry = ScenarioRegistry::builtin();
-    println!("built-in scenarios:");
-    for entry in registry.entries() {
-        println!("  {:<16} {}", entry.name, entry.summary);
+    let mut text = String::from("built-in scenarios:\n");
+    for entry in &CATALOGUE {
+        text.push_str(&format!("  {:<16} {}\n", entry.name, entry.summary));
     }
-    println!("\nrun one with `flexvc run <name>`; export with `flexvc show <name>`.");
+    text.push_str("\nrun one with `flexvc run <name>`; export with `flexvc show <name>`.\n");
+    emit(&text);
     ExitCode::SUCCESS
 }
 
 /// Resolve the scenarios selected by names and/or `--file`.
 fn resolve(opts: &Options) -> Result<Vec<Scenario>, String> {
-    let registry = ScenarioRegistry::builtin();
     let mut scenarios = Vec::new();
     if let Some(path) = &opts.file {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -214,13 +231,14 @@ fn resolve(opts: &Options) -> Result<Vec<Scenario>, String> {
         scenarios.push(parsed.map_err(|e| format!("cannot parse {path}: {e}"))?);
     }
     for name in &opts.names {
-        match registry.build(name, &opts.scale) {
-            Some(sc) => scenarios.push(sc),
+        match lookup(name) {
+            Some(entry) => scenarios.push(entry.build(&opts.scale)),
             None => {
+                let names: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
                 return Err(format!(
                     "unknown scenario `{name}` (available: {})",
-                    registry.names().join(", ")
-                ))
+                    names.join(", ")
+                ));
             }
         }
     }
@@ -245,7 +263,7 @@ fn show(opts: Options) -> ExitCode {
             "json" => to_json_pretty(sc),
             other => return fail(&format!("unknown show format `{other}` (toml or json)")),
         };
-        print!("{rendered}");
+        emit(&rendered);
     }
     ExitCode::SUCCESS
 }
@@ -338,7 +356,8 @@ fn run(opts: Options) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        print!("{}", render_markdown(&report));
+        // Results go to `--out` before stdout, which may be a pipe the
+        // reader has already closed.
         if let Some(path) = &opts.out {
             let format = out_format.expect("validated with opts.out");
             if let Err(msg) = write_output(&report, path, format) {
@@ -349,6 +368,7 @@ fn run(opts: Options) -> ExitCode {
                 eprintln!("[{}] results written to {path}", sc.name);
             }
         }
+        emit(&render_markdown(&report));
     }
     ExitCode::SUCCESS
 }

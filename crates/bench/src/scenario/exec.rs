@@ -12,7 +12,7 @@ use super::{ClassifyKind, Scenario, ScenarioError};
 use flexvc_core::classify::{classify, classify_both, classify_combined};
 use flexvc_core::MessageClass;
 use flexvc_serde::{Map, Serialize, Value};
-use flexvc_sim::runner::{run_points_with_progress, Point};
+use flexvc_sim::runner::{run_points, Point};
 use flexvc_sim::{RunError, SimResult};
 use std::fmt;
 
@@ -138,7 +138,7 @@ where
         })
         .collect();
     let per_point = seeds.len().max(1);
-    let results = run_points_with_progress(&sims, threads, |pp| {
+    let results = run_points(&sims, threads, |pp| {
         let spec = &scenario.points[pp.index / per_point];
         progress(ScenarioProgress {
             completed: pp.completed,

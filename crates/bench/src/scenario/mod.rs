@@ -13,19 +13,18 @@
 //! flexvc run --file mine.toml --out results.json
 //! ```
 //!
-//! Sub-modules: [`registry`] (the built-in scenario catalogue), `defs`
-//! (builders for the nine paper reproductions), [`exec`] (the parallel
-//! executor and report rendering).
+//! The built-in scenarios are one static table, [`CATALOGUE`] (looked up
+//! by name with [`lookup`]), over the builders of `defs`; [`exec`] holds
+//! the parallel executor and report rendering.
 
 mod defs;
 pub mod exec;
-pub mod registry;
 
+pub use defs::{lookup, ScenarioEntry, CATALOGUE};
 pub use exec::{
     render_csv, render_markdown, run_scenario, ClassificationResult, PointResult, ScenarioProgress,
     ScenarioReport, ScenarioRunError,
 };
-pub use registry::{ScenarioEntry, ScenarioRegistry};
 
 use flexvc_core::classify::NetworkFamily;
 use flexvc_core::{Arrangement, RoutingMode};
@@ -80,7 +79,7 @@ pub struct ClassificationSpec {
 /// classification tables, plus the seeds to average simulation over.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Registry name / file identity, e.g. `"fig9"`.
+    /// Catalogue name / file identity, e.g. `"fig9"`.
     pub name: String,
     /// Human title, e.g. `"Figure 9: VC selection functions"`.
     pub title: String,

@@ -1,7 +1,8 @@
 //! End-to-end smoke tests of the `flexvc` CLI binary: list, show, run (at
 //! test scale), run from a TOML file, and structured JSON/CSV output.
 
-use std::process::Command;
+use flexvc_bench::scenario::CATALOGUE;
+use std::process::{Command, Stdio};
 
 fn flexvc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_flexvc"))
@@ -19,38 +20,43 @@ fn run_ok(cmd: &mut Command) -> (String, String) {
     (stdout, stderr)
 }
 
+/// `list` prints every catalogue entry, in catalogue order.
 #[test]
 fn list_names_all_scenarios() {
     let (stdout, _) = run_ok(flexvc().arg("list"));
-    for name in [
-        "tables",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "ablations",
-        "hyperx-un-2d",
-        "hyperx-un-3d",
-        "hyperx-adv-2d",
-        "hyperx-adv-3d",
-        "hyperx-k2",
-        "dfplus-un",
-        "dfplus-adv",
-        "dragonfly-paper",
-        "hyperx-paper",
-        "dfplus-paper",
-        "flows-un",
-        "flows-permutation",
-        "flows-incast",
-        "qos-dragonfly",
-        "qos-hyperx",
-        "smoke",
-    ] {
-        assert!(stdout.contains(name), "missing {name} in:\n{stdout}");
+    let listed: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("  "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let names: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
+    assert_eq!(listed, names, "{stdout}");
+}
+
+/// A reader that closes stdout early ends the command quietly with
+/// success, and a run writes its `--out` results before it prints.
+#[test]
+fn closed_stdout_ends_quietly_after_writing_results() {
+    let out = std::env::temp_dir().join(format!("flexvc-pipe-{}.json", std::process::id()));
+    let mut run = flexvc();
+    run.args(["run", "smoke", "--quiet", "--out"]).arg(&out);
+    let mut show = flexvc();
+    show.args(["show", "fig5"]);
+    for cmd in [&mut run, &mut show] {
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn flexvc");
+        drop(child.stdout.take());
+        let done = child.wait_with_output().expect("wait for flexvc");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert!(done.status.success(), "{:?}: {stderr}", done.status);
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
+    let json = std::fs::read_to_string(&out).expect("results file");
+    std::fs::remove_file(&out).ok();
+    assert!(json.contains("\"accepted\""), "{json}");
 }
 
 /// `--shards` is purely a speed knob: the structured results of a sharded

@@ -1,8 +1,8 @@
-//! Registry-wide scenario guarantees: every built-in scenario expands to
+//! Catalogue-wide scenario guarantees: every built-in scenario expands to
 //! valid data at multiple scales, round-trips through TOML/JSON, and
 //! matches the legend/point structure of the paper figures it reproduces.
 
-use flexvc_bench::scenario::{Scenario, ScenarioRegistry};
+use flexvc_bench::scenario::{lookup, Scenario, CATALOGUE};
 use flexvc_bench::Scale;
 use flexvc_serde::{from_json, from_toml, to_json, to_json_pretty, to_toml};
 
@@ -17,13 +17,12 @@ fn test_scale() -> Scale {
 
 #[test]
 fn every_registered_scenario_validates() {
-    let registry = ScenarioRegistry::builtin();
     for scale in [test_scale(), Scale::paper()] {
-        for entry in registry.entries() {
+        for entry in &CATALOGUE {
             let sc = entry.build(&scale);
             sc.validate()
                 .unwrap_or_else(|e| panic!("scenario {} at h={}: {e}", entry.name, scale.h));
-            assert_eq!(sc.name, entry.name, "scenario name matches registry key");
+            assert_eq!(sc.name, entry.name, "scenario name matches catalogue key");
             assert!(!sc.title.is_empty(), "{}: title", entry.name);
             assert!(!sc.description.is_empty(), "{}: description", entry.name);
         }
@@ -32,9 +31,8 @@ fn every_registered_scenario_validates() {
 
 #[test]
 fn every_registered_scenario_round_trips() {
-    let registry = ScenarioRegistry::builtin();
     let scale = test_scale();
-    for entry in registry.entries() {
+    for entry in &CATALOGUE {
         let sc = entry.build(&scale);
         let doc = to_json(&sc);
 
@@ -55,8 +53,8 @@ fn every_registered_scenario_round_trips() {
 
 #[test]
 fn scenario_structures_match_paper_legends() {
-    let registry = ScenarioRegistry::builtin();
     let scale = test_scale();
+    let build = |name| lookup(name).unwrap().build(&scale);
     let series_count = |sc: &Scenario| {
         let mut labels: Vec<&str> = Vec::new();
         for p in &sc.points {
@@ -68,29 +66,29 @@ fn scenario_structures_match_paper_legends() {
     };
 
     // fig5: 5 series (UN/BURSTY) + 4 (ADV), 10 loads each.
-    let fig5 = registry.build("fig5", &scale).unwrap();
+    let fig5 = build("fig5");
     assert_eq!(series_count(&fig5), 5 + 5 + 4);
     assert_eq!(fig5.points.len(), (5 + 5 + 4) * 10);
 
     // fig9: 2 single-point reference rows (their split IS the first
     // column) + 4 selection functions over 6 splits.
-    let fig9 = registry.build("fig9", &scale).unwrap();
+    let fig9 = build("fig9");
     assert_eq!(series_count(&fig9), 6);
     assert_eq!(fig9.points.len(), 2 + 4 * 6);
 
     // fig10: 5 private-reservation fractions over 10 loads.
-    let fig10 = registry.build("fig10", &scale).unwrap();
+    let fig10 = build("fig10");
     assert_eq!(series_count(&fig10), 5);
     assert_eq!(fig10.points.len(), 50);
 
     // fig6/fig11: capacity columns, ADV drops the smallest.
     for name in ["fig6", "fig11"] {
-        let sc = registry.build(name, &scale).unwrap();
+        let sc = build(name);
         assert_eq!(sc.points.len(), 5 * 4 + 5 * 4 + 4 * 3, "{name}");
     }
 
     // tables: pure classification, all four tables, no simulation.
-    let tables = registry.build("tables", &scale).unwrap();
+    let tables = build("tables");
     assert!(tables.points.is_empty());
     assert_eq!(tables.classifications.len(), 4);
     assert_eq!(tables.simulation_count(), 0);
@@ -104,13 +102,12 @@ fn scenario_structures_match_paper_legends() {
 /// Dragonfly, the 16^3 HyperX and the megafly Dragonfly+.
 #[test]
 fn paper_scenarios_pin_paper_scale_topologies() {
-    let registry = ScenarioRegistry::builtin();
     for (name, routers) in [
         ("dragonfly-paper", 2_064),
         ("hyperx-paper", 4_096),
         ("dfplus-paper", 1_056),
     ] {
-        let sc = registry.build(name, &test_scale()).unwrap();
+        let sc = lookup(name).unwrap().build(&test_scale());
         assert_eq!(sc.points.len(), 2 * 4, "{name}: 2 series x 4 loads");
         for p in &sc.points {
             assert_eq!(p.cfg.topology.num_routers(), routers, "{name}/{}", p.series);

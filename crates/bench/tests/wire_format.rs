@@ -1,9 +1,10 @@
 //! The wire format of scenario documents, pinned from both ends: FNV-1a
 //! digests of every built-in scenario as TOML and JSON at three scales,
 //! and every accepted alias, shorthand and legacy spelling with the value
-//! it must decode to.
+//! it must decode to. The `smoke` report is pinned the same way, so the
+//! runner and the three renderers are held byte for byte too.
 
-use flexvc_bench::scenario::ScenarioRegistry;
+use flexvc_bench::scenario::{lookup, render_csv, render_markdown, run_scenario, CATALOGUE};
 use flexvc_bench::Scale;
 use flexvc_core::{Arrangement, RoutingMode::*};
 use flexvc_serde::{from_json, from_toml, to_json, to_toml, Deserialize};
@@ -41,18 +42,20 @@ qos-hyperx d4af564d850585b5 2d3eb4a016de671e 29c2b1f2e91da1bd 056a4e939ad70f56 1
 smoke ecf2d46eadb4a9bb 936f356c0e1287e0 ecf2d46eadb4a9bb 936f356c0e1287e0 ecf2d46eadb4a9bb 936f356c0e1287e0
 ";
 
+/// 64-bit FNV-1a of `text`.
+fn fnv1a(text: String) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn emitted_documents_are_pinned() {
     let (mut test, mut h3) = (Scale::default(), Scale::default());
     (test.warmup, test.measure, h3.h) = (100, 200, 3);
     let scales = [test, h3, Scale::paper()];
-    let fnv1a = |text: String| {
-        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
-    };
     let mut now = String::new();
-    for entry in ScenarioRegistry::builtin().entries() {
+    for entry in &CATALOGUE {
         now.push_str(entry.name);
         for sc in scales.iter().map(|scale| entry.build(scale)) {
             let (toml, json) = (fnv1a(to_toml(&sc).unwrap()), fnv1a(to_json(&sc)));
@@ -65,6 +68,24 @@ fn emitted_documents_are_pinned() {
         moved.is_empty() && now == PINS,
         "moved: {moved:#?}\nnow:\n{now}"
     );
+}
+
+/// The `smoke` report as markdown, CSV and JSON: the same bytes on the
+/// calling thread alone and on two workers.
+#[test]
+fn smoke_report_is_pinned() {
+    const PIN: &str = "dea2d5e494c32f5b ecfbd6a14e60b2ee 6255b6471fa68669";
+    let smoke = lookup("smoke").unwrap().build(&Scale::default());
+    for threads in [1, 2] {
+        let report = run_scenario(&smoke, threads, |_| {}).unwrap();
+        let (md, csv, json) = (
+            fnv1a(render_markdown(&report)),
+            fnv1a(render_csv(&report)),
+            fnv1a(to_json(&report)),
+        );
+        let now = format!("{md:016x} {csv:016x} {json:016x}");
+        assert_eq!(now, PIN, "{threads} thread(s)");
+    }
 }
 
 /// Decode `doc` and compare it with `want`.

@@ -2,7 +2,8 @@
 //!
 //! [`SimConfig::validate`](crate::SimConfig::validate) and
 //! [`Network::new`](crate::Network::new) report [`ConfigError`]; the batch
-//! runner ([`run_points`](crate::runner::run_points) and friends) wraps it
+//! runner ([`run_points`](crate::runner::run_points) and
+//! [`run_averaged`](crate::runner::run_averaged)) wraps it
 //! in [`RunError`] with the index of the offending point. Both implement
 //! `std::error::Error`, so they compose with `?` and `Box<dyn Error>`.
 

@@ -20,11 +20,13 @@
 //!   reactive;
 //! * separate request/reply consumption channels, injection queues with
 //!   source-drop accounting, a forward-progress watchdog that *detects*
-//!   deadlock (used to reproduce Fig. 10's DAMQ deadlock), and a parallel
-//!   sweep runner.
+//!   deadlock (used to reproduce Fig. 10's DAMQ deadlock).
 //!
-//! Entry points: [`SimConfig`] → [`Network`] → [`SimResult`], or the
-//! higher-level [`runner`] helpers for sweeps.
+//! Entry points: a [`SimConfig`] runs through the engine driver,
+//! [`ShardedNetwork`] (`cfg.shards` workers stepping cache-sized blocks of
+//! the single-threaded [`Network`] engine, bit-identical for every count),
+//! into a [`SimResult`]; [`runner`] runs batches of such points on worker
+//! threads ([`run_one`], [`run_points`], [`run_averaged`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,10 +57,7 @@ pub use config::{
 pub use engine::Network;
 pub use error::{ConfigError, RunError};
 pub use metrics::{Metrics, SimResult};
-pub use runner::{
-    run_averaged, run_one, run_points, run_points_with_progress, run_points_with_threads,
-    saturation_throughput, Point, PointProgress,
-};
+pub use runner::{run_averaged, run_one, run_points, Point, PointProgress};
 pub use shard::{BoundaryCounts, ShardStats, ShardedNetwork};
 
 /// Common imports for examples and experiment binaries.
@@ -70,9 +69,6 @@ pub mod prelude {
     pub use crate::engine::Network;
     pub use crate::error::{ConfigError, RunError};
     pub use crate::metrics::SimResult;
-    pub use crate::runner::{
-        run_averaged, run_one, run_points, run_points_with_progress, run_points_with_threads,
-        saturation_throughput, Point, PointProgress,
-    };
+    pub use crate::runner::{run_averaged, run_one, run_points, Point, PointProgress};
     pub use crate::shard::{ShardStats, ShardedNetwork};
 }

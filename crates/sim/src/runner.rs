@@ -1,15 +1,16 @@
 //! Experiment runner: parallel execution of independent simulation points.
 //!
 //! Every `(configuration, load, seed)` triple is an independent simulation;
-//! batches fan the triples out over `std::thread::scope` workers (one per
-//! available core by default) and results come back in input order, so
-//! experiment harnesses stay deterministic regardless of scheduling.
+//! [`run_points`] fans the triples out over `std::thread::scope` workers
+//! (the calling thread is one of them), streams per-point completions to a
+//! callback, which the `flexvc` CLI uses for live progress output, and
+//! returns results in input order, so experiment harnesses stay
+//! deterministic regardless of scheduling. Each simulation runs through
+//! the engine driver, [`ShardedNetwork`].
 //!
 //! All entry points are non-panicking: configurations are validated up
 //! front and failures surface as [`RunError::InvalidPoint`] with the index
-//! of the offending point. [`run_points_with_progress`] additionally
-//! streams per-point completions to a callback, which the `flexvc` CLI
-//! uses for live progress output.
+//! of the offending point.
 
 use crate::config::SimConfig;
 use crate::error::{ConfigError, RunError};
@@ -31,7 +32,7 @@ pub struct Point {
 }
 
 /// A completed point, reported through the progress callback of
-/// [`run_points_with_progress`].
+/// [`run_points`].
 #[derive(Debug, Clone, Copy)]
 pub struct PointProgress<'a> {
     /// Index of the point in the submitted batch.
@@ -63,25 +64,12 @@ fn run_prebuilt(
     Ok(ShardedNetwork::with_topology(cfg.clone(), load, seed, topo)?.run())
 }
 
-/// Run a batch of points in parallel; results are in input order. Invalid
-/// configurations are reported as [`RunError::InvalidPoint`] before any
-/// simulation starts.
-pub fn run_points(points: &[Point]) -> Result<Vec<SimResult>, RunError> {
-    run_points_with_threads(points, default_threads())
-}
-
-/// [`run_points`] with an explicit worker count (1 = sequential).
-pub fn run_points_with_threads(
-    points: &[Point],
-    threads: usize,
-) -> Result<Vec<SimResult>, RunError> {
-    run_points_with_progress(points, threads, |_| {})
-}
-
-/// [`run_points_with_threads`] invoking `progress` as each point completes.
-/// Completions arrive in scheduling order (not input order); the returned
-/// vector is always in input order.
-pub fn run_points_with_progress<F>(
+/// Run a batch of points on `threads` workers, the calling thread being
+/// one of them, invoking `progress` as each point completes. Completions
+/// arrive in scheduling order; the returned vector is always in input
+/// order. Invalid configurations are reported as
+/// [`RunError::InvalidPoint`] before any simulation starts.
+pub fn run_points<F>(
     points: &[Point],
     threads: usize,
     progress: F,
@@ -115,49 +103,33 @@ where
         )
         .collect();
     let n = points.len();
-    let total = n;
     let completed = AtomicUsize::new(0);
-    let report = |index: usize, result: &SimResult| {
-        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        progress(PointProgress {
-            index,
-            completed: done,
-            total,
-            result,
-        });
-    };
-    let run_checked = |index: usize, p: &Point| -> Result<SimResult, RunError> {
-        run_prebuilt(&p.cfg, p.load, p.seed, Arc::clone(&topos[index]))
-            .map_err(|source| RunError::InvalidPoint { index, source })
-    };
-
-    if threads <= 1 || n <= 1 {
-        let mut results = Vec::with_capacity(n);
-        for (i, p) in points.iter().enumerate() {
-            let r = run_checked(i, p)?;
-            report(i, &r);
-            results.push(r);
-        }
-        return Ok(results);
-    }
-
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<SimResult, RunError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = run_checked(i, &points[i]);
-                if let Ok(result) = &r {
-                    report(i, result);
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
+    let work = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        if index >= n {
+            break;
+        }
+        let p = &points[index];
+        let r = run_prebuilt(&p.cfg, p.load, p.seed, Arc::clone(&topos[index]))
+            .map_err(|source| RunError::InvalidPoint { index, source });
+        if let Ok(result) = &r {
+            progress(PointProgress {
+                index,
+                completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
+                total: n,
+                result,
             });
         }
+        *slots[index].lock().expect("result slot poisoned") = Some(r);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads.min(n) {
+            s.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -169,7 +141,9 @@ where
         .collect()
 }
 
-/// Run `seeds` repetitions of one configuration/load and average.
+/// Run `seeds` repetitions of one configuration/load on
+/// [`default_threads`] workers and average. At a load of 1.0 this is the
+/// paper's "maximum throughput" metric of Figs. 6 and 11.
 pub fn run_averaged(cfg: &SimConfig, load: f64, seeds: &[u64]) -> Result<SimResult, RunError> {
     if seeds.is_empty() {
         return Err(RunError::EmptyBatch);
@@ -182,20 +156,14 @@ pub fn run_averaged(cfg: &SimConfig, load: f64, seeds: &[u64]) -> Result<SimResu
             seed,
         })
         .collect();
-    Ok(SimResult::average(&run_points(&points)?))
+    let results = run_points(&points, default_threads(), |_| {})?;
+    Ok(SimResult::average(&results))
 }
 
-/// Saturation throughput: accepted load at 100% offered load (the paper's
-/// "maximum throughput" metric of Figs. 6 and 11).
-pub fn saturation_throughput(cfg: &SimConfig, seeds: &[u64]) -> Result<SimResult, RunError> {
-    run_averaged(cfg, 1.0, seeds)
-}
-
-/// Worker count: all cores.
+/// The host's available parallelism, or 1 where it cannot be read: the
+/// default worker count of batches and of `shards = 0`.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -227,8 +195,8 @@ mod tests {
                 seed: i,
             })
             .collect();
-        let seq = run_points_with_threads(&points, 1).unwrap();
-        let par = run_points_with_threads(&points, 4).unwrap();
+        let seq = run_points(&points, 1, |_| {}).unwrap();
+        let par = run_points(&points, 4, |_| {}).unwrap();
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.accepted, b.accepted);
             assert_eq!(a.latency, b.latency);
@@ -251,8 +219,8 @@ mod tests {
         for p in &mut sharded {
             p.cfg.shards = 2;
         }
-        let a = run_points_with_threads(&single, 1).unwrap();
-        let b = run_points_with_threads(&sharded, 2).unwrap();
+        let a = run_points(&single, 1, |_| {}).unwrap();
+        let b = run_points(&sharded, 2, |_| {}).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.accepted, y.accepted);
             assert_eq!(x.latency, y.latency);
@@ -272,7 +240,7 @@ mod tests {
                 seed: i,
             })
             .collect();
-        let batch = run_points_with_threads(&points, 1).unwrap();
+        let batch = run_points(&points, 1, |_| {}).unwrap();
         for (p, r) in points.iter().zip(&batch) {
             let fresh = run_one(&p.cfg, p.load, p.seed).unwrap();
             assert_eq!(fresh.accepted, r.accepted);
@@ -300,7 +268,7 @@ mod tests {
                 seed: 1,
             },
         ];
-        let err = run_points_with_threads(&points, 2).unwrap_err();
+        let err = run_points(&points, 2, |_| {}).unwrap_err();
         match err {
             RunError::InvalidPoint { index, source } => {
                 assert_eq!(index, 1);
@@ -354,7 +322,7 @@ mod tests {
                     seed: 1,
                 },
             ];
-            match run_points_with_threads(&points, 1).unwrap_err() {
+            match run_points(&points, 1, |_| {}).unwrap_err() {
                 RunError::InvalidPoint { index: 1, source } => assert!(is_load(source)),
                 other => panic!("unexpected error: {other}"),
             }
@@ -390,7 +358,7 @@ mod tests {
             .collect();
         let seen = AtomicUsize::new(0);
         let max_completed = AtomicUsize::new(0);
-        let results = run_points_with_progress(&points, 2, |p| {
+        let results = run_points(&points, 2, |p| {
             seen.fetch_add(1, Ordering::Relaxed);
             max_completed.fetch_max(p.completed, Ordering::Relaxed);
             assert_eq!(p.total, 3);

@@ -230,13 +230,12 @@ impl Outbox {
 pub const BLOCK_BUDGET: u64 = 1_536;
 
 /// Resolve a configured shard count: `0` auto-detects from the host's
-/// available parallelism; any request is clamped to the router count
-/// (a shard must own at least one router).
+/// available parallelism ([`default_threads`](crate::runner::default_threads));
+/// any request is clamped to the router count (a shard must own at least
+/// one router).
 pub fn resolve_shards(requested: usize, routers: usize) -> usize {
     let n = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        crate::runner::default_threads()
     } else {
         requested
     };

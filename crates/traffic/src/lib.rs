@@ -37,20 +37,6 @@ pub use flow::{Emission, FlowGenerator, FlowPattern, FlowSpec, FlowTag, SizeDist
 pub use generator::NodeGenerator;
 pub use pattern::{ClassMix, Pattern, Workload};
 
-/// Object-safe view of traffic generation, for users plugging custom
-/// patterns into the simulator.
-pub trait TrafficPattern: Send {
-    /// Called once per node per cycle; returns the destination node of a
-    /// newly generated packet, if any.
-    fn generate(&mut self, cycle: u64) -> Option<usize>;
-}
-
-impl TrafficPattern for NodeGenerator {
-    fn generate(&mut self, cycle: u64) -> Option<usize> {
-        self.next_packet(cycle)
-    }
-}
-
 /// Unified per-node traffic source: the per-packet synthetic generator or
 /// the flow generator, stepped once per node per cycle either way.
 #[derive(Debug)]

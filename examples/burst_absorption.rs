@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     for (name, cfg) in &series {
         let mid = run_averaged(cfg, 0.4, &[1, 2])?;
-        let sat = saturation_throughput(cfg, &[1, 2])?;
+        let sat = run_averaged(cfg, 1.0, &[1, 2])?;
         println!("{:<16} {:>16.1} {:>18.3}", name, mid.latency, sat.accepted);
     }
     println!("\nThe paper reports the same ordering: bursts congest isolated");

@@ -18,9 +18,9 @@
 //!   typed errors), and the non-panicking experiment runner.
 //! * [`mod@bench`] — the scenario-first experiment harness: every paper
 //!   figure/table as serializable data
-//!   ([`bench::scenario::Scenario`]), the
-//!   [`bench::scenario::ScenarioRegistry`] catalogue, and the `flexvc`
-//!   CLI binary that fronts them (`flexvc list|show|run`).
+//!   ([`bench::scenario::Scenario`]), the static
+//!   [`bench::scenario::CATALOGUE`] of built-in scenarios, and the
+//!   `flexvc` CLI binary that fronts them (`flexvc list|show|run`).
 //! * [`mod@serde`] — the self-contained serialization layer (JSON/TOML
 //!   value model) that moves whole experiments through data files.
 //!
@@ -43,7 +43,7 @@ struct ReadmeDoctest;
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {
     pub use flexvc_bench::scenario::{
-        run_scenario, PointSpec, Scenario, ScenarioRegistry, ScenarioReport,
+        run_scenario, PointSpec, Scenario, ScenarioReport, CATALOGUE,
     };
     pub use flexvc_bench::Scale;
     pub use flexvc_core::{
@@ -52,5 +52,4 @@ pub mod prelude {
     pub use flexvc_serde::{from_json, from_toml, to_json, to_json_pretty, to_toml};
     pub use flexvc_sim::prelude::*;
     pub use flexvc_topology::{Dragonfly, DragonflyPlus, HyperX, Topology};
-    pub use flexvc_traffic::TrafficPattern;
 }

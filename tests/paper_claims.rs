@@ -18,13 +18,10 @@ fn base(routing: RoutingMode, workload: Workload) -> SimConfig {
     cfg
 }
 
-// Unwrapping shims over the non-panicking runner API: every configuration
+// Unwrapping shim over the non-panicking runner API: every configuration
 // in this file is valid by construction, so a runner error is a test bug.
-// (Local definitions shadow the glob-imported fallible versions.)
-fn saturation_throughput(cfg: &SimConfig, seeds: &[u64]) -> SimResult {
-    flexvc::sim::saturation_throughput(cfg, seeds).expect("valid test config")
-}
-
+// (The local definition shadows the glob-imported fallible version.) At a
+// load of 1.0 it measures the paper's maximum throughput (Figs. 6, 11).
 fn run_averaged(cfg: &SimConfig, load: f64, seeds: &[u64]) -> SimResult {
     flexvc::sim::run_averaged(cfg, load, seeds).expect("valid test config")
 }
@@ -36,14 +33,26 @@ const SEEDS: [u64; 2] = [11, 12];
 #[test]
 fn fig5_ordering_uniform() {
     let b = base(RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
-    let baseline = saturation_throughput(&b, &SEEDS).accepted;
-    let damq = saturation_throughput(&b.clone().with_damq75(), &SEEDS).accepted;
-    let f21 = saturation_throughput(&b.clone().with_flexvc(Arrangement::dragonfly_min()), &SEEDS)
-        .accepted;
-    let f42 = saturation_throughput(&b.clone().with_flexvc(Arrangement::dragonfly(4, 2)), &SEEDS)
-        .accepted;
-    let f84 = saturation_throughput(&b.clone().with_flexvc(Arrangement::dragonfly(8, 4)), &SEEDS)
-        .accepted;
+    let baseline = run_averaged(&b, 1.0, &SEEDS).accepted;
+    let damq = run_averaged(&b.clone().with_damq75(), 1.0, &SEEDS).accepted;
+    let f21 = run_averaged(
+        &b.clone().with_flexvc(Arrangement::dragonfly_min()),
+        1.0,
+        &SEEDS,
+    )
+    .accepted;
+    let f42 = run_averaged(
+        &b.clone().with_flexvc(Arrangement::dragonfly(4, 2)),
+        1.0,
+        &SEEDS,
+    )
+    .accepted;
+    let f84 = run_averaged(
+        &b.clone().with_flexvc(Arrangement::dragonfly(8, 4)),
+        1.0,
+        &SEEDS,
+    )
+    .accepted;
     // Allow small noise margins on the near-ties, none on the big gaps.
     assert!(damq > baseline - 0.02, "DAMQ {damq} vs baseline {baseline}");
     assert!(f21 > baseline, "FlexVC 2/1 {f21} vs baseline {baseline}");
@@ -57,9 +66,13 @@ fn fig5_ordering_uniform() {
 #[test]
 fn fig5_adversarial_valiant_bound() {
     let b = base(RoutingMode::Valiant, Workload::oblivious(Pattern::adv1()));
-    let baseline = saturation_throughput(&b, &SEEDS).accepted;
-    let f84 = saturation_throughput(&b.clone().with_flexvc(Arrangement::dragonfly(8, 4)), &SEEDS)
-        .accepted;
+    let baseline = run_averaged(&b, 1.0, &SEEDS).accepted;
+    let f84 = run_averaged(
+        &b.clone().with_flexvc(Arrangement::dragonfly(8, 4)),
+        1.0,
+        &SEEDS,
+    )
+    .accepted;
     assert!(baseline > 0.35 && baseline < 0.55, "VAL bound: {baseline}");
     assert!(
         f84 >= baseline - 0.01,
@@ -98,16 +111,18 @@ fn fig5_bursty_latency_gap_below_saturation() {
 fn fig7_request_subpath_vcs_dominate() {
     let seeds: Vec<u64> = (11..=16).collect();
     let b = base(RoutingMode::Min, Workload::reactive(Pattern::Uniform));
-    let baseline = saturation_throughput(&b, &seeds).accepted;
-    let f2121 = saturation_throughput(
+    let baseline = run_averaged(&b, 1.0, &seeds).accepted;
+    let f2121 = run_averaged(
         &b.clone()
             .with_flexvc(Arrangement::dragonfly_rr((2, 1), (2, 1))),
+        1.0,
         &seeds,
     )
     .accepted;
-    let f4321 = saturation_throughput(
+    let f4321 = run_averaged(
         &b.clone()
             .with_flexvc(Arrangement::dragonfly_rr((4, 3), (2, 1))),
+        1.0,
         &seeds,
     )
     .accepted;
@@ -134,10 +149,11 @@ fn fig7_request_subpath_vcs_dominate() {
 fn fifty_percent_vc_reduction_runs_competitively() {
     let seeds: Vec<u64> = (11..=16).collect();
     let b = base(RoutingMode::Min, Workload::reactive(Pattern::Uniform));
-    let baseline = saturation_throughput(&b, &seeds).accepted; // 4/2 = 2/1+2/1
-    let r5 = saturation_throughput(
+    let baseline = run_averaged(&b, 1.0, &seeds).accepted; // 4/2 = 2/1+2/1
+    let r5 = run_averaged(
         &b.clone()
             .with_flexvc(Arrangement::dragonfly_rr((3, 2), (2, 1))),
+        1.0,
         &seeds,
     );
     assert!(!r5.deadlocked, "5/3 split must stay deadlock-free");
@@ -191,9 +207,13 @@ fn fig8_mincred_restores_adaptive_sensing() {
 fn fig11_gains_grow_without_speedup() {
     let mut b = base(RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
     b.speedup = 1;
-    let baseline = saturation_throughput(&b, &SEEDS).accepted;
-    let f84 = saturation_throughput(&b.clone().with_flexvc(Arrangement::dragonfly(8, 4)), &SEEDS)
-        .accepted;
+    let baseline = run_averaged(&b, 1.0, &SEEDS).accepted;
+    let f84 = run_averaged(
+        &b.clone().with_flexvc(Arrangement::dragonfly(8, 4)),
+        1.0,
+        &SEEDS,
+    )
+    .accepted;
     let gain_no_speedup = f84 / baseline;
     assert!(
         gain_no_speedup > 1.2,
@@ -227,9 +247,9 @@ fn fig10_damq_reservation_endpoints() {
     seventy_five.buffers.organization = BufferOrg::Damq {
         private_fraction: 0.75,
     };
-    let r75 = saturation_throughput(&seventy_five, &SEEDS);
+    let r75 = run_averaged(&seventy_five, 1.0, &SEEDS);
     assert!(!r75.deadlocked);
-    let stat = saturation_throughput(&b, &SEEDS);
+    let stat = run_averaged(&b, 1.0, &SEEDS);
     assert!(
         r75.accepted > stat.accepted - 0.03,
         "75% DAMQ {} should be close to static {}",
