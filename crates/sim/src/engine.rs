@@ -35,10 +35,13 @@
 //! sweeps every router × port × VC to find it nor polls state that cannot
 //! act yet. Work is woken, not searched for:
 //!
-//! * **timing wheels** for link events — packet heads and credits are
-//!   scheduled at their arrival cycle when they enter a link, so `deliver`
-//!   touches exactly the links with something due *now* — and a release
-//!   wheel for everything else that is due at a known cycle: buffer
+//! * **timing wheels** for link events — a packet on a wire *is* an entry
+//!   of the arrival wheel (input, packet handle, landing VC) at its head's
+//!   arrival cycle, and a credit on a wire an entry of the credit wheel
+//!   (output, VC, credit class, traffic class) at its arrival cycle, so
+//!   `deliver` enqueues packets and applies credits straight from the slot
+//!   due *now*, with no per-link queue to visit — and a release wheel for
+//!   everything else that is due at a known cycle: buffer
 //!   releases, an output's next serialization (`max(ready_at, link
 //!   busy-until)`, or the same cycle when that is already now), a node's
 //!   next emission (each generator is drawn ahead on its own RNG, cycle by
@@ -77,10 +80,13 @@
 //! Mutable state lives in flat record tables sized to the routers this
 //! instance owns: one `RouterRec` per router, one `InputRec` per
 //! unified input (`r·n_in + i`: network ports, then injection queues), one
-//! `OutputRec` per output link (`r·pp + port`), one `NodeRec` per
-//! node, the credit mirrors `out_credit` (their own table because
-//! [`SenseView`] borrows a router's mirrors as a slice) and one wait-list
-//! link per input VC. Everything immutable and topology-derived sits in the
+//! `OutputRec` per output link (`r·pp + port`; of the link itself it keeps
+//! only `busy_until`, the end of the packet it is serializing), one
+//! `NodeRec` per node, the credit mirrors `out_credit` (their own table
+//! because [`SenseView`] borrows a router's mirrors as a slice) and one
+//! wait-list link per input VC. A shard block holds nothing for the cut
+//! links it receives on: their packets and credits land in its wheels at
+//! the exchange. Everything immutable and topology-derived sits in the
 //! shared `Fabric`.
 //!
 //! Per-VC state is as wide as the configuration. Bank occupancy splits,
@@ -89,25 +95,26 @@
 //! one source, `Engine<W>`, built at `W` = 4, 8 and 16. A [`Network`]
 //! holds the instance at the narrowest width that covers its widest port
 //! and delegates to it: h = 8 FlexVC 4/2 with 3 injection VCs runs 4
-//! wide, at 10,132 bytes of record tables per router where 16-wide state
+//! wide, at 8,228 bytes of record tables per router where 16-wide state
 //! took 18,292.
 //!
 //! Packets stay put. Each instance (the single engine, or one block of the
-//! shard driver) keeps its packets in one arena: a contiguous slab plus a free
-//! list, and a per-slot flow-tag table only when the workload has flows.
-//! A packet is written once at injection, updated in place at every hop
-//! and freed at ejection; bank FIFOs, output queues and link pipelines
-//! carry its 32-bit handle, so a hop copies a small handle record instead
-//! of the 128-byte packet and a queue's high-water mark costs handles, not
-//! packets. Only a
-//! packet crossing to another block moves: out of the sender's arena into
-//! a boundary event, and into the receiver's arena at the exchange. Debug
-//! builds check conservation every cycle — the arena's live slots equal
-//! the handles queued in banks, output queues and link pipelines.
+//! shard driver) keeps its packets in one arena: a contiguous slab plus a
+//! free list, and a per-slot flow-tag table only when the workload has
+//! flows. A packet is written once at injection, updated in place at every
+//! hop and freed at ejection; bank FIFOs, output queues and arrival-wheel
+//! entries carry its 32-bit handle, so a hop copies a small handle record
+//! instead of the 128-byte packet and a queue's high-water mark costs
+//! handles, not packets. Only a packet crossing to another block moves:
+//! out of the sender's arena into a boundary event, and into the
+//! receiver's arena at the exchange. Debug builds check conservation every
+//! cycle — the arena's live slots equal the handles queued in banks,
+//! output queues and the arrival wheel.
 //!
-//! The arena and the queues are demand-sized: empty at build, growing
-//! under traffic, never past their worst-case bound — growth moves no
-//! packet and reads no clock, so it cannot change a result.
+//! The arena, the queues and the link wheels' slots are demand-sized:
+//! empty at build, growing under traffic, never past their worst-case
+//! bound — growth moves no packet and reads no clock, so it cannot change
+//! a result.
 
 #![allow(clippy::type_complexity)]
 
@@ -116,7 +123,7 @@ use crate::bank::{BufferBank, Occupancy, MAX_VCS};
 use crate::config::{BufferOrg, SensingMode, SimConfig};
 use crate::error::ConfigError;
 use crate::fabric::Fabric;
-use crate::link::{push_bounded, CreditMsg, LinkState};
+use crate::link::{arrival_window, push_bounded};
 use crate::metrics::{Metrics, SimResult};
 use crate::packet::{Arena, Handle, Packet, PlannedPath};
 use crate::plan::{min_plan, RoutePolicy, SenseView};
@@ -152,6 +159,12 @@ fn mark(list: &mut Vec<u32>, member: &mut bool, id: usize) {
     }
 }
 
+/// Whether `ids` holds no id twice (`deliver`'s cross-check of a wheel
+/// slot: quadratic, so debug builds only).
+fn distinct(ids: impl Iterator<Item = u32> + Clone) -> bool {
+    (ids.clone().enumerate()).all(|(i, id)| ids.clone().take(i).all(|x| x != id))
+}
+
 /// A packet (by arena handle) queued at an output buffer awaiting link
 /// serialization.
 #[derive(Debug)]
@@ -161,6 +174,32 @@ struct OutPkt {
     ready_at: u64,
     /// Landing VC at the downstream input port.
     vc: u8,
+}
+
+/// A packet on a wire: what a `pkt_wheel` slot holds for the cycle its
+/// head phit reaches unified input `input`. Its head and tail arrival are
+/// stamped on the packet at launch.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    input: u32,
+    pkt: Handle,
+    /// Landing VC at the input.
+    vc: u8,
+}
+
+/// A credit on a wire: what a `cred_wheel` slot holds for the cycle it
+/// reaches output `output`'s credit mirror. It releases one packet
+/// (`packet_size` phits) of `vc`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Credit {
+    /// Owned-output offset; in a boundary event, the flat link id (the
+    /// upstream router's global output index), rebased by the receiver.
+    output: u32,
+    vc: u8,
+    /// Routing type of the released packet (minCred flag).
+    class: CreditClass,
+    /// QoS class of the released packet (repartitioner accounting).
+    tclass: TrafficClass,
 }
 
 /// Timed events of the release wheel, addressed by record-table index.
@@ -216,15 +255,9 @@ struct InputRec<const W: usize> {
     awake: u16,
     /// Stage-1 QoS bypass counter (see `bypass_bound`).
     bypass: u32,
-    /// Index in `outputs` of the link feeding this network input: where
-    /// its arriving packets are popped from and, when the transmitter is
-    /// owned, where its credits return to (`u32::MAX` on injection queues
-    /// and unwired ports).
-    rx: u32,
 }
 
-/// Per-output-link record (`router · pp + port`), followed in a shard by
-/// one replica per cut link it receives on (only `link` is used there).
+/// Per-output-link record (`router · pp + port`).
 struct OutputRec {
     /// Crossbar feed busy-until.
     xbar: u64,
@@ -252,8 +285,8 @@ struct OutputRec {
     arb: RrArbiter,
     /// Packets awaiting serialization (demand-sized up to `out_bound`).
     queue: VecDeque<OutPkt>,
-    /// The link's packet (handle) and credit pipelines.
-    link: LinkState<Handle>,
+    /// The link is serializing a packet until this cycle (exclusive).
+    busy_until: u64,
 }
 
 /// Per-node record: the traffic side of an injection queue.
@@ -470,11 +503,11 @@ impl Network {
         with_engine!(&self.0, e => e.last_progress)
     }
 
-    /// Grow every demand-sized queue (bank slabs, output queues, link
-    /// pipelines, the packet arena) to its bound now, as the engine did at
-    /// build before queues followed the traffic. Results are unaffected —
-    /// growth moves no packet — which is what the equivalence tests use
-    /// this to show.
+    /// Grow every demand-sized queue (bank slabs, output queues, the link
+    /// wheels' slots, the packet arena) to its bound now, as the engine
+    /// did at build before queues followed the traffic. Results are
+    /// unaffected — growth moves no packet — which is what the equivalence
+    /// tests use this to show.
     pub fn pregrow_queues(&mut self) {
         with_engine!(&mut self.0, e => e.pregrow_queues())
     }
@@ -555,8 +588,8 @@ impl Network {
     }
 
     /// Packets stored in this instance's arena. Equal to the packets its
-    /// banks, output queues and link pipelines hold (debug builds assert
-    /// it every cycle), so a drained network holds none.
+    /// banks, output queues and arrival wheel hold (debug builds assert it
+    /// every cycle), so a drained network holds none.
     #[cfg(test)]
     pub(crate) fn live_packets(&self) -> usize {
         with_engine!(&self.0, e => e.arena.live())
@@ -568,8 +601,8 @@ impl Network {
         with_engine!(&self.0, e => &e.fabric)
     }
 
-    /// Lengths of the input, output (replicas included) and credit-mirror
-    /// tables (tests: a shard's state is sized to what it owns).
+    /// Lengths of the input, output and credit-mirror tables (tests: a
+    /// shard's state is sized to what it owns).
     #[cfg(test)]
     pub(crate) fn table_sizes(&self) -> (usize, usize, usize) {
         with_engine!(&self.0, e => (e.inputs.len(), e.outputs.len(), e.out_credit.len()))
@@ -611,8 +644,8 @@ pub(crate) struct Engine<const W: usize> {
     nodes: Vec<NodeRec>,
     /// Growth bound of every output queue, in packets.
     out_bound: usize,
-    /// Every packet this instance holds; banks, output queues and link
-    /// pipelines queue handles into it.
+    /// Every packet this instance holds; banks, output queues and the
+    /// arrival wheel queue handles into it.
     arena: Arena,
     /// Per-group Piggyback boards (empty unless PB routing).
     boards: Vec<GroupBoard>,
@@ -660,10 +693,12 @@ pub(crate) struct Engine<const W: usize> {
     /// Routers whose global-port credit state changed since the last
     /// Piggyback publish (empty unless PB routing).
     sense_list: Vec<u32>,
-    /// Timing wheel of inputs with a packet head arriving at a cycle.
-    pkt_wheel: Wheel<u32>,
-    /// Timing wheel of outputs with a credit arriving at a cycle.
-    cred_wheel: Wheel<u32>,
+    /// Timing wheel of the packets on the wires into owned inputs, by
+    /// head arrival cycle.
+    pkt_wheel: Wheel<Arrival>,
+    /// Timing wheel of the credits on the wires back to owned outputs, by
+    /// arrival cycle.
+    cred_wheel: Wheel<Credit>,
     /// Timing wheel of every other timed event (see [`Pending`]) —
     /// releases are commutative occupancy arithmetic and wake-ups only set
     /// bits or queue work for a later phase, so wheel order is
@@ -708,8 +743,7 @@ impl<const W: usize> Engine<W> {
     /// Build the engine instance owning the contiguous router range
     /// `owned` — `None` for the whole network — over a shared fabric
     /// (`cfg` is pre-validated). Mutable state is allocated for owned
-    /// routers only, plus one link replica per cut link the range
-    /// receives on.
+    /// routers only.
     fn new_shard(
         cfg: SimConfig,
         load: f64,
@@ -740,53 +774,38 @@ impl<const W: usize> Engine<W> {
 
         // Worst-case population of every queue — its growth bound, not a
         // preallocation: banks hold their capacity in packets, output
-        // queues their buffer depth, and a link pipeline one entry per
-        // transfer that can start while an earlier one is still in flight
-        // (credits leave an input at crossbar speed, so they set the
-        // window).
+        // queues their buffer depth, and a link one packet per transfer
+        // that can start while an earlier one is still in flight (credits
+        // leave an input at crossbar speed, so they set the window).
         let size = cfg.packet_size.max(1);
         let inj_bound = (cfg.buffers.injection * cfg.injection_vcs as u32 / size) as usize + 1;
         let out_bound = (cfg.buffers.output / size) as usize + 2;
         let dur = size.div_ceil(cfg.speedup);
         let window = |port: usize| ((fab.port_latency[port] + size) / dur) as usize + 2;
 
-        let mut replicas: Vec<usize> = Vec::new();
-        let mut inputs = Vec::with_capacity(n_own * n_in);
-        for ri in 0..n_own {
-            for i in 0..n_in {
-                let (occ, bound, rx) = match fab.port_class.get(i) {
-                    Some(&class) => {
-                        // The feeding link's record: the transmitter's own
-                        // when it is owned, else a replica appended after
-                        // the owned outputs.
-                        let rx = fab.adj[(r0 + ri) * pp + i].map_or(u32::MAX, |(ur, up)| {
-                            if owned_r.contains(&ur) {
-                                ((ur as usize - r0) * pp + up as usize) as u32
-                            } else {
-                                replicas.push(up as usize);
-                                (n_own * pp + replicas.len() - 1) as u32
-                            }
-                        });
-                        let packets = (cfg.port_capacity(class) / size) as usize + 1;
-                        (make_occ(class), packets, rx)
-                    }
+        let inputs: Vec<InputRec<W>> = (0..n_own * n_in)
+            .map(|x| x % n_in)
+            .map(|i| {
+                let (occ, bound) = match fab.port_class.get(i) {
+                    Some(&class) => (
+                        make_occ(class),
+                        (cfg.port_capacity(class) / size) as usize + 1,
+                    ),
                     None => (
                         Occupancy::new_static(cfg.injection_vcs, cfg.buffers.injection),
                         inj_bound,
-                        u32::MAX,
                     ),
                 };
-                inputs.push(InputRec {
+                InputRec {
                     bank: BufferBank::with_packet_capacity(occ, bound),
                     busy: 0,
                     arb: RrArbiter::new(fab.vcs_by_in[i] as usize),
                     vc_mask: 0,
                     awake: u16::MAX,
                     bypass: 0,
-                    rx,
-                });
-            }
-        }
+                }
+            })
+            .collect();
 
         // QoS precomputation: validation already proved the configuration
         // safe (see `SimConfig::check_qos`), so the engine only caches the
@@ -811,28 +830,31 @@ impl<const W: usize> Engine<W> {
                 [total; 2]
             }
         };
+        // The owned ports' links: each carries at most one packet head in,
+        // and one credit back, per cycle (a wheel slot's bound).
+        let far_ends = || fab.adj[r0 * pp..(r0 + n_own) * pp].iter().flatten();
+        let wired = far_ends().count();
         // The arena holds at most what every queue that can hold a handle
-        // holds at once.
-        let banks: usize = inputs.iter().map(|i: &InputRec<W>| i.bank.bound()).sum();
-        let links: usize = (0..n_own * pp)
-            .map(|o| o % pp)
-            .chain(replicas.iter().copied())
-            .map(window)
+        // holds at once: banks, output queues, and a window per link out
+        // of an owned output or into one from another block.
+        let banks: usize = inputs.iter().map(|i| i.bank.bound()).sum();
+        let cut_rx: usize = far_ends()
+            .filter(|(ur, _)| !owned_r.contains(ur))
+            .map(|&(_, up)| window(up as usize))
             .sum();
+        let links: usize = (0..n_own * pp).map(|o| window(o % pp)).sum::<usize>() + cut_rx;
         let arena_bound = banks + n_own * pp * out_bound + links;
         let outputs: Vec<OutputRec> = (0..n_own * pp)
-            .map(|o| o % pp)
-            .chain(replicas)
-            .map(|port| OutputRec {
+            .map(|o| OutputRec {
                 xbar: 0,
                 waiters: NIL,
                 occ: 0,
                 bypass: 0,
                 cls_occ: [0; 2],
-                cls_quota: quota(port),
+                cls_quota: quota(o % pp),
                 arb: RrArbiter::new(n_in),
                 queue: VecDeque::new(),
-                link: LinkState::with_capacity(window(port)),
+                busy_until: 0,
             })
             .collect();
         let out_credit = (0..n_own * pp)
@@ -935,9 +957,9 @@ impl<const W: usize> Engine<W> {
             #[cfg(test)]
             router_visits: 0,
             sense_list: Vec::new(),
-            pkt_wheel: Wheel::new(horizon),
-            cred_wheel: Wheel::new(horizon),
-            rel_wheel: Wheel::new(rel_horizon),
+            pkt_wheel: Wheel::new(horizon, wired),
+            cred_wheel: Wheel::new(horizon, wired),
+            rel_wheel: Wheel::new(rel_horizon, usize::MAX),
             cand: vec![None; n_in],
             eval_mutated_here: false,
             eval_block: EvalBlock::Never,
@@ -983,18 +1005,6 @@ impl<const W: usize> Engine<W> {
         self.owned_r.start as usize
     }
 
-    /// Packets held in banks, output queues and link pipelines, counted
-    /// queue by queue (the conservation check against the arena).
-    fn queued_packets(&self) -> usize {
-        let banks: usize = self.inputs.iter().map(|i| i.bank.queued_packets()).sum();
-        let outputs: usize = self
-            .outputs
-            .iter()
-            .map(|o| o.queue.len() + o.link.packets_in_flight())
-            .sum();
-        banks + outputs
-    }
-
     /// See [`Network::pregrow_queues`].
     fn pregrow_queues(&mut self) {
         self.arena.reserve_bound();
@@ -1003,8 +1013,9 @@ impl<const W: usize> Engine<W> {
         }
         for out in &mut self.outputs {
             out.queue.reserve_exact(self.out_bound - out.queue.len());
-            out.link.reserve_bound();
         }
+        self.pkt_wheel.reserve_bound();
+        self.cred_wheel.reserve_bound();
     }
 
     /// See [`Network::queue_overshoot`].
@@ -1017,16 +1028,13 @@ impl<const W: usize> Engine<W> {
             .outputs
             .iter()
             .map(|o| (o.queue.capacity(), self.out_bound));
-        let links = self
-            .outputs
-            .iter()
-            .map(|o| (o.link.capacity(), o.link.window()));
+        let wheels = [self.pkt_wheel.overshoot(), self.cred_wheel.overshoot()];
         let arena = (self.arena.capacity(), self.arena.bound());
         banks
             .chain(queues)
-            .chain(links)
             .chain([arena])
             .map(|(capacity, bound)| capacity.saturating_sub(bound))
+            .chain(wheels)
             .max()
             .unwrap_or(0)
     }
@@ -1120,13 +1128,20 @@ impl<const W: usize> Engine<W> {
         if now.is_multiple_of(128) && self.in_window(now) {
             self.sample_occupancy();
         }
-        // Packet conservation: every live arena slot is queued somewhere,
+        // Packet conservation: every live arena slot is queued somewhere
+        // (in a bank, an output queue or on a wire into an owned input),
         // and every queued handle names a live slot.
-        debug_assert_eq!(
-            self.arena.live(),
-            self.queued_packets(),
-            "arena and queues disagree at cycle {now}"
-        );
+        #[cfg(debug_assertions)]
+        {
+            let banks: usize = self.inputs.iter().map(|i| i.bank.queued_packets()).sum();
+            let outputs: usize = self.outputs.iter().map(|o| o.queue.len()).sum();
+            let queued = banks + outputs + self.pkt_wheel.len();
+            assert_eq!(
+                self.arena.live(),
+                queued,
+                "arena and queues disagree at {now}"
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1160,43 +1175,32 @@ impl<const W: usize> Engine<W> {
     }
 
     /// Absorb the boundary events another block addressed to this one
-    /// during the epoch ending at cycle `now`. Every event's effect cycle
-    /// is strictly in the future (packet heads arrive one link latency
-    /// after transmit, credits one latency after their departure — both at
-    /// least the cut-link latency the epoch length is capped at — and board
-    /// publishes land in the boards' write buffer until the tick), so
-    /// applying them here — after this block's own phases — is
-    /// indistinguishable from the single-engine schedule, where the same
-    /// effects were queued during the phases.
+    /// during the epoch ending at cycle `now`: packets enter this block's
+    /// arena and, with credits, its link wheels. Every event's effect cycle
+    /// is in the future (packet heads and credits arrive at least the
+    /// cut-link latency the epoch length is capped at after they leave,
+    /// and never before the next cycle; board publishes land in the
+    /// boards' write buffer until the tick), so applying them here — after
+    /// this block's own phases — is indistinguishable from the
+    /// single-engine schedule, where the same effects were scheduled
+    /// during the phases.
     fn absorb(&mut self, now: u64, mail: &mut Outbox) {
         let fab = &*self.fabric;
-        let lid0 = self.r0() * fab.pp;
+        let lid0 = (self.r0() * fab.pp) as u32;
         for ev in mail.packets.drain(..) {
-            let at = ev.flight.head_arrival;
-            debug_assert!(at > now);
+            let at = ev.packet.head_arrival;
+            debug_assert!(at >= now);
             let (dr, dp) = fab.adj[ev.lid as usize].expect("wired");
             debug_assert!(self.owned_r.contains(&dr));
-            let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
-            self.pkt_wheel.schedule(now, at, input as u32);
-            let replica = self.inputs[input].rx as usize;
-            let flight = ev.flight.map(|pkt| self.arena.insert(pkt, ev.flow));
-            self.outputs[replica].link.receive_flight(flight);
+            let input = (dr - self.owned_r.start) * fab.n_in as u32 + dp as u32;
+            let (pkt, vc) = (self.arena.insert(ev.packet, ev.flow), ev.vc);
+            self.pkt_wheel.schedule(now, at, Arrival { input, pkt, vc });
         }
         for ev in &mail.credits {
-            let CreditMsg {
-                arrival,
-                vc,
-                phits,
-                class,
-                tclass,
-            } = ev.msg;
-            debug_assert!(arrival > now);
-            let o = ev.lid as usize - lid0;
-            debug_assert!(o < self.out_credit.len(), "credit for a foreign link");
-            self.outputs[o]
-                .link
-                .receive_credit(arrival, vc, phits, class, tclass);
-            self.cred_wheel.schedule(now, arrival, o as u32);
+            debug_assert!(ev.arrival > now);
+            let mut credit = ev.credit;
+            credit.output -= lid0;
+            self.cred_wheel.schedule(now, ev.arrival, credit);
         }
         for ev in &mail.boards {
             self.boards[ev.group as usize].publish(
@@ -1393,57 +1397,51 @@ impl<const W: usize> Engine<W> {
         }
     }
 
+    /// Apply the link events due now: every packet head reaching an owned
+    /// input enters its VC, then every credit reaching an owned output
+    /// frees its share of the downstream mirror. A link has one
+    /// transmitter, whose serialization spaces its packets and whose
+    /// receiving input's feed spaces its credits, so each input and each
+    /// output sees at most one of each per cycle.
     fn deliver(&mut self, now: u64) {
         let (pp, n_in) = (self.fabric.pp, self.fabric.n_in);
-        // Packet arrivals: exactly the inputs with a head phit due now
-        // (scheduled at transmit time), popped from the link feeding them.
         let due = self.pkt_wheel.take(now);
-        for &input in &due {
+        debug_assert!(
+            distinct(due.iter().map(|a| a.input)),
+            "two heads reach one input at cycle {now}"
+        );
+        for &Arrival { input, pkt, vc } in &due {
             let input = input as usize;
-            let link = self.inputs[input].rx as usize;
-            while let Some(f) = self.outputs[link].link.pop_arrived(now) {
-                let pkt = &mut self.arena[f.packet];
-                pkt.head_arrival = f.head_arrival;
-                pkt.tail_arrival = f.tail_arrival;
-                self.enqueue(input / n_in, input % n_in, f.vc as usize, f.packet, now);
-            }
+            self.enqueue(input / n_in, input % n_in, vc as usize, pkt, now);
         }
         self.pkt_wheel.put_back(now, due);
-        // Credit arrivals: outputs with a credit due now (the credit queue
-        // lives on the *upstream* link, owned by the router it returns to).
-        // The first wheel entry of a link applies every credit due on it;
-        // a later entry for the same link finds none left.
         let due = self.cred_wheel.take(now);
-        for &o in &due {
-            let o = o as usize;
-            let out = &mut self.outputs[o];
-            let mut any = false;
-            while let Some(c) = out.link.pop_credit(now) {
-                self.out_credit[o].remove(c.vc as usize, c.phits, c.class);
-                if self.repart {
-                    // The downstream buffer drained a packet of this class:
-                    // release its share of the class quota.
-                    out.cls_occ[c.tclass.index()] -= c.phits;
-                }
-                // A returning credit is forward progress: downstream
-                // drained a buffer we were blocked on. Without this, an
-                // extremely congested-but-live network whose grants are
-                // spaced by long credit round trips can be misflagged
-                // as deadlocked.
-                self.last_progress = now;
-                any = true;
+        debug_assert!(
+            distinct(due.iter().map(|c| c.output)),
+            "two credits reach one output at cycle {now}"
+        );
+        let size = self.cfg.packet_size;
+        for c in &due {
+            let o = c.output as usize;
+            self.out_credit[o].remove(c.vc as usize, size, c.class);
+            if self.repart {
+                // The downstream buffer drained a packet of this class:
+                // release its share of the class quota.
+                self.outputs[o].cls_occ[c.tclass.index()] -= size;
             }
-            if any {
-                // Credits restore acceptance on this output port: wake the
-                // heads asleep on it (see `OutputRec::waiters`).
-                self.wake_waiters(o, now);
-                if !self.boards.is_empty()
-                    && (self.fabric.sense_all
-                        || self.fabric.port_class[o % pp] == LinkClass::Global)
-                {
-                    let ri = o / pp;
-                    mark(&mut self.sense_list, &mut self.routers[ri].sense_in, ri);
-                }
+            // A returning credit is forward progress: downstream drained a
+            // buffer we were blocked on. Without this, an extremely
+            // congested-but-live network whose grants are spaced by long
+            // credit round trips can be misflagged as deadlocked.
+            self.last_progress = now;
+            // Credits restore acceptance on this output port: wake the
+            // heads asleep on it (see `OutputRec::waiters`).
+            self.wake_waiters(o, now);
+            if !self.boards.is_empty()
+                && (self.fabric.sense_all || self.fabric.port_class[o % pp] == LinkClass::Global)
+            {
+                let ri = o / pp;
+                mark(&mut self.sense_list, &mut self.routers[ri].sense_in, ri);
             }
         }
         self.cred_wheel.put_back(now, due);
@@ -2177,18 +2175,17 @@ impl<const W: usize> Engine<W> {
     }
 
     /// Return the credit for the buffer a grant just vacated on unified
-    /// input `in_idx` of router offset `ri`: queue it on the upstream link
-    /// (owned by the router it returns to). When that router lives on
-    /// another shard, the credit becomes a boundary event — the arrival
-    /// cycle `t_c + lat` is strictly beyond the current cycle, so applying
-    /// it at the exchange is exact.
+    /// input `in_idx` of router offset `ri`: it departs at `t_c` and
+    /// reaches the upstream router's credit mirror one link latency later.
+    /// When that router lives on another block, the credit becomes a
+    /// boundary event — its arrival is strictly beyond the current cycle,
+    /// so applying it at the exchange is exact.
     #[allow(clippy::too_many_arguments)]
     fn return_credit(
         &mut self,
         ri: usize,
         in_idx: usize,
         vc_in: usize,
-        phits: u32,
         class: CreditClass,
         tclass: TrafficClass,
         t_c: u64,
@@ -2202,24 +2199,22 @@ impl<const W: usize> Engine<W> {
         let Some((ur, up)) = fab.adj[(self.r0() + ri) * fab.pp + in_idx] else {
             return;
         };
+        let arrival = t_c + lat as u64;
+        let mut credit = Credit {
+            output: ur * fab.pp as u32 + up as u32,
+            vc: vc_in as u8,
+            class,
+            tclass,
+        };
         if self.sharded && !self.owns(ur) {
             self.outbox.credits.push(CreditEvent {
-                lid: ur * fab.pp as u32 + up as u32,
                 dst: ur,
-                msg: CreditMsg {
-                    arrival: t_c + lat as u64,
-                    vc: vc_in as u8,
-                    phits,
-                    class,
-                    tclass,
-                },
+                arrival,
+                credit,
             });
         } else {
-            let up = self.inputs[ri * fab.n_in + in_idx].rx as usize;
-            self.outputs[up]
-                .link
-                .send_credit(t_c, lat, vc_in as u8, phits, class, tclass);
-            self.cred_wheel.schedule(now, t_c + lat as u64, up as u32);
+            credit.output -= (self.r0() * fab.pp) as u32;
+            self.cred_wheel.schedule(now, arrival, credit);
         }
     }
 
@@ -2260,7 +2255,7 @@ impl<const W: usize> Engine<W> {
             class,
         };
         self.rel_wheel.schedule(now, t_c, release);
-        self.return_credit(ri, in_idx, vc_in, phits, class, tclass, t_c, now);
+        self.return_credit(ri, in_idx, vc_in, class, tclass, t_c, now);
         self.last_progress = now;
         (h, t_c)
     }
@@ -2315,7 +2310,7 @@ impl<const W: usize> Engine<W> {
         );
         if out.queue.len() == 1 {
             // Zero pipeline latency on a free link: serialized this cycle.
-            let at = (now + self.cfg.pipeline_latency as u64).max(out.link.busy_until());
+            let at = (now + self.cfg.pipeline_latency as u64).max(out.busy_until);
             if at <= now {
                 self.ser_due.push(o as u32);
             } else {
@@ -2389,32 +2384,36 @@ impl<const W: usize> Engine<W> {
             let out = &mut self.outputs[o];
             let OutPkt { pkt, vc, ready_at } = out.queue.pop_front().expect("scheduled head");
             debug_assert!(
-                out.link.is_free(now) && ready_at <= now,
+                out.busy_until <= now && ready_at <= now,
                 "early serialization"
             );
-            let size = self.arena[pkt].size;
+            let packet = &mut self.arena[pkt];
+            let size = packet.size;
+            out.busy_until = now + size as u64;
+            // Stamp the arrivals downstream at launch: on a zero-latency
+            // link the head is delivered next cycle, the earliest a wheel
+            // can, yet arrived this cycle.
             let lat = fab.port_latency[o % fab.pp];
+            (packet.head_arrival, packet.tail_arrival) = arrival_window(now, lat, size);
+            let at = packet.head_arrival;
             let (dr, dp) = fab.adj[lid0 + o].expect("transmitting link is wired");
-            if self.sharded && !self.owned_r.contains(&dr) {
-                // The receiving router lives on another block: keep the
-                // serialization state (`busy_until`) here and move the
-                // packet, with its flow tag, out of this arena into an
-                // in-flight record for the receiver's link replica. Its
-                // head arrives at `now + lat`, beyond this cycle, so
-                // delivery timing is identical to the local path.
-                let flight = out.link.launch(now, lat, vc, size, pkt);
-                let (pkt, flow) = self.arena.take(pkt);
+            if self.sharded && !self.owns(dr) {
+                // The receiving router lives on another block: move the
+                // packet, with its flow tag, out of this arena into a
+                // boundary event. Its head is due at `now + lat`, which
+                // the receiving block schedules exactly as the local path
+                // below does.
+                let (packet, flow) = self.arena.take(pkt);
                 self.outbox.packets.push(PacketEvent {
                     lid: (lid0 + o) as u32,
                     dst: dr,
-                    flight: flight.map(|_| pkt),
+                    vc,
+                    packet,
                     flow,
                 });
             } else {
-                let flight = out.link.launch(now, lat, vc, size, pkt);
-                out.link.receive_flight(flight);
-                let input = (dr - self.owned_r.start) as usize * fab.n_in + dp as usize;
-                self.pkt_wheel.schedule(now, now + lat as u64, input as u32);
+                let input = (dr - self.owned_r.start) * fab.n_in as u32 + dp as u32;
+                self.pkt_wheel.schedule(now, at, Arrival { input, pkt, vc });
             }
             self.rel_wheel.schedule(
                 now,

@@ -1,18 +1,21 @@
-//! Directed link pipelines: in-flight packets and returning credits.
+//! Link timing, and a stand-alone directed link pipeline.
 //!
-//! Each directed link is owned by its transmitting router. Phits serialize
-//! at one per cycle; a packet transmitted from cycle `t0` delivers its head
-//! at `t0 + latency` and its tail at `t0 + latency + size − 1`. Credits flow
-//! on the reverse direction with the same latency.
+//! Phits serialize at one per cycle; a packet transmitted from cycle `t0`
+//! delivers its head at `t0 + latency` and its tail at
+//! `t0 + latency + size − 1` (`arrival_window`). Credits flow on the
+//! reverse direction with the same latency.
+//!
+//! The engine keeps no per-link queues: a packet or credit on a wire is an
+//! entry of its arrival or credit timing wheel. [`LinkState`] is the same
+//! timing as a pair of per-link FIFOs, kept as the stand-alone pipeline
+//! the benchmark's `sim.link.*` probes time.
 
 use crate::bank::bounded_growth;
 use crate::packet::Packet;
 use flexvc_core::{CreditClass, TrafficClass};
 use std::collections::VecDeque;
 
-/// A packet in flight on a link: the packet itself by default, its arena
-/// handle in the engine, and the packet again when it crosses a block
-/// boundary (the engine's `PacketEvent`).
+/// A packet in flight on a link (or what stands for it).
 #[derive(Debug, Clone)]
 pub struct InFlight<T = Packet> {
     /// The packet (or its handle).
@@ -23,19 +26,6 @@ pub struct InFlight<T = Packet> {
     pub head_arrival: u64,
     /// Cycle the tail phit arrives downstream.
     pub tail_arrival: u64,
-}
-
-impl<T> InFlight<T> {
-    /// The same flight carrying `f(packet)` (a handle swapped for its
-    /// packet, or back).
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> InFlight<U> {
-        InFlight {
-            packet: f(self.packet),
-            vc: self.vc,
-            head_arrival: self.head_arrival,
-            tail_arrival: self.tail_arrival,
-        }
-    }
 }
 
 /// A credit message returning upstream.
@@ -77,6 +67,14 @@ impl<T> Default for LinkState<T> {
     }
 }
 
+/// Head and tail arrival cycles downstream of a `size`-phit packet that
+/// starts serializing at `now` on a link of `latency` cycles.
+#[inline]
+pub(crate) fn arrival_window(now: u64, latency: u32, size: u32) -> (u64, u64) {
+    let head = now + latency as u64;
+    (head, head + size as u64 - 1)
+}
+
 /// Append to a demand-sized queue bounded by `window` entries (see
 /// [`bounded_growth`]).
 #[inline]
@@ -113,16 +111,12 @@ impl<T> LinkState<T> {
 
     /// Begin serializing a `size`-phit packet at cycle `now` toward input
     /// VC `vc` downstream, and return its in-flight record *without*
-    /// queueing it: a local transmit hands it straight to
-    /// [`LinkState::receive_flight`]; across a block boundary only the
-    /// serialization state (`busy_until`) stays here, and the record
-    /// travels to the receiving block's replica of this link.
+    /// queueing it ([`LinkState::transmit`] hands it straight to
+    /// [`LinkState::receive_flight`]).
     pub fn launch(&mut self, now: u64, latency: u32, vc: u8, size: u32, packet: T) -> InFlight<T> {
         debug_assert!(self.busy_until <= now, "link already serializing");
-        let size = size as u64;
-        self.busy_until = now + size;
-        let head_arrival = now + latency as u64;
-        let tail_arrival = head_arrival + size - 1;
+        self.busy_until = now + size as u64;
+        let (head_arrival, tail_arrival) = arrival_window(now, latency, size);
         InFlight {
             packet,
             vc,
@@ -131,10 +125,9 @@ impl<T> LinkState<T> {
         }
     }
 
-    /// Enqueue an in-flight record produced by [`LinkState::launch`] (here,
-    /// or on the transmitting block). Each link has a single transmitter, and
-    /// boundary events are applied in emission order, so a back-push keeps the
-    /// queue arrival-sorted exactly as local `transmit` calls would.
+    /// Enqueue an in-flight record produced by [`LinkState::launch`]. Each
+    /// link has a single transmitter, so a back-push keeps the queue
+    /// arrival-sorted.
     pub fn receive_flight(&mut self, flight: InFlight<T>) {
         debug_assert!(
             self.packets
@@ -146,14 +139,11 @@ impl<T> LinkState<T> {
     }
 
     /// Enqueue a credit arriving at cycle `arrival` (what
-    /// [`LinkState::send_credit`] does for a local credit, and how a credit
-    /// emitted by a foreign shard's router enters its upstream link).
-    /// Credit departures on one link are monotonic: they all originate from
-    /// the single downstream input port feeding this link, whose `busy`
-    /// serialization guarantees each transfer completes (and thus departs
-    /// its credit) after the previous one, and boundary events are applied
-    /// in emission order. A plain back-push therefore keeps the queue
-    /// arrival-sorted — no O(n) sorted insert needed.
+    /// [`LinkState::send_credit`] does). Credit departures on one link are
+    /// monotonic: they all originate from the single downstream input port
+    /// fed by this link, whose serialization completes each transfer (and
+    /// thus departs its credit) after the previous one. A plain back-push
+    /// therefore keeps the queue arrival-sorted.
     pub fn receive_credit(
         &mut self,
         arrival: u64,
@@ -211,34 +201,6 @@ impl<T> LinkState<T> {
     /// Whether the link can start a new serialization at `now`.
     pub fn is_free(&self, now: u64) -> bool {
         self.busy_until <= now
-    }
-
-    /// First cycle the link can start a new serialization.
-    pub(crate) fn busy_until(&self) -> u64 {
-        self.busy_until
-    }
-
-    /// Packets in flight on the link.
-    pub(crate) fn packets_in_flight(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Larger of the two pipelines' allocated capacities (never more than
-    /// [`Self::window`]).
-    pub(crate) fn capacity(&self) -> usize {
-        self.packets.capacity().max(self.credits.capacity())
-    }
-
-    /// Most entries either pipeline can hold at once.
-    pub(crate) fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Grow both pipelines to the window now (see
-    /// [`BufferBank::reserve_bound`](crate::bank::BufferBank)).
-    pub(crate) fn reserve_bound(&mut self) {
-        self.packets.reserve_exact(self.window - self.packets.len());
-        self.credits.reserve_exact(self.window - self.credits.len());
     }
 }
 
@@ -325,14 +287,16 @@ mod tests {
     #[test]
     fn pipelines_are_demand_sized_and_bounded() {
         let mut link = LinkState::with_capacity(3);
-        assert_eq!(link.capacity(), 0, "nothing allocated before traffic");
+        assert_eq!(
+            (link.packets.capacity(), link.credits.capacity()),
+            (0, 0),
+            "nothing allocated before traffic"
+        );
         for i in 0..3u64 {
             link.transmit(i * 8, 100, 0, pkt(i, 8));
             link.send_credit(i, 100, 0, 8, CreditClass::MinRouted, TrafficClass::Bulk);
         }
         assert_eq!(link.packets.capacity(), 3);
         assert_eq!(link.credits.capacity(), 3);
-        link.reserve_bound();
-        assert_eq!(link.capacity(), link.window());
     }
 }

@@ -164,7 +164,7 @@ impl Packet {
 }
 
 /// A packet's slot in its engine's [`Arena`]: what bank FIFOs, output
-/// queues and link pipelines hold instead of the packet itself.
+/// queues and arrival-wheel entries hold instead of the packet itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Handle(u32);
 
@@ -244,6 +244,7 @@ impl Arena {
     }
 
     /// Packets currently stored.
+    #[cfg(any(test, debug_assertions))]
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()
     }

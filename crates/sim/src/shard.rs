@@ -15,12 +15,13 @@
 //!
 //! Each block is a [`Network`] instance that owns a contiguous router
 //! range: it allocates record tables, timing wheels, worklists, buffer
-//! banks and credit mirrors for those routers only (plus one link replica
-//! per cut link it receives on), while the immutable topology-derived
-//! tables are built once into a `Fabric` that every block shares behind an
-//! `Arc`. Router, node and link ids stay global in packets and boundary
-//! events. One worker with one block is the plain single engine under this
-//! driver; one worker runs on the calling thread.
+//! banks and credit mirrors for those routers only (nothing for the cut
+//! links it receives on: their packets and credits land in its wheels),
+//! while the immutable topology-derived tables are built once into a
+//! `Fabric` that every block shares behind an `Arc`. Router, node and link
+//! ids stay global in packets and boundary events. One worker with one
+//! block is the plain single engine under this driver; one worker runs on
+//! the calling thread.
 //!
 //! # The boundary exchange
 //!
@@ -28,11 +29,11 @@
 //! docs: iteration order across routers is independent by construction).
 //! The only effects that cross a block cut are:
 //!
-//! * **packet transmits** whose receiving router is foreign — the packet
-//!   leaves the sender's arena in an [`InFlight`] record for the
-//!   receiver's link replica (and arena), arriving at `now + latency`;
+//! * **packet transmits** whose receiving router is foreign — the packet,
+//!   its arrivals stamped at launch, leaves the sender's arena; the
+//!   receiver moves it into its arena and its arrival wheel;
 //! * **credit returns** whose upstream router is foreign — the credit
-//!   arrives at `t_c + latency`, strictly beyond the current cycle;
+//!   lands in the receiver's credit wheel at `t_c + latency`;
 //! * **Piggyback board publishes** — replicated to every block's board
 //!   copy, becoming visible only at the next board tick.
 //!
@@ -59,9 +60,10 @@
 //! # Epoch batching: why E > 1 is exact
 //!
 //! Packet and credit arrivals crossing a cut are delayed by at least the
-//! latency of the cut link they traverse. Let **λ** be the minimum latency
-//! over all links cut by the block partition
-//! ([`Topology::cut_link_classes`]). An event emitted at cycle
+//! latency of the cut link they traverse, and by at least one cycle (the
+//! earliest a wheel delivers). Let **λ** be the minimum latency over all
+//! links cut by the block partition ([`Topology::cut_link_classes`]), and
+//! at least 1. An event emitted at cycle
 //! `c ∈ [t, t+E)` lands at `≥ c + λ ≥ t + E` whenever `E ≤ λ` — i.e. **no
 //! event can arrive inside the epoch that emits it**, and applying the
 //! whole batch at the epoch-end exchange is indistinguishable from applying
@@ -115,13 +117,13 @@
 //! The mail order makes the exchange deterministic, and the *application
 //! order* of boundary events is behavior-neutral on top of that:
 //!
-//! * each directed link has exactly one transmitting router and one
-//!   receiving router, so all packet events for a link come from one
-//!   block and are applied in emission order — the order the receiving
-//!   link queue would have seen locally;
+//! * each directed link has exactly one transmitting router, whose
+//!   serialization spaces its packets at least a cycle apart, so a
+//!   receiving input sees at most one head per cycle and the order of
+//!   wheel entries across inputs is immaterial;
 //! * all credit events for a link originate from the single downstream
-//!   input port feeding it, whose serialization makes departure cycles
-//!   strictly monotonic — same argument;
+//!   input port fed by it, whose serialization makes departure cycles
+//!   strictly monotonic — same argument, one credit per cycle;
 //! * board publishes within a cycle target distinct cells (one router
 //!   publishes each cell) and overwrite, so they commute.
 //!
@@ -136,11 +138,11 @@
 //! forced down to one unit.
 
 use crate::config::SimConfig;
-use crate::engine::Network;
+use crate::engine::{Credit, Network};
 use crate::error::ConfigError;
 use crate::fabric::Fabric;
-use crate::link::{CreditMsg, InFlight};
 use crate::metrics::{Metrics, SimResult};
+use crate::packet::Packet;
 use flexvc_core::MessageClass;
 use flexvc_topology::Topology;
 use std::ops::Range;
@@ -157,9 +159,10 @@ pub(crate) struct PacketEvent {
     pub lid: u32,
     /// Receiving router (its owner is the destination block).
     pub dst: u32,
-    /// The in-flight link record with the packet (its head arrival is the
-    /// effect cycle).
-    pub flight: InFlight,
+    /// Landing VC at the receiving input port.
+    pub vc: u8,
+    /// The packet (its head arrival is the effect cycle).
+    pub packet: Packet,
     /// The packet's flow tag under flow workloads, moved from the sending
     /// arena's side table to the receiving one's with the packet.
     pub flow: Option<flexvc_traffic::FlowTag>,
@@ -168,12 +171,12 @@ pub(crate) struct PacketEvent {
 /// A credit returning to a foreign router's credit mirror.
 #[derive(Debug)]
 pub(crate) struct CreditEvent {
-    /// Flat id of the link whose downstream space is released.
-    pub lid: u32,
     /// Upstream router (its owner is the destination block).
     pub dst: u32,
-    /// The credit, stamped with its arrival cycle.
-    pub msg: CreditMsg,
+    /// Arrival cycle at the upstream router.
+    pub arrival: u64,
+    /// The credit, its output named by flat link id.
+    pub credit: Credit,
 }
 
 /// A Piggyback saturation-flag publish, replicated to every other block.
@@ -1002,15 +1005,16 @@ mod tests {
     }
 
     /// At `paper_h8`'s configuration every port fits the 4-wide engine,
-    /// whose record tables take at most 10.5 KB per router (18,292 B when
-    /// all per-VC state was 16 wide).
+    /// whose record tables take at most 8.5 KB per router (10,132 B while
+    /// every output held its link's packet and credit pipelines, 18,292 B
+    /// when all per-VC state was 16 wide).
     #[test]
     fn paper_h8_router_tables_are_four_vcs_wide() {
         let cfg = paper_h8();
         let fabric = Fabric::new(&cfg, cfg.topology.build(), 1);
         assert_eq!(Network::width(&fabric), 4);
         let bytes = crate::engine::Engine::<4>::router_table_bytes(&fabric);
-        assert!(bytes <= 10_500, "{bytes} B of record tables per router");
+        assert!(bytes <= 8_500, "{bytes} B of record tables per router");
     }
 
     /// Blocks are cut by partition weight, which does not depend on the
@@ -1101,8 +1105,9 @@ mod tests {
         for (s, shard) in blocks.iter().enumerate() {
             assert_eq!(net.stats[s].blocks, [net.stats[s].routers.clone()]);
             let owned = net.stats[s].routers.clone();
-            // Links received across the cut: transmitter foreign, far end
-            // owned.
+            // Links received across the cut (transmitter foreign, far end
+            // owned) hold no state here: their packets and credits ride
+            // the receiving block's wheels.
             let cut_rx = fabric
                 .adj
                 .iter()
@@ -1115,12 +1120,8 @@ mod tests {
             assert!(cut_rx > 0, "shard {s} should receive on some cut link");
             assert_eq!(
                 shard.table_sizes(),
-                (
-                    owned.len() * n_in,
-                    owned.len() * pp + cut_rx,
-                    owned.len() * pp
-                ),
-                "shard {s} tables: inputs, outputs + replicas, credit mirrors"
+                (owned.len() * n_in, owned.len() * pp, owned.len() * pp),
+                "shard {s} tables: inputs, outputs, credit mirrors"
             );
         }
     }

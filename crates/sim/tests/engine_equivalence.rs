@@ -948,7 +948,7 @@ fn production_budget_blocks_are_bit_identical() {
 }
 
 /// Demand-sized queues must be invisible in the results: a run whose bank
-/// slabs, output queues and link pipelines start empty and grow under
+/// slabs, output queues and link wheel slots start empty and grow under
 /// traffic is compared bit-for-bit against one whose queues were all grown
 /// to their worst-case bound before the first cycle (the pre-PR 14
 /// storage). An h = 3 Dragonfly near saturation, so queues do grow — and,
@@ -1040,5 +1040,37 @@ fn engine_reproduces_pre_refactor_snapshots() {
         assert_eq!(r.fct_p50, g.fct_p50, "{}", ctx("fct_p50"));
         assert_eq!(r.fct_p99, g.fct_p99, "{}", ctx("fct_p99"));
         assert_eq!(r.slowdown_mean, g.slowdown_mean, "{}", ctx("slowdown_mean"));
+    }
+}
+
+/// Zero-latency links: a packet head is due the cycle it leaves its
+/// router and is delivered at the next (the earliest a timing wheel can
+/// deliver), with its head and tail arrival stamped at launch. Stamping
+/// them at delivery instead would delay every hop by one cycle, which the
+/// recorded fields below catch; the driver must equal the single engine
+/// at workers 1-3, cut links of latency zero included.
+#[test]
+fn zero_latency_links_keep_their_launch_timing() {
+    let mut cfg =
+        SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::Uniform))
+            .with_flexvc(Arrangement::dragonfly(4, 2));
+    (cfg.local_latency, cfg.global_latency) = (0, 0);
+    cfg.warmup = 500;
+    cfg.measure = 1_500;
+    cfg.watchdog = 4_000;
+    let single = Network::new(cfg.clone(), 1.0, 21).unwrap().run();
+    // Recorded on the engine that queued packets in per-link pipelines,
+    // stamped at launch.
+    assert!(!single.deadlocked);
+    assert_eq!(single.accepted, 0.8264444444444444);
+    assert_eq!(single.latency, 271.1322936273192);
+    assert_eq!(single.latency_p99, 512.0);
+    assert_eq!(single.latency_hist.count(), 11157);
+    let single = flexvc_serde::to_json(&single);
+    for shards in [1, 2, 3] {
+        let mut sharded_cfg = cfg.clone();
+        sharded_cfg.shards = shards;
+        let r = ShardedNetwork::new(sharded_cfg, 1.0, 21).unwrap().run();
+        assert_eq!(single, flexvc_serde::to_json(&r), "shards={shards}");
     }
 }

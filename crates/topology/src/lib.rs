@@ -146,7 +146,7 @@ pub trait Topology: Send + Sync {
     }
 
     /// Load-balance weight of a router for shard partitioning. Per-cycle
-    /// simulation work scales with a router's port count (link replicas,
+    /// simulation work scales with a router's port count (links,
     /// allocation, credit machinery) plus its attached terminals
     /// (generation and ejection), not with the router count alone:
     /// Dragonfly+ spines carry full port fan-out but zero hosts, so a
